@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkSet
+from .channel import LinkSet, sample_channels
 from .estimation import EstimatorSet
 from .errors import NumericalError
 
@@ -98,8 +98,9 @@ class RateReport:
 
 
 def se_lb(sinr, phase_fraction):
-    """SE = fraction * log2(1 + sinr)."""
-    return phase_fraction * np.log2(1.0 + np.asarray(sinr, dtype=float))
+    """SE = fraction * log2(1 + sinr), via log1p so that an SINR below
+    machine epsilon still gives a positive rate."""
+    return phase_fraction * np.log1p(np.asarray(sinr, dtype=float)) / np.log(2)
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +131,22 @@ def uatf_terms(links: LinkSet, est: EstimatorSet, pilot_index) -> UatfTerms:
     G, D = est.G, est.D
     steer = links.steering
 
+    # optimize=True turns each pairwise trace into per-AP BLAS products;
+    # their AP-major results are copied to the (J, K, A) layout the
+    # closed forms read fastest.
     trace_D = _real_guard(np.einsum("kann->ka", D), "tr(D)")
-    t = np.einsum("janm,kamn->jka", D, G)
+    t = np.ascontiguousarray(np.einsum("janm,kamn->jka", D, G, optimize=True))
     # G D^H = sqrt(eta) G B^{-1} G is Hermitian, so its trace against the
     # Hermitian G_k is real; symmetrize to kill solve roundoff, then any
     # leftover imaginary part is pure cancellation noise and can be dropped.
     GDH = np.einsum("janm,japm->janp", G, np.conj(D))
     GDH = 0.5 * (GDH + np.conj(np.swapaxes(GDH, -1, -2)))
-    cross = np.real(np.einsum("janp,kapn->jka", GDH, G))
+    cross = np.ascontiguousarray(
+        np.real(np.einsum("janp,kapn->jka", GDH, G, optimize=True)))
 
     c2, c2k = _c_coeffs(links.beta, links.rice_k)
-    aDa = np.einsum("kan,janm,kam->kja", np.conj(steer), D, steer)
+    aDa = np.einsum("kan,janm,kam->kja", np.conj(steer), D, steer,
+                    optimize=True)
     delta = (c2[:, None, :] * trace_D[None, :, :] ** 2
              + 2.0 * c2k[:, None, :] * trace_D[None, :, :] * np.real(aDa))
 
@@ -265,6 +271,29 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, pilot_index, eta_dl, eta_ul,
     conjugate beamforming (DL) and matched-filter combining at the CPU (UL).
     The same draws serve every user (common random numbers).
 
+    A batch of T trials is evaluated with BLAS products, with AN = A*N the
+    flattened (AP, antenna) axis:
+
+    - training: one (P, K) @ (T, K, AN) product, on real views of the
+      complex arrays, spreads the users' channels onto their pilots; the
+      training noise is added in place;
+    - LMMSE: the filters are applied as (K, A) stacks of (T, N) @ (N, N)
+      products that write the (T, K, A, N) layout the GEMMs read. They act
+      on the conjugated observation with D^H, so out comes conj(g_hat);
+    - DL: the received amplitudes M[t, k, j] = sum_a sqrt(eta_dl[j, a])
+      g_{t,k,a}^H g_hat_{t,j,a} enter the SINR only through |M|^2, so the
+      kernel computes conj(M) = g @ conj(w g_hat)^T instead: T products of
+      (K, AN) by (AN, K), with no conjugate of g ever formed;
+    - UL: M = conj(m g_hat) @ g^T, with conj(m g_hat) written into the DL
+      buffer (m the 0/1 serving mask). The squares of that buffer's real
+      and imaginary parts sum to the combining noise
+      sum_a m_{k,a} ||g_hat_{t,k,a}||^2.
+
+    The draws are those of one sample_channels call and the real, then the
+    imaginary, training noise per batch. The training arrays are freed
+    before the GEMMs, and no more than three arrays the size of one channel
+    draw (T, K, A, N) are live at once.
+
     Returns (se_dl, stderr_dl, se_ul, stderr_ul), each (K,), where se is
     frac * mean log2(1 + sinr) and stderr is the standard error of se.
     """
@@ -275,47 +304,65 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, pilot_index, eta_dl, eta_ul,
     eta_dl = np.asarray(eta_dl, dtype=float) * serving_mask
     eta_ul = np.asarray(eta_ul, dtype=float)
     mask = np.asarray(serving_mask, dtype=float)
-    amp = np.sqrt(est.train_powers)
-    wdl = np.sqrt(eta_dl)
     sigma_w2 = est.sigma_w2
     pilot_index = np.asarray(pilot_index)
+    # spread[p, k]: user k's training amplitude on pilot p.
+    spread = np.zeros((int(pilot_index.max()) + 1, K))
+    spread[pilot_index, np.arange(K)] = np.sqrt(est.train_powers)
+    wdl = np.sqrt(eta_dl)
+    DH = np.conj(np.swapaxes(est.D, -1, -2))
+    diag = np.arange(K)
 
     sums = np.zeros((2, K))
     sq = np.zeros((2, K))
     done = 0
-    from .channel import sample_channels
     while done < n_trials:
         T = min(batch, n_trials - done)
         g = sample_channels(links.beta, links.rice_k, links.steering,
                             rng, n_draws=T)                     # (T, K, A, N)
-        # De-spread training observation per user (shared noise per pilot).
-        ysig = np.zeros((T, int(pilot_index.max()) + 1, A, N), dtype=complex)
-        for p in np.unique(pilot_index):
-            users = np.nonzero(pilot_index == p)[0]
-            ysig[:, p] = np.einsum("u,tuan->tan", amp[users], g[:, users])
-        wn = (rng.standard_normal(ysig.shape)
-              + 1j * rng.standard_normal(ysig.shape)) * np.sqrt(sigma_w2 / 2)
-        y_hat = (ysig + wn)[:, pilot_index]                     # (T, K, A, N)
-        ghat = np.einsum("kanm,tkam->tkan", est.D, y_hat)
+        g_flat = g.reshape(T, K, A * N)
+
+        # De-spread training observation per pilot, noise added in place.
+        y = (spread @ g.view(float).reshape(T, K, 2 * A * N)).view(complex)
+        y = y.reshape(T, -1, A, N)                              # (T, P, A, N)
+        wn = rng.standard_normal(y.shape)
+        wn *= np.sqrt(sigma_w2 / 2)
+        y.real += wn
+        rng.standard_normal(out=wn)
+        wn *= np.sqrt(sigma_w2 / 2)
+        y.imag += wn
+        del wn
+        np.conjugate(y, out=y)
+        y = y.transpose(1, 2, 0, 3)[pilot_index]                # (K, A, T, N)
+        ghat_c = np.empty((T, K, A, N), dtype=complex)          # conj(g_hat)
+        np.matmul(y, DH, out=ghat_c.transpose(1, 2, 0, 3))
+        del y
 
         # Downlink: received amplitude of user j's beam at user k.
-        Mdl = np.einsum("tkan,ja,tjan->tkj", np.conj(g), wdl, ghat)
-        p_dl = np.abs(Mdl) ** 2                                 # (T, K, K)
-        sig = np.einsum("tkk->tk", p_dl)
+        buf = ghat_c * wdl[:, :, None]                          # conj(w g_hat)
+        buf_flat = buf.reshape(T, K, A * N)
+        Mdl = g_flat @ buf_flat.transpose(0, 2, 1)              # conj(M)
+        p_dl = Mdl.real ** 2 + Mdl.imag ** 2                    # (T, K, K)
+        sig = p_dl[:, diag, diag]
         interf = p_dl.sum(axis=2) - sig
         sinr_dl = sig / (interf + sigma_z2)
 
         # Uplink: matched-filter combining over the serving set.
-        Mul = np.einsum("tkan,ka,tjan->tkj", np.conj(ghat), mask, g)
-        p_ul = np.abs(Mul) ** 2
-        sig = np.einsum("k,tkk->tk", eta_ul, p_ul)
-        interf = np.einsum("j,tkj->tk", eta_ul, p_ul) - sig
-        noise = sigma_w2 * np.einsum("ka,tkan->tk", mask, np.abs(ghat) ** 2)
+        np.multiply(ghat_c, mask[:, :, None], out=buf)          # conj(m g_hat)
+        del ghat_c
+        Mul = buf_flat @ g_flat.transpose(0, 2, 1)
+        p_ul = Mul.real ** 2 + Mul.imag ** 2
+        sig = eta_ul * p_ul[:, diag, diag]
+        interf = p_ul @ eta_ul - sig
+        re_im = buf.view(float).reshape(T, K, 2 * A * N)
+        noise = sigma_w2 * np.einsum("tki,tki->tk", re_im, re_im)
         sinr_ul = sig / (interf + noise)
+        # Free the batch (and the views that hold it) before the next draw.
+        del g, g_flat, buf, buf_flat, re_im
 
         for i, (frac, sinr) in enumerate(((frac_dl, sinr_dl),
                                           (frac_ul, sinr_ul))):
-            se = frac * np.log2(1.0 + sinr)
+            se = se_lb(sinr, frac)
             sums[i] += se.sum(axis=0)
             sq[i] += (se ** 2).sum(axis=0)
         done += T

@@ -293,10 +293,16 @@ def sample_channels(beta, rice_k, steering, rng: np.random.Generator,
     full = lead + shape
 
     theta = rng.uniform(0.0, 2.0 * np.pi, size=full)
-    h = (rng.standard_normal(full + (n,))
-         + 1j * rng.standard_normal(full + (n,))) / np.sqrt(2.0)
-    g = (los_amp[..., None] * np.exp(1j * theta)[..., None] * steering
-         + scatter_amp[..., None] * h)
+    # Scattered part CN(0, scatter_amp^2): real then imaginary normals,
+    # scaled into g in place.
+    g = np.empty(full + (n,), dtype=complex)
+    scale = (scatter_amp / np.sqrt(2.0))[..., None]
+    part = rng.standard_normal(full + (n,))
+    np.multiply(part, scale, out=g.real)
+    rng.standard_normal(out=part)
+    np.multiply(part, scale, out=g.imag)
+    del part
+    g += (los_amp * np.exp(1j * theta))[..., None] * steering
     return g
 
 

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines inline.
 Criteria 1 and 6 are the heavy ones (a 10^6-draw Monte-Carlo term check and
-four 50-drop full-scale campaigns); the whole file stays well inside a few
-minutes on a desktop machine.
+three 50-drop full-scale campaigns, the CF/PPA one shared by 6a and 6b); the
+whole file stays well inside a few minutes on a desktop machine.
 """
 
 import numpy as np
@@ -301,17 +301,43 @@ def _waterfilling_law(alloc_wf, alloc_pa):
     return bad, n_dry, n_pairs
 
 
+def _recorded_campaign(policy):
+    """The seed-600 CF 50-drop campaign under one DL policy, with every
+    (gamma, serving, sigma_z^2, budget, P) that dl_power_allocation saw and
+    returned; results pass through unchanged."""
+    records = []
+
+    def record(policy, gamma, assoc, sigma_z2, budget):
+        P, eta = dl_power_allocation(policy, gamma, assoc, sigma_z2, budget)
+        records.append((gamma, assoc.serving, sigma_z2, budget, P))
+        return P, eta
+
+    cfg = SystemConfig(rng_seed=600, association_mode="CF", dl_policy=policy)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "dl_power_allocation", record)
+        res = run_experiment(cfg, n_drops=50, n_fading_trials=1)
+    return res, records
+
+
+@pytest.fixture(scope="module")
+def cf_ppa_campaign():
+    """6a's CF campaign is 6b's PPA campaign (PPA is the default policy):
+    run it once for both."""
+    return _recorded_campaign("PPA")
+
+
 class TestCriterion6:
-    def test_6a_uav_uplink_prefers_cell_free_over_user_centric(self):
-        cf = _full_scale_medians(association_mode="CF")
+    def test_6a_uav_uplink_prefers_cell_free_over_user_centric(
+            self, cf_ppa_campaign):
+        cf = _medians(cf_ppa_campaign[0])
         uc = _full_scale_medians(association_mode="UC", uc_cluster_size=10)
         ok = cf[("uav", "ul")] > uc[("uav", "ul")]
         report("6a", ok,
                f"UAV UL median rate CF {cf[('uav', 'ul')]:.3e} vs "
                f"UC {uc[('uav', 'ul')]:.3e} bits/s")
 
-    def test_6b_waterfilling_shifts_dl_medians_toward_uavs(self,
-                                                             monkeypatch):
+    def test_6b_waterfilling_shifts_dl_medians_toward_uavs(
+            self, cf_ppa_campaign):
         # The name is kept for the node id: this test does NOT assert that
         # WFPC shifts the DL medians toward UAVs relative to PPA; at the
         # default budget the UAV median is lower under WFPC (b1, printed).
@@ -330,21 +356,9 @@ class TestCriterion6:
         # on ~87% of UAV links, so nu < L_1 + L_2 is rare and the
         # proportional rule is the more UAV-greedy one, while ~11% of UAV
         # links sit at or above the water level.
-        alloc = {"PPA": [], "WFPC": []}
-
-        def record(policy, gamma, assoc, sigma_z2, budget):
-            P, eta = dl_power_allocation(policy, gamma, assoc, sigma_z2,
-                                         budget)
-            alloc[policy].append((gamma, assoc.serving, sigma_z2, budget, P))
-            return P, eta
-
-        monkeypatch.setattr(harness, "dl_power_allocation", record)
-        campaign = {}
-        for policy in alloc:
-            cfg = SystemConfig(rng_seed=600, association_mode="CF",
-                               dl_policy=policy)
-            campaign[policy] = run_experiment(cfg, n_drops=50,
-                                              n_fading_trials=1)
+        campaign, alloc = {}, {}
+        campaign["PPA"], alloc["PPA"] = cf_ppa_campaign
+        campaign["WFPC"], alloc["WFPC"] = _recorded_campaign("WFPC")
         cf_ppa, cf_wf = _medians(campaign["PPA"]), _medians(campaign["WFPC"])
 
         uav = campaign["WFPC"].user_kind == UAV

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cfmimo import harness
+from cfmimo.allocation import associate, dl_power_allocation
 from cfmimo.bounds import (delta_dl, delta_ul, se_lb, se_ub_mc, sinr_dl_lb,
                            sinr_ul_lb, uatf_terms)
-from cfmimo.channel import PURE_LOS
+from cfmimo.channel import PURE_LOS, _ricean_amplitudes
+from cfmimo.config import SystemConfig
 from cfmimo.estimation import build_estimators, lmmse_filter_D
 
 from conftest import random_links
@@ -78,6 +83,11 @@ class TestSeLb:
 
     def test_log2(self):
         assert se_lb(3.0, 0.5) == pytest.approx(1.0)
+
+    def test_sinr_below_epsilon_keeps_its_rate(self):
+        # log2(1 + 1e-20) rounds to exactly 0; the rate must not.
+        assert se_lb(1e-20, 1.0) == pytest.approx(1e-20 / np.log(2),
+                                                  rel=1e-12)
 
 
 def _dl_setup(small_instance, rng):
@@ -197,3 +207,142 @@ class TestUpperBound:
         ub1, e1, _, _ = se_ub_mc(*args, 2000, np.random.default_rng(16))
         ub2, e2, _, _ = se_ub_mc(*args, 4000, np.random.default_rng(17))
         assert np.all(np.abs(ub1 - ub2) < 3 * np.hypot(e1, e2))
+
+
+def _se_ub_mc_einsum(links, est, pilot_index, eta_dl, eta_ul, serving_mask,
+                     sigma_z2, frac_dl, frac_ul, n_trials, rng, batch=64):
+    """Oracle: the per-pilot-loop, 3-operand-einsum formulation of se_ub_mc,
+    with the channel draw written out, on the same draw sequence."""
+    K, A = links.beta.shape
+    N = links.steering.shape[-1]
+    eta_dl = np.asarray(eta_dl, dtype=float) * serving_mask
+    eta_ul = np.asarray(eta_ul, dtype=float)
+    mask = np.asarray(serving_mask, dtype=float)
+    amp = np.sqrt(est.train_powers)
+    wdl = np.sqrt(eta_dl)
+    sigma_w2 = est.sigma_w2
+    pilot_index = np.asarray(pilot_index)
+    los_amp, scatter_amp = _ricean_amplitudes(links.beta, links.rice_k)
+
+    sums = np.zeros((2, K))
+    sq = np.zeros((2, K))
+    done = 0
+    while done < n_trials:
+        T = min(batch, n_trials - done)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=(T, K, A))
+        h = (rng.standard_normal((T, K, A, N))
+             + 1j * rng.standard_normal((T, K, A, N))) / np.sqrt(2.0)
+        g = (los_amp[..., None] * np.exp(1j * theta)[..., None]
+             * links.steering + scatter_amp[..., None] * h)
+        ysig = np.zeros((T, int(pilot_index.max()) + 1, A, N), dtype=complex)
+        for p in np.unique(pilot_index):
+            users = np.nonzero(pilot_index == p)[0]
+            ysig[:, p] = np.einsum("u,tuan->tan", amp[users], g[:, users])
+        wn = (rng.standard_normal(ysig.shape)
+              + 1j * rng.standard_normal(ysig.shape)) * np.sqrt(sigma_w2 / 2)
+        y_hat = (ysig + wn)[:, pilot_index]
+        ghat = np.einsum("kanm,tkam->tkan", est.D, y_hat)
+
+        Mdl = np.einsum("tkan,ja,tjan->tkj", np.conj(g), wdl, ghat)
+        p_dl = np.abs(Mdl) ** 2
+        sig = np.einsum("tkk->tk", p_dl)
+        sinr_dl = sig / (p_dl.sum(axis=2) - sig + sigma_z2)
+
+        Mul = np.einsum("tkan,ka,tjan->tkj", np.conj(ghat), mask, g)
+        p_ul = np.abs(Mul) ** 2
+        sig = np.einsum("k,tkk->tk", eta_ul, p_ul)
+        interf = np.einsum("j,tkj->tk", eta_ul, p_ul) - sig
+        noise = sigma_w2 * np.einsum("ka,tkan->tk", mask, np.abs(ghat) ** 2)
+        sinr_ul = sig / (interf + noise)
+
+        for i, (frac, sinr) in enumerate(((frac_dl, sinr_dl),
+                                          (frac_ul, sinr_ul))):
+            se = se_lb(sinr, frac)
+            sums[i] += se.sum(axis=0)
+            sq[i] += (se ** 2).sum(axis=0)
+        done += T
+
+    mean = sums / n_trials
+    var = np.maximum(sq / n_trials - mean ** 2, 0.0)
+    stderr = np.sqrt(var / n_trials)
+    return mean[0], stderr[0], mean[1], stderr[1]
+
+
+def _mixed_instance(rng, n_ant=3):
+    """5 GUEs (Rayleigh) and 3 UAVs (Ricean, with pure-LOS links) on 5 APs,
+    4 pilots shared by up to three users."""
+    links = random_links(rng, 8, 5, n_ant)
+    links.rice_k[:5] = 0.0
+    links.rice_k[5:] = rng.uniform(2.0, 30.0, (3, 5))
+    links.rice_k[5, :3] = PURE_LOS
+    links.rice_k[7, 1:] = PURE_LOS
+    links.beta[5:] *= 10.0
+    pilots = np.array([0, 1, 2, 3, 0, 1, 2, 0])
+    est = build_estimators(links, pilots, rng.uniform(0.5, 2.0, 8), 0.3)
+    return links, pilots, est
+
+
+class TestUpperBoundKernel:
+    """se_ub_mc against the einsum oracle on the same draws: only the
+    order of floating-point operations may differ."""
+
+    def _check(self, args, n_trials, seed):
+        got = se_ub_mc(*args, n_trials, np.random.default_rng(seed))
+        want = _se_ub_mc_einsum(*args, n_trials, np.random.default_rng(seed))
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-10, atol=0)
+        return got
+
+    def test_mixed_population_with_pure_los_links(self):
+        rng = np.random.default_rng(20)
+        links, pilots, est = _mixed_instance(rng)
+        mask = np.ones(links.beta.shape, bool)
+        args = (links, est, pilots, rng.uniform(0.1, 1.0, links.beta.shape),
+                rng.uniform(0.2, 1.0, 8), mask, 0.25, 0.42, 0.42)
+        self._check(args, 40, 21)
+
+    def test_sparse_serving_mask_with_waterfilling(self):
+        rng = np.random.default_rng(22)
+        links, pilots, est = _mixed_instance(rng, n_ant=2)
+        links.beta[0] *= 1e-3              # too weak to get any DL power
+        est = build_estimators(links, pilots, est.train_powers, 0.3)
+        assoc = associate("UC", links.beta, 2)
+        _, eta_dl = dl_power_allocation("WFPC", est.gamma, assoc, 0.25, 1.0)
+        assert np.any(eta_dl.sum(axis=1) == 0)
+        assert not assoc.serving.all()
+        args = (links, est, pilots, eta_dl, rng.uniform(0.2, 1.0, 8),
+                assoc.serving, 0.25, 0.42, 0.42)
+        se_dl = self._check(args, 40, 23)[0]
+        assert np.all(se_dl[eta_dl.sum(axis=1) == 0] == 0.0)
+
+    def test_tail_batch(self):
+        # 70 trials: one full batch of 64 and a tail of 6
+        rng = np.random.default_rng(24)
+        links, pilots, est = _mixed_instance(rng)
+        mask = rng.random(links.beta.shape) < 0.7
+        mask[:, 0] = True
+        args = (links, est, pilots, rng.uniform(0.1, 1.0, links.beta.shape),
+                rng.uniform(0.2, 1.0, 8), mask, 0.25, 0.42, 0.42)
+        self._check(args, 70, 25)
+
+    def test_peak_memory_of_one_default_batch(self, monkeypatch):
+        # One 64-trial call at the default scale may peak at 4.5 channel
+        # draws (64, K, A, N) of complex128; numpy reports its buffers to
+        # tracemalloc.
+        cfg = SystemConfig()
+        peaks = []
+
+        def traced(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                out = se_ub_mc(*args, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return out
+
+        monkeypatch.setattr(harness, "se_ub_mc", traced)
+        harness.simulate_drop(cfg, np.random.default_rng(26), 64)
+        draw = 64 * cfg.n_users * cfg.n_aps * cfg.n_ap_antennas * 16
+        assert len(peaks) == 1
+        assert peaks[0] <= 4.5 * draw, peaks[0] / draw
