@@ -127,28 +127,45 @@ class UatfTerms:
     eta_train: np.ndarray
 
 
+def _re_traces(X, Y):
+    """Re tr(X_{j,a} Y_{k,a}) for every j, k and AP a, shape (J, K, A),
+    where either X or Y is Hermitian.
+
+    Then tr(X Y) = sum(X * conj(Y)) over matching entries, whose real part
+    is the dot product of the two matrices' (re, im) entries: per AP, one
+    real (J, 2N^2) @ (2N^2, K) product.
+    """
+    J, A = X.shape[:2]
+    K = Y.shape[0]
+    x = np.ascontiguousarray(X).view(float).reshape(J, A, -1)
+    y = np.ascontiguousarray(Y).view(float).reshape(K, A, -1)
+    return np.ascontiguousarray(
+        np.einsum("jaq,kaq->jka", x, y, optimize=True))
+
+
 def uatf_terms(links: LinkSet, est: EstimatorSet, pilot_index) -> UatfTerms:
     G, D = est.G, est.D
     steer = links.steering
 
-    # optimize=True turns each pairwise trace into per-AP BLAS products;
-    # their AP-major results are copied to the (J, K, A) layout the
-    # closed forms read fastest.
     trace_D = _real_guard(np.einsum("kann->ka", D), "tr(D)")
+    # a_k^H D_j a_k = tr(a_k a_k^H D_j); only its real part enters delta.
+    c2, c2k = _c_coeffs(links.beta, links.rice_k)
+    aah = steer[..., :, None] * np.conj(steer[..., None, :])
+    delta = (c2[:, None, :] * trace_D[None, :, :] ** 2
+             + 2.0 * c2k[:, None, :] * trace_D[None, :, :]
+             * _re_traces(aah, D))
+    del aah
+
+    # optimize=True turns the pairwise trace into per-AP BLAS products;
+    # the AP-major result is copied to the (J, K, A) layout the closed
+    # forms read fastest.
     t = np.ascontiguousarray(np.einsum("janm,kamn->jka", D, G, optimize=True))
     # G D^H = sqrt(eta) G B^{-1} G is Hermitian, so its trace against the
-    # Hermitian G_k is real; symmetrize to kill solve roundoff, then any
-    # leftover imaginary part is pure cancellation noise and can be dropped.
+    # Hermitian G_k is real; symmetrize to kill solve roundoff, which makes
+    # it exactly Hermitian for _re_traces.
     GDH = np.einsum("janm,japm->janp", G, np.conj(D))
     GDH = 0.5 * (GDH + np.conj(np.swapaxes(GDH, -1, -2)))
-    cross = np.ascontiguousarray(
-        np.real(np.einsum("janp,kapn->jka", GDH, G, optimize=True)))
-
-    c2, c2k = _c_coeffs(links.beta, links.rice_k)
-    aDa = np.einsum("kan,janm,kam->kja", np.conj(steer), D, steer,
-                    optimize=True)
-    delta = (c2[:, None, :] * trace_D[None, :, :] ** 2
-             + 2.0 * c2k[:, None, :] * trace_D[None, :, :] * np.real(aDa))
+    cross = _re_traces(GDH, G)
 
     pilot_index = np.asarray(pilot_index)
     collide = pilot_index[:, None] == pilot_index[None, :]
