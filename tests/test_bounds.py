@@ -282,6 +282,33 @@ def _mixed_instance(rng, n_ant=3):
     return links, pilots, est
 
 
+class TestUatfTerms:
+    def test_matches_per_link_traces(self):
+        # Every pairwise trace against its definition, link by link, on an
+        # instance with Rayleigh, Ricean and pure-LOS links.
+        rng = np.random.default_rng(27)
+        links, pilots, est = _mixed_instance(rng)
+        terms = uatf_terms(links, est, pilots)
+        G, D = est.G, est.D
+        K, A = links.beta.shape
+        t = np.empty((K, K, A), complex)
+        cross = np.empty((K, K, A))
+        delta = np.empty((K, K, A))
+        for j in range(K):
+            for k in range(K):
+                for a in range(A):
+                    t[j, k, a] = np.trace(D[j, a] @ G[k, a])
+                    cross[j, k, a] = np.trace(
+                        G[j, a] @ D[j, a].conj().T @ G[k, a]).real
+                    delta[k, j, a] = delta_dl(
+                        links.beta[k, a], links.rice_k[k, a],
+                        links.steering[k, a], D[j, a])
+        for got, want in ((terms.t, t), (terms.cross, cross),
+                          (terms.delta, delta)):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+
+
 class TestUpperBoundKernel:
     """se_ub_mc against the einsum oracle on the same draws: only the
     order of floating-point operations may differ."""
