@@ -46,7 +46,7 @@ trace_G = np.real(np.einsum("kann->ka", est.G))
 eta_ul = fpc(trace_G, assoc.serving, cfg.fpc_p0_mw, cfg.fpc_alpha,
              cfg.ul_max_power)
 
-terms = uatf_terms(links, est, drop.pilot_index)
+terms = uatf_terms(links, est, drop.pilot_index, assoc.serving)
 f_dl, f_ul = cfg.tau_d / cfg.tau_c, cfg.tau_u / cfg.tau_c
 lb_dl = se_lb(sinr_dl_lb(terms, eta_dl, assoc.serving, sigma2), f_dl)
 lb_ul = se_lb(sinr_ul_lb(terms, eta_ul, assoc.serving, sigma2), f_ul)

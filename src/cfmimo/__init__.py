@@ -9,8 +9,8 @@ from .channel import (LinkSet, LinkState, build_links, los_probability,
 from .estimation import (EstimatorSet, build_estimators, covariance_G,
                          gamma_coeff, lmmse_filter_D, pilot_gram_B,
                          simulate_training)
-from .bounds import (RateReport, delta_dl, delta_ul, se_lb, se_ub_mc,
-                     sinr_dl_lb, sinr_ul_lb, uatf_terms)
+from .bounds import (RateReport, delta_dl, se_lb, se_ub_mc, sinr_dl_lb,
+                     sinr_ul_lb, uatf_terms)
 from .allocation import (AssociationMap, PowerAllocation, associate,
                          dl_power_allocation, fpc, ppa, wfpc)
 from .harness import (ExperimentResult, emit_cdf, percentile, run_experiment,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkSet, sample_channels
-from .estimation import EstimatorSet
+from .estimation import EstimatorSet, covariance_coeffs
 from .errors import NumericalError
 
 _IMAG_TOL = 1e-9
@@ -31,18 +31,6 @@ def _real_guard(x, what):
     return x.real
 
 
-def _c_coeffs(beta, rice_k):
-    """(beta/(K+1))^2 and K (beta/(K+1))^2, with the pure-LOS limit 0."""
-    beta = np.asarray(beta, dtype=float)
-    k = np.asarray(rice_k, dtype=float)
-    pure = np.isinf(k)
-    ksafe = np.where(pure, 0.0, k)
-    c = np.where(pure, 0.0, beta / (ksafe + 1.0))
-    c2 = c * c
-    c2k = c2 * ksafe
-    return c2, c2k
-
-
 def delta_dl(beta, rice_k, steering, D):
     """Fourth-moment coefficient of one link against one LMMSE filter:
 
@@ -50,20 +38,17 @@ def delta_dl(beta, rice_k, steering, D):
 
     This is the excess of E|g^H D g|^2 over the value obtained by treating
     the two g factors as independent; it vanishes in the pure-LOS limit.
+    The form is symmetric, so it serves the uplink (link of the interfering
+    user, D of the decoding user) as well as the downlink.
     """
     a = np.asarray(steering)
     D = np.asarray(D)
-    c2, c2k = _c_coeffs(beta, rice_k)
+    c_los, c_eye = covariance_coeffs(beta, rice_k)
     trD = np.einsum("...nn->...", D)
     aDa = np.einsum("...n,...nm,...m->...", np.conj(a), D, a)
-    return (c2 * np.abs(trD) ** 2
-            + 2.0 * c2k * np.real(aDa * np.conj(trD)))
-
-
-def delta_ul(beta, rice_k, steering, D):
-    """Uplink mirror of delta_dl: same symmetric form, with the link
-    belonging to the interfering user and D to the decoding user."""
-    return delta_dl(beta, rice_k, steering, D)
+    # c^2 = c_eye^2 and c^2 K = c_eye c_los, both 0 in the pure-LOS limit.
+    return (c_eye ** 2 * np.abs(trD) ** 2
+            + 2.0 * c_eye * c_los * np.real(aDa * np.conj(trD)))
 
 
 @dataclass
@@ -109,16 +94,26 @@ def se_lb(sinr, phase_fraction):
 
 @dataclass
 class UatfTerms:
-    """Per-drop cache of every pairwise trace needed by the closed forms.
+    """Per-drop cache of every pairwise trace the closed forms read, on
+    serving-set slots.
 
-    trace_D   : (K, A) real            tr(D_{k,a})
-    t         : (J, K, A) complex      tr(D_{j,a} G_{k,a})
-    cross     : (J, K, A) real         tr(G_{j,a} D_{j,a}^H G_{k,a})
-    delta     : (K, J, A) real         delta of link (k,a) against D_{j,a}
-    collide   : (K, K) bool            shared-pilot indicator
-    gamma     : (K, A); eta_train : (K,)
+    The J = K filter owners are the users. Slot c of owner j is the link
+    (j, ap[j, c]): the APs serving j, in ascending order, fill j's first
+    |A_j| slots. C is the largest serving-set size; an owner served by
+    fewer APs has its remaining slots pointing at APs that do not serve it,
+    and the SINRs give those slots weight 0. In cell-free mode C = A and
+    ap[j, c] = c. With a = ap[j, c]:
+
+    ap      : (J, C) int          AP of each slot
+    serving : (K, A) bool         the serving mask the slots were built from
+    t       : (J, C, K) complex   tr(D_{j,a} G_{k,a})
+    cross   : (J, C, K) real      tr(G_{j,a} D_{j,a}^H G_{k,a})
+    delta   : (J, C, K) real      delta of link (k, a) against D_{j,a}
+    collide : (K, K) bool         shared-pilot indicator
+    gamma   : (K, A); eta_train : (K,)
     """
-    trace_D: np.ndarray
+    ap: np.ndarray
+    serving: np.ndarray
     t: np.ndarray
     cross: np.ndarray
     delta: np.ndarray
@@ -126,70 +121,105 @@ class UatfTerms:
     gamma: np.ndarray
     eta_train: np.ndarray
 
+    def at_slots(self, x, serving_mask):
+        """x (K, A) read at each owner's slots, (K, C), after checking that
+        serving_mask is the mask the terms were built for."""
+        if not np.array_equal(serving_mask, self.serving):
+            raise ValueError("serving_mask differs from the one the UatF "
+                             "terms were built for")
+        return np.take_along_axis(np.asarray(x, dtype=float), self.ap, axis=1)
 
-def _re_traces(X, Y):
-    """Re tr(X_{j,a} Y_{k,a}) for every j, k and AP a, shape (J, K, A),
-    where either X or Y is Hermitian.
 
-    Then tr(X Y) = sum(X * conj(Y)) over matching entries, whose real part
-    is the dot product of the two matrices' (re, im) entries: per AP, one
-    real (J, 2N^2) @ (2N^2, K) product.
+def uatf_terms(links: LinkSet, est: EstimatorSet, pilot_index,
+               serving) -> UatfTerms:
+    """Build the closed-form terms on the serving-set slots of `serving`.
+
+    Each AP's slots take two products against the G_{k,a} of every user k
+    at that AP: a complex one with the slots' D for t, and a real one with
+    the slots' D G for cross. delta needs no third product: with
+    G_k = c_los a_k a_k^H + c_eye I, t = c_los a_k^H D a_k + c_eye tr(D),
+    so Re(a_k^H D a_k) follows from Re(t).
     """
-    J, A = X.shape[:2]
-    K = Y.shape[0]
-    x = np.ascontiguousarray(X).view(float).reshape(J, A, -1)
-    y = np.ascontiguousarray(Y).view(float).reshape(K, A, -1)
-    return np.ascontiguousarray(
-        np.einsum("jaq,kaq->jka", x, y, optimize=True))
+    serving = np.array(serving, dtype=bool)
+    K, A = serving.shape
+    N = links.steering.shape[-1]
+    C = int(serving.sum(axis=1).max())
+    # Served APs first, each group in ascending order.
+    ap = np.argsort(~serving, axis=1, kind="stable")[:, :C]
 
+    # Slots in AP-major order, so that each AP's slots form one block.
+    order = np.argsort(ap, axis=None, kind="stable")
+    a_s = ap.ravel()[order]
+    j_s = order // C
+    edges = np.searchsorted(a_s, np.arange(A + 1))
+    S = len(order)
 
-def uatf_terms(links: LinkSet, est: EstimatorSet, pilot_index) -> UatfTerms:
-    G, D = est.G, est.D
-    steer = links.steering
+    D = est.D[j_s, a_s]                                         # (S, N, N)
+    trD = _real_guard(np.einsum("snn->s", D), "tr(D)")
+    # For Hermitian G_k, tr(X G_k) = sum_nm X[n, m] conj(G_k[n, m]), and
+    # Re tr(X G_k) is the real dot product of the (re, im) entries. cross
+    # is real and equals Re tr(D_j G_j G_k), the conjugate of
+    # tr(G_j D_j^H G_k).
+    DG = (D @ est.G[j_s, a_s]).reshape(S, N * N).view(float)
+    D = D.reshape(S, N * N)
+    G_ap = np.swapaxes(est.G, 0, 1).reshape(A, K, N * N)
+    G_conj = np.conj(np.swapaxes(G_ap, 1, 2))                   # (A, N^2, K)
+    G_real = np.swapaxes(G_ap.view(float), 1, 2)                # (A, 2N^2, K)
+    # delta = c^2 tr(D)^2 + 2 c^2 K tr(D) Re(a^H D a) with c = c_eye and
+    # c^2 K = c_eye c_los, i.e. x (2 Re t - x) with x = c_eye tr(D).
+    c_eye = covariance_coeffs(links.beta, links.rice_k)[1].T    # (A, K)
 
-    trace_D = _real_guard(np.einsum("kann->ka", D), "tr(D)")
-    # a_k^H D_j a_k = tr(a_k a_k^H D_j); only its real part enters delta.
-    c2, c2k = _c_coeffs(links.beta, links.rice_k)
-    aah = steer[..., :, None] * np.conj(steer[..., None, :])
-    delta = (c2[:, None, :] * trace_D[None, :, :] ** 2
-             + 2.0 * c2k[:, None, :] * trace_D[None, :, :]
-             * _re_traces(aah, D))
-    del aah
-
-    # optimize=True turns the pairwise trace into per-AP BLAS products;
-    # the AP-major result is copied to the (J, K, A) layout the closed
-    # forms read fastest.
-    t = np.ascontiguousarray(np.einsum("janm,kamn->jka", D, G, optimize=True))
-    # G D^H = sqrt(eta) G B^{-1} G is Hermitian, so its trace against the
-    # Hermitian G_k is real; symmetrize to kill solve roundoff, which makes
-    # it exactly Hermitian for _re_traces.
-    GDH = np.einsum("janm,japm->janp", G, np.conj(D))
-    GDH = 0.5 * (GDH + np.conj(np.swapaxes(GDH, -1, -2)))
-    cross = _re_traces(GDH, G)
+    # Each AP's block is computed in cache and scattered to its slots.
+    t = np.empty((K * C, K), dtype=complex)
+    cross = np.empty((K * C, K))
+    delta = np.empty((K * C, K))
+    for a in range(A):
+        lo, hi = edges[a], edges[a + 1]
+        rows = order[lo:hi]
+        t_a = D[lo:hi] @ G_conj[a]
+        t[rows] = t_a
+        cross[rows] = DG[lo:hi] @ G_real[a]
+        x = c_eye[a] * trD[lo:hi, None]
+        delta[rows] = x * (2.0 * t_a.real - x)
 
     pilot_index = np.asarray(pilot_index)
     collide = pilot_index[:, None] == pilot_index[None, :]
 
-    return UatfTerms(trace_D=trace_D, t=t, cross=cross, delta=delta,
-                     collide=collide, gamma=est.gamma,
-                     eta_train=est.train_powers)
+    return UatfTerms(ap=ap, serving=serving, t=t.reshape(K, C, K),
+                     cross=cross.reshape(K, C, K),
+                     delta=delta.reshape(K, C, K), collide=collide,
+                     gamma=est.gamma, eta_train=est.train_powers)
 
 
-def _contamination(terms: UatfTerms, power_w, t_slice):
-    """Coherent pilot-contamination factor per (interferer j, victim k):
+def _slot_sum(w, x):
+    """sum_c w[j, c] x[j, c, k] for every (j, k): J products of (1, C) by
+    (C, K)."""
+    return (w[:, None, :] @ x)[:, 0]
 
-        sum_a w_{j,a} delta[k, j, a] + |sum_a sqrt(w_{j,a}) t_a|^2
-                                     - sum_a w_{j,a} |t_a|^2
 
-    where w are per-AP power weights over the interferer's serving set and
-    t_a = t_slice[j, k, a]. The |sum|^2 - sum|.|^2 arrangement is the
-    ordered cross-AP double sum in closed form.
+def _contamination(terms: UatfTerms, w):
+    """Coherent pilot-contamination factor per (filter owner j, user k):
+
+        sum_c w[j, c] delta[j, c, k] + |sum_c sqrt(w[j, c]) t[j, c, k]|^2
+                                     - sum_c w[j, c] |t[j, c, k]|^2
+
+    with w (J, C) per-slot power weights over the owner's serving set. The
+    |sum|^2 - sum|.|^2 arrangement is the ordered cross-AP double sum in
+    closed form.
     """
-    sqrt_w = np.sqrt(power_w)
-    coherent = np.abs(np.einsum("ja,jka->jk", sqrt_w, t_slice)) ** 2
-    diagonal = np.einsum("ja,jka->jk", power_w, np.abs(t_slice) ** 2)
-    dterm = np.einsum("ja,kja->jk", power_w, terms.delta)
+    coherent = np.abs(_slot_sum(np.sqrt(w), terms.t)) ** 2
+    diagonal = _slot_sum(w, np.abs(terms.t) ** 2)
+    dterm = _slot_sum(w, terms.delta)
     return dterm + coherent - diagonal
+
+
+def _self_terms(terms: UatfTerms):
+    """Per-slot gamma and eta_k delta_k - gamma^2 of each user's own links,
+    both (K, C)."""
+    K = len(terms.eta_train)
+    gamma = np.take_along_axis(terms.gamma, terms.ap, axis=1)
+    self_delta = terms.delta[np.arange(K), :, np.arange(K)]
+    return gamma, terms.eta_train[:, None] * self_delta - gamma ** 2
 
 
 def sinr_dl_lb(terms: UatfTerms, eta_dl, serving_mask, sigma_z2,
@@ -197,23 +227,20 @@ def sinr_dl_lb(terms: UatfTerms, eta_dl, serving_mask, sigma_z2,
     """Closed-form downlink SINR for every user (linear).
 
     eta_dl : (K, A) normalized per-link downlink powers eta_{k,a}^DL
-    serving_mask : (K, A) bool, the serving sets A_k
+    serving_mask : (K, A) bool, the serving sets A_k; it must be the mask
+        the terms were built for.
     """
-    eta_dl = np.asarray(eta_dl, dtype=float) * serving_mask
-    gamma = terms.gamma
+    w = terms.at_slots(np.asarray(eta_dl, dtype=float) * serving_mask,
+                       serving_mask)                            # (J, C)
     eta = terms.eta_train
-
     K = len(eta)
+    gamma, self_bu = _self_terms(terms)
 
-    num = np.einsum("ka,ka->k", np.sqrt(eta_dl), gamma) ** 2
+    num = np.einsum("kc,kc->k", np.sqrt(w), gamma) ** 2
+    bu = np.einsum("kc,kc->k", w, self_bu)
+    cross = (np.sqrt(eta)[:, None] * w).ravel() @ terms.cross.reshape(-1, K)
 
-    self_delta = terms.delta[np.arange(K), np.arange(K), :]
-    bu = np.einsum("ka,ka->k", eta_dl,
-                   eta[:, None] * self_delta - gamma ** 2)
-
-    cross = np.einsum("j,ja,jka->k", np.sqrt(eta), eta_dl, terms.cross)
-
-    cont_jk = _contamination(terms, eta_dl, terms.t)
+    cont_jk = _contamination(terms, w)
     cont_w = terms.collide & ~np.eye(K, dtype=bool)
     contamination = eta * np.einsum("jk,jk->k", cont_w, cont_jk)
 
@@ -233,34 +260,27 @@ def sinr_ul_lb(terms: UatfTerms, eta_ul, serving_mask, sigma_w2,
     """Closed-form uplink SINR for every user (linear).
 
     eta_ul : (K,) uplink transmit powers
-    serving_mask : (K, A) bool, the serving sets A_k
+    serving_mask : (K, A) bool, the serving sets A_k; it must be the mask
+        the terms were built for.
     """
     eta_ul = np.asarray(eta_ul, dtype=float)
-    mask = np.asarray(serving_mask, dtype=float)
-    gamma = terms.gamma
+    m = terms.at_slots(serving_mask, serving_mask)              # (K, C) 0/1
     eta = terms.eta_train
     K = len(eta)
+    gamma, self_bu = _self_terms(terms)
 
-    gsum = np.einsum("ka,ka->k", mask, gamma)
+    gsum = np.einsum("kc,kc->k", m, gamma)
     num = eta_ul * gsum ** 2
+    bu = eta_ul * np.einsum("kc,kc->k", m, self_bu)
 
-    self_delta = terms.delta[np.arange(K), np.arange(K), :]
-    bu = eta_ul * np.einsum("ka,ka->k", mask,
-                            eta[:, None] * self_delta - gamma ** 2)
-
-    # tr(G_{k,a} D_{k,a}^H G_{j,a}) is cross[k, j, a] (first index owns D).
-    cross = np.sqrt(eta) * np.einsum("j,ka,kja->k", eta_ul, mask, terms.cross)
+    # The decoding user k owns the filters: cross[k, c, j] with D_k.
+    cross = np.sqrt(eta) * np.einsum("kc,kc->k", m, terms.cross @ eta_ul)
 
     noise = sigma_w2 * gsum
 
-    # Interferer j against victim k's serving set; t[k, j, a] = tr(D_k G_j).
-    t_kj = np.transpose(terms.t, (1, 0, 2))          # (j, k, a) with D_k
-    w = np.broadcast_to(mask[None, :, :], t_kj.shape) * 1.0
-    coherent = np.abs(np.einsum("jka,jka->jk", w, t_kj)) ** 2
-    diagonal = np.einsum("jka,jka->jk", w, np.abs(t_kj) ** 2)
-    # delta[j, k, a]: link j (interferer) against the victim's filter D_k.
-    dterm = np.einsum("ka,jka->jk", mask, terms.delta)
-    cont_jk = dterm + coherent - diagonal
+    # Interferer j against victim k's serving set: the factor with owner k,
+    # transposed to (j, k).
+    cont_jk = _contamination(terms, m).T
     cont_w = terms.collide & ~np.eye(K, dtype=bool)
     contamination = np.einsum("j,j,jk,jk->k", eta_ul, eta, cont_w, cont_jk)
 
@@ -294,15 +314,17 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, pilot_index, eta_dl, eta_ul,
     - training: one (P, K) @ (T, K, AN) product, on real views of the
       complex arrays, spreads the users' channels onto their pilots; the
       training noise is added in place;
-    - LMMSE: the filters are applied as (K, A) stacks of (T, N) @ (N, N)
-      products that write the (T, K, A, N) layout the GEMMs read. They act
-      on the conjugated observation with D^H, so out comes conj(g_hat);
+    - LMMSE: the filters are applied on the S served links only, as a
+      stack of S (T, N) @ (N, N) products. They act on the conjugated
+      observation with D^H, so out comes conj(g_hat), which one take along
+      the link axis spreads to the (T, K, A, N) layout the GEMMs read,
+      zero off the serving set;
     - DL: the received amplitudes M[t, k, j] = sum_a sqrt(eta_dl[j, a])
       g_{t,k,a}^H g_hat_{t,j,a} enter the SINR only through |M|^2, so the
       kernel computes conj(M) = g @ conj(w g_hat)^T instead: T products of
       (K, AN) by (AN, K), with no conjugate of g ever formed;
-    - UL: M = conj(m g_hat) @ g^T, with conj(m g_hat) written into the DL
-      buffer (m the 0/1 serving mask). The squares of that buffer's real
+    - UL: M = conj(m g_hat) @ g^T (m the 0/1 serving mask), and
+      conj(m g_hat) is the spread estimate itself. The squares of its real
       and imaginary parts sum to the combining noise
       sum_a m_{k,a} ||g_hat_{t,k,a}||^2.
 
@@ -320,14 +342,22 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, pilot_index, eta_dl, eta_ul,
     N = links.steering.shape[-1]
     eta_dl = np.asarray(eta_dl, dtype=float) * serving_mask
     eta_ul = np.asarray(eta_ul, dtype=float)
-    mask = np.asarray(serving_mask, dtype=float)
     sigma_w2 = est.sigma_w2
     pilot_index = np.asarray(pilot_index)
+    P = int(pilot_index.max()) + 1
     # spread[p, k]: user k's training amplitude on pilot p.
-    spread = np.zeros((int(pilot_index.max()) + 1, K))
+    spread = np.zeros((P, K))
     spread[pilot_index, np.arange(K)] = np.sqrt(est.train_powers)
     wdl = np.sqrt(eta_dl)
-    DH = np.conj(np.swapaxes(est.D, -1, -2))
+    # Served links (k, a): the observation row each one reads, its filter,
+    # and for every (k, a) its row in the estimate, S (a zero row) if
+    # unserved.
+    k_s, a_s = np.nonzero(serving_mask)
+    S = len(k_s)
+    y_row = pilot_index[k_s] * A + a_s
+    DH = np.conj(np.swapaxes(est.D[k_s, a_s], -1, -2))         # (S, N, N)
+    est_row = np.full(K * A, S)
+    est_row[k_s * A + a_s] = np.arange(S)
     diag = np.arange(K)
 
     sums = np.zeros((2, K))
@@ -350,32 +380,35 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, pilot_index, eta_dl, eta_ul,
         y.imag += wn
         del wn
         np.conjugate(y, out=y)
-        y = y.transpose(1, 2, 0, 3)[pilot_index]                # (K, A, T, N)
-        ghat_c = np.empty((T, K, A, N), dtype=complex)          # conj(g_hat)
-        np.matmul(y, DH, out=ghat_c.transpose(1, 2, 0, 3))
+        y = np.take(y.reshape(T, P * A, N), y_row, axis=1)       # (T, S, N)
+        ghat_s = np.empty((T, S + 1, N), dtype=complex)         # conj(g_hat)
+        ghat_s[:, S] = 0.0
+        np.matmul(y.transpose(1, 0, 2), DH,
+                  out=ghat_s[:, :S].transpose(1, 0, 2))
         del y
+        ghat_c = np.take(ghat_s, est_row, axis=1).reshape(T, K, A, N)
+        del ghat_s
 
         # Downlink: received amplitude of user j's beam at user k.
         buf = ghat_c * wdl[:, :, None]                          # conj(w g_hat)
-        buf_flat = buf.reshape(T, K, A * N)
-        Mdl = g_flat @ buf_flat.transpose(0, 2, 1)              # conj(M)
+        Mdl = g_flat @ buf.reshape(T, K, A * N).transpose(0, 2, 1)  # conj(M)
+        del buf
         p_dl = Mdl.real ** 2 + Mdl.imag ** 2                    # (T, K, K)
         sig = p_dl[:, diag, diag]
         interf = p_dl.sum(axis=2) - sig
         sinr_dl = sig / (interf + sigma_z2)
 
-        # Uplink: matched-filter combining over the serving set.
-        np.multiply(ghat_c, mask[:, :, None], out=buf)          # conj(m g_hat)
-        del ghat_c
-        Mul = buf_flat @ g_flat.transpose(0, 2, 1)
+        # Uplink: matched-filter combining over the serving set; the
+        # estimate is already zero off it, so it is conj(m g_hat).
+        Mul = ghat_c.reshape(T, K, A * N) @ g_flat.transpose(0, 2, 1)
         p_ul = Mul.real ** 2 + Mul.imag ** 2
         sig = eta_ul * p_ul[:, diag, diag]
         interf = p_ul @ eta_ul - sig
-        re_im = buf.view(float).reshape(T, K, 2 * A * N)
+        re_im = ghat_c.view(float).reshape(T, K, 2 * A * N)
         noise = sigma_w2 * np.einsum("tki,tki->tk", re_im, re_im)
         sinr_ul = sig / (interf + noise)
         # Free the batch (and the views that hold it) before the next draw.
-        del g, g_flat, buf, buf_flat, re_im
+        del g, g_flat, ghat_c, re_im
 
         for i, (frac, sinr) in enumerate(((frac_dl, sinr_dl),
                                           (frac_ul, sinr_ul))):

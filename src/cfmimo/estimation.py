@@ -26,23 +26,50 @@ from .errors import NumericalError
 COND_LIMIT = 1e12
 
 
+def covariance_coeffs(beta, rice_k):
+    """(c_los, c_eye) with G = c_los a a^H + c_eye I: beta K/(K+1) and
+    beta/(K+1), and beta and 0 in the pure-LOS limit K = inf."""
+    beta = np.asarray(beta, dtype=float)
+    k = np.asarray(rice_k, dtype=float)
+    pure = np.isinf(k)
+    ksafe = np.where(pure, 0.0, k)
+    c_eye = np.where(pure, 0.0, beta / (ksafe + 1.0))
+    c_los = np.where(pure, beta, beta * ksafe / (ksafe + 1.0))
+    return c_los, c_eye
+
+
 def covariance_G(beta, rice_k, steering):
     """Channel covariance G = beta/(K+1) (K a a^H + I); pure LOS (K = inf)
     gives beta a a^H exactly.
 
     beta, rice_k : (...,)   steering : (..., N)   ->   (..., N, N)
     """
-    beta = np.asarray(beta, dtype=float)
-    k = np.asarray(rice_k, dtype=float)
     a = np.asarray(steering)
     n = a.shape[-1]
-    pure = np.isinf(k)
-    ksafe = np.where(pure, 0.0, k)
-    c_eye = np.where(pure, 0.0, beta / (ksafe + 1.0))
-    c_los = np.where(pure, beta, beta * ksafe / (ksafe + 1.0))
+    c_los, c_eye = covariance_coeffs(beta, rice_k)
     outer = a[..., :, None] * np.conj(a)[..., None, :]
     return (c_los[..., None, None] * outer
             + c_eye[..., None, None] * np.eye(n))
+
+
+def _pilot_grams(G, pilot_index, train_powers, sigma_w2, beta,
+                 beta_weighted):
+    """One gram per pilot in use: (grams (P', A, N, N), row (K,)), where
+    user k's gram is grams[row[k]]."""
+    G = np.asarray(G)
+    eta = np.asarray(train_powers, dtype=float)
+    n = G.shape[-1]
+    pilots, row = np.unique(np.asarray(pilot_index), return_inverse=True)
+    grams = np.empty((len(pilots),) + G.shape[1:], dtype=G.dtype)
+    for i in range(len(pilots)):
+        users = np.nonzero(row == i)[0]
+        if beta_weighted:
+            w = eta[users, None] * np.asarray(beta)[users]          # (u, A)
+            acc = np.einsum("ua,uanm->anm", w, G[users])
+        else:
+            acc = np.einsum("u,uanm->anm", eta[users], G[users])
+        grams[i] = acc + sigma_w2 * np.eye(n)
+    return grams, row
 
 
 def pilot_gram_B(G, pilot_index, train_powers, sigma_w2, beta=None,
@@ -54,21 +81,26 @@ def pilot_gram_B(G, pilot_index, train_powers, sigma_w2, beta=None,
     train_powers : (K,) training energies eta_k
     Returns (K, A, N, N): B for user k is shared by all users on k's pilot.
     """
-    G = np.asarray(G)
-    pilot_index = np.asarray(pilot_index)
+    grams, row = _pilot_grams(G, pilot_index, train_powers, sigma_w2, beta,
+                              beta_weighted)
+    return grams[row]
+
+
+def _check_conditioned(B):
+    """Raise NumericalError unless every Hermitian gram in B (..., N, N) is
+    positive definite with condition number at most COND_LIMIT."""
+    ew = np.linalg.eigvalsh(B)
+    if np.any(ew[..., 0] <= 0) or np.any(ew[..., -1] / ew[..., 0] > COND_LIMIT):
+        raise NumericalError("pilot gram is numerically singular")
+
+
+def _solve_filter(G, B, train_powers):
+    """D = sqrt(eta) G B^{-1} for Hermitian B, without a conditioning check."""
     eta = np.asarray(train_powers, dtype=float)
-    n = G.shape[-1]
-    B = np.empty_like(G)
-    for p in np.unique(pilot_index):
-        users = np.nonzero(pilot_index == p)[0]
-        if beta_weighted:
-            w = eta[users, None] * np.asarray(beta)[users]          # (u, A)
-            acc = np.einsum("ua,uanm->anm", w, G[users])
-        else:
-            acc = np.einsum("u,uanm->anm", eta[users], G[users])
-        acc = acc + sigma_w2 * np.eye(n)
-        B[users] = acc[None, :, :, :]
-    return B
+    # G B^{-1} = (B^{-1} G^H)^H for Hermitian B.
+    GH = np.conj(np.swapaxes(G, -1, -2))
+    D = np.conj(np.swapaxes(np.linalg.solve(B, GH), -1, -2))
+    return np.sqrt(eta)[..., None, None] * D
 
 
 def lmmse_filter_D(G, B, train_powers):
@@ -78,16 +110,8 @@ def lmmse_filter_D(G, B, train_powers):
     """
     G = np.asarray(G)
     B = np.asarray(B)
-    eta = np.asarray(train_powers, dtype=float)
-
-    ew = np.linalg.eigvalsh(B)
-    if np.any(ew[..., 0] <= 0) or np.any(ew[..., -1] / ew[..., 0] > COND_LIMIT):
-        raise NumericalError("pilot gram is numerically singular")
-
-    # G B^{-1} = (B^{-1} G^H)^H for Hermitian B.
-    GH = np.conj(np.swapaxes(G, -1, -2))
-    D = np.conj(np.swapaxes(np.linalg.solve(B, GH), -1, -2))
-    return np.sqrt(eta)[..., None, None] * D
+    _check_conditioned(B)
+    return _solve_filter(G, B, train_powers)
 
 
 def gamma_coeff(G, D, train_powers):
@@ -160,10 +184,6 @@ class EstimatorSet:
     train_powers: np.ndarray
     sigma_w2: float
 
-    def estimate(self, y_hat):
-        """Apply the LMMSE filters: g_hat[k, a] = D[k, a] y_hat[k, a]."""
-        return np.einsum("kanm,kam->kan", self.D, y_hat)
-
 
 def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
                      beta_weighted=False) -> EstimatorSet:
@@ -171,9 +191,12 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
     eta = np.broadcast_to(np.asarray(train_powers, dtype=float),
                           (links.beta.shape[0],)).copy()
     G = covariance_G(links.beta, links.rice_k, links.steering)
-    B = pilot_gram_B(G, pilot_index, eta, sigma_w2, beta=links.beta,
-                     beta_weighted=beta_weighted)
-    D = lmmse_filter_D(G, B, eta[:, None])
+    grams, row = _pilot_grams(G, pilot_index, eta, sigma_w2, links.beta,
+                              beta_weighted)
+    # Users on one pilot share its gram: check each distinct gram once.
+    _check_conditioned(grams)
+    B = grams[row]
+    D = _solve_filter(G, B, eta[:, None])
     gamma = gamma_coeff(G, D, eta[:, None])
     return EstimatorSet(G=G, B=B, D=D, gamma=gamma, train_powers=eta,
                         sigma_w2=float(sigma_w2))

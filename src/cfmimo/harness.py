@@ -45,7 +45,7 @@ def simulate_drop(cfg: SystemConfig, rng: np.random.Generator,
     eta_ul = fpc(trace_G, assoc.serving, cfg.fpc_p0_mw, cfg.fpc_alpha,
                  cfg.ul_max_power)
 
-    terms = uatf_terms(links, est, drop.pilot_index)
+    terms = uatf_terms(links, est, drop.pilot_index, assoc.serving)
     frac_dl = cfg.tau_d / cfg.tau_c
     frac_ul = cfg.tau_u / cfg.tau_c
     sdl = sinr_dl_lb(terms, eta_dl, assoc.serving, sigma2)

@@ -55,10 +55,10 @@ class TestCriterion1:
         eta_tr = np.array([1.5, 0.8, 1.2])
         sw2, sz2 = 0.3, 0.25
         est = build_estimators(links, pilots, eta_tr, sw2)
-        terms = uatf_terms(links, est, pilots)
+        mask = np.ones((3, 3), bool)
+        terms = uatf_terms(links, est, pilots, mask)
         eta_dl = rng.uniform(0.2, 1.0, (3, 3))
         eta_ul = np.array([0.7, 0.4, 0.9])
-        mask = np.ones((3, 3), bool)
         K = 3
 
         _, pdl = sinr_dl_lb(terms, eta_dl, mask, sz2, return_parts=True)
@@ -69,12 +69,12 @@ class TestCriterion1:
         # terms drop and each (victim k, source j) pair decomposes exactly.
         gamma, eta = terms.gamma, terms.eta_train
         idx = np.arange(K)
-        self_delta = terms.delta[idx, idx, :]
+        self_delta = terms.delta[idx, :, idx]      # CF: slot c is AP c
         collide = terms.collide & ~np.eye(K, dtype=bool)
 
         # DL: m_kj = sum_a sqrt(eta_dl[j,a]) g_k^H ghat_j
         dl_mean = np.einsum("ka,ka->k", np.sqrt(eta_dl), gamma)   # E m_kk
-        dl_pair = np.einsum("j,ja,jka->kj", np.sqrt(eta), eta_dl, terms.cross)
+        dl_pair = np.einsum("j,ja,jak->kj", np.sqrt(eta), eta_dl, terms.cross)
         # the victim's own pilot power scales the leakage into beam j
         dl_pair += (eta[:, None] * pdl["cont_jk"].T) * collide.T
         dl_pair[idx, idx] += dl_mean ** 2 \
@@ -83,7 +83,7 @@ class TestCriterion1:
 
         # UL: u_kj = sum_a ghat_k^H g_j  (full serving set)
         gsum = gamma.sum(axis=1)                                  # E u_kk
-        ul_pair = np.sqrt(eta)[:, None] * terms.cross.sum(axis=2)  # (k, j)
+        ul_pair = np.sqrt(eta)[:, None] * terms.cross.sum(axis=1)  # (k, j)
         ul_pair += (eta[None, :] * pul["cont_jk"].T) * collide.T
         ul_pair[idx, idx] += gsum ** 2 \
             + (eta[:, None] * self_delta - gamma ** 2).sum(axis=1)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from cfmimo import harness
-from cfmimo.allocation import associate, dl_power_allocation
-from cfmimo.bounds import (delta_dl, delta_ul, se_lb, se_ub_mc, sinr_dl_lb,
-                           sinr_ul_lb, uatf_terms)
+from cfmimo.allocation import (AssociationMap, associate,
+                               dl_power_allocation)
+from cfmimo.bounds import (delta_dl, se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb,
+                           uatf_terms)
 from cfmimo.channel import PURE_LOS, _ricean_amplitudes
 from cfmimo.config import SystemConfig
 from cfmimo.estimation import build_estimators, lmmse_filter_D
@@ -54,7 +55,7 @@ class TestDelta:
     def test_zero_filter(self):
         rng = np.random.default_rng(2)
         a = unit_steer(rng, 3)
-        assert delta_ul(1.0, 2.0, a, np.zeros((3, 3))) == 0.0
+        assert delta_dl(1.0, 2.0, a, np.zeros((3, 3))) == 0.0
 
     def test_pure_los_vanishes(self):
         rng = np.random.default_rng(3)
@@ -92,9 +93,9 @@ class TestSeLb:
 
 def _dl_setup(small_instance, rng):
     links, pilots, eta_tr, sw2, est = small_instance
-    terms = uatf_terms(links, est, pilots)
     eta_dl = rng.uniform(0.1, 1.0, links.beta.shape)
     mask = np.ones(links.beta.shape, dtype=bool)
+    terms = uatf_terms(links, est, pilots, mask)
     return links, pilots, est, terms, eta_dl, mask, sw2
 
 
@@ -140,7 +141,7 @@ class TestSinrClosedForms:
         eta_tr = np.array([2.0])
         sw2 = 0.4
         est = build_estimators(links, [0], eta_tr, sw2)
-        terms = uatf_terms(links, est, [0])
+        terms = uatf_terms(links, est, [0], np.ones((1, 1), bool))
         eta_ul = np.array([0.7])
         sinr = sinr_ul_lb(terms, eta_ul, np.ones((1, 1), bool), sw2)
 
@@ -288,25 +289,162 @@ class TestUatfTerms:
         # instance with Rayleigh, Ricean and pure-LOS links.
         rng = np.random.default_rng(27)
         links, pilots, est = _mixed_instance(rng)
-        terms = uatf_terms(links, est, pilots)
-        G, D = est.G, est.D
         K, A = links.beta.shape
-        t = np.empty((K, K, A), complex)
-        cross = np.empty((K, K, A))
-        delta = np.empty((K, K, A))
+        terms = uatf_terms(links, est, pilots, np.ones((K, A), bool))
+        G, D = est.G, est.D
+        np.testing.assert_array_equal(terms.ap, np.tile(np.arange(A), (K, 1)))
+        t = np.empty((K, A, K), complex)
+        cross = np.empty((K, A, K))
+        delta = np.empty((K, A, K))
         for j in range(K):
             for k in range(K):
                 for a in range(A):
-                    t[j, k, a] = np.trace(D[j, a] @ G[k, a])
-                    cross[j, k, a] = np.trace(
+                    t[j, a, k] = np.trace(D[j, a] @ G[k, a])
+                    cross[j, a, k] = np.trace(
                         G[j, a] @ D[j, a].conj().T @ G[k, a]).real
-                    delta[k, j, a] = delta_dl(
+                    delta[j, a, k] = delta_dl(
                         links.beta[k, a], links.rice_k[k, a],
                         links.steering[k, a], D[j, a])
         for got, want in ((terms.t, t), (terms.cross, cross),
                           (terms.delta, delta)):
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-12 * np.abs(want).max())
+
+
+def _dense_terms(links, est, pilot_index):
+    """Oracle: the dense (J, K, A) closed-form terms over every (filter
+    owner, user, AP) triple, as uatf_terms built them before the
+    serving-set slots."""
+    G, D = est.G, est.D
+    beta, k = links.beta, links.rice_k
+    pure = np.isinf(k)
+    ksafe = np.where(pure, 0.0, k)
+    c = np.where(pure, 0.0, beta / (ksafe + 1.0))
+    c2, c2k = c * c, c * c * ksafe
+    trace_D = np.einsum("kann->ka", D).real
+    a = links.steering
+    aDa = np.einsum("kan,janm,kam->jka", np.conj(a), D, a)
+    delta = (c2[:, None, :] * trace_D[None, :, :] ** 2
+             + 2.0 * c2k[:, None, :] * trace_D[None, :, :]
+             * np.transpose(aDa.real, (1, 0, 2)))
+    t = np.einsum("janm,kamn->jka", D, G)
+    GDH = np.einsum("janm,japm->janp", G, np.conj(D))
+    cross = np.einsum("janp,kapn->jka", GDH, G).real
+    pilot_index = np.asarray(pilot_index)
+    collide = pilot_index[:, None] == pilot_index[None, :]
+    return dict(t=t, cross=cross, delta=delta, collide=collide,
+                gamma=est.gamma, eta=est.train_powers)
+
+
+def _dense_contamination(terms, power_w, t_slice):
+    sqrt_w = np.sqrt(power_w)
+    coherent = np.abs(np.einsum("ja,jka->jk", sqrt_w, t_slice)) ** 2
+    diagonal = np.einsum("ja,jka->jk", power_w, np.abs(t_slice) ** 2)
+    dterm = np.einsum("ja,kja->jk", power_w, terms["delta"])
+    return dterm + coherent - diagonal
+
+
+def _dense_sinr_dl(terms, eta_dl, serving_mask, sigma_z2):
+    eta_dl = np.asarray(eta_dl, dtype=float) * serving_mask
+    gamma, eta = terms["gamma"], terms["eta"]
+    K = len(eta)
+    num = np.einsum("ka,ka->k", np.sqrt(eta_dl), gamma) ** 2
+    self_delta = terms["delta"][np.arange(K), np.arange(K), :]
+    bu = np.einsum("ka,ka->k", eta_dl, eta[:, None] * self_delta - gamma ** 2)
+    cross = np.einsum("j,ja,jka->k", np.sqrt(eta), eta_dl, terms["cross"])
+    cont_jk = _dense_contamination(terms, eta_dl, terms["t"])
+    cont_w = terms["collide"] & ~np.eye(K, dtype=bool)
+    contamination = eta * np.einsum("jk,jk->k", cont_w, cont_jk)
+    return num / (bu + cross + sigma_z2 + contamination)
+
+
+def _dense_sinr_ul(terms, eta_ul, serving_mask, sigma_w2):
+    mask = np.asarray(serving_mask, dtype=float)
+    gamma, eta = terms["gamma"], terms["eta"]
+    K = len(eta)
+    gsum = np.einsum("ka,ka->k", mask, gamma)
+    num = eta_ul * gsum ** 2
+    self_delta = terms["delta"][np.arange(K), np.arange(K), :]
+    bu = eta_ul * np.einsum("ka,ka->k", mask,
+                            eta[:, None] * self_delta - gamma ** 2)
+    cross = np.sqrt(eta) * np.einsum("j,ka,kja->k", eta_ul, mask,
+                                     terms["cross"])
+    noise = sigma_w2 * gsum
+    t_kj = np.transpose(terms["t"], (1, 0, 2))
+    w = np.broadcast_to(mask[None, :, :], t_kj.shape) * 1.0
+    coherent = np.abs(np.einsum("jka,jka->jk", w, t_kj)) ** 2
+    diagonal = np.einsum("jka,jka->jk", w, np.abs(t_kj) ** 2)
+    dterm = np.einsum("ka,jka->jk", mask, terms["delta"])
+    cont_jk = dterm + coherent - diagonal
+    cont_w = terms["collide"] & ~np.eye(K, dtype=bool)
+    contamination = np.einsum("j,j,jk,jk->k", eta_ul, eta, cont_w, cont_jk)
+    return num / (bu + cross + noise + contamination)
+
+
+class TestServingSlots:
+    """The slot closed forms against the dense (J, K, A) oracle on a ragged
+    mask: a single-AP row, padded slots and a WFPC user with no DL power."""
+
+    def _instance(self):
+        rng = np.random.default_rng(30)
+        links, pilots, est = _mixed_instance(rng)
+        links.beta[0] *= 1e-3              # too weak to get any DL power
+        est = build_estimators(links, pilots, est.train_powers, 0.3)
+        mask = rng.random(links.beta.shape) < 0.6
+        mask[:, 4] = True
+        mask[3] = [False, True, False, False, False]
+        mask[6] = True
+        assoc = AssociationMap(mask)
+        _, eta_dl = dl_power_allocation("WFPC", est.gamma, assoc, 0.25, 1.0)
+        assert np.any(eta_dl.sum(axis=1) == 0)
+        return links, pilots, est, mask, eta_dl, rng.uniform(0.2, 1.0, 8)
+
+    def test_slot_layout(self):
+        links, pilots, est, mask, _, _ = self._instance()
+        terms = uatf_terms(links, est, pilots, mask)
+        K, A = mask.shape
+        counts = mask.sum(axis=1)
+        assert terms.ap.shape == (K, counts.max())
+        dense = _dense_terms(links, est, pilots)
+        for j in range(K):
+            served = terms.ap[j, :counts[j]]
+            np.testing.assert_array_equal(served, np.nonzero(mask[j])[0])
+            assert not mask[j, terms.ap[j, counts[j]:]].any()
+            for c, a in enumerate(terms.ap[j]):
+                for name, got in (("t", terms.t), ("cross", terms.cross)):
+                    want = dense[name][j, :, a]
+                    np.testing.assert_allclose(got[j, c], want, rtol=1e-12,
+                                               atol=0)
+                want = dense["delta"][:, j, a]
+                np.testing.assert_allclose(
+                    terms.delta[j, c], want, rtol=0,
+                    atol=1e-12 * np.abs(dense["delta"]).max())
+
+    def test_sinrs_match_dense_oracle(self):
+        links, pilots, est, mask, eta_dl, eta_ul = self._instance()
+        terms = uatf_terms(links, est, pilots, mask)
+        dense = _dense_terms(links, est, pilots)
+        got_dl = sinr_dl_lb(terms, eta_dl, mask, 0.25)
+        got_ul = sinr_ul_lb(terms, eta_ul, mask, 0.3)
+        np.testing.assert_allclose(
+            got_dl, _dense_sinr_dl(dense, eta_dl, mask, 0.25),
+            rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            got_ul, _dense_sinr_ul(dense, eta_ul, mask, 0.3),
+            rtol=1e-12, atol=0)
+        assert np.all(got_dl[eta_dl.sum(axis=1) == 0] == 0.0)
+
+    def test_other_serving_mask_rejected(self):
+        links, pilots, est, mask, eta_dl, eta_ul = self._instance()
+        terms = uatf_terms(links, est, pilots, mask)
+        other = mask.copy()
+        other[2, np.argmin(mask[2])] ^= True
+        with pytest.raises(ValueError):
+            sinr_dl_lb(terms, eta_dl, other, 0.25)
+        with pytest.raises(ValueError):
+            sinr_ul_lb(terms, eta_ul, other, 0.3)
+        with pytest.raises(ValueError):
+            sinr_ul_lb(terms, eta_ul, np.ones(mask.shape, bool), 0.3)
 
 
 class TestUpperBoundKernel:

@@ -135,6 +135,21 @@ class TestLmmseFilter:
         assert resid < 0.02
 
 
+class TestBuildEstimators:
+    def test_one_singular_pilot_gram_rejected(self):
+        # A pure-LOS link 1e13 times above the training noise leaves its
+        # pilot's gram at that AP rank-one up to the noise floor, with a
+        # condition number past COND_LIMIT; every other gram is benign.
+        rng = np.random.default_rng(31)
+        links = random_links(rng, 4, 3, 2)
+        pilots = np.array([0, 0, 1, 2])
+        links.rice_k[1, 2] = PURE_LOS
+        build_estimators(links, pilots, np.ones(4), 1.0)
+        links.beta[1, 2] = 1e13
+        with pytest.raises(NumericalError, match="pilot gram"):
+            build_estimators(links, pilots, np.ones(4), 1.0)
+
+
 class TestSimulateTraining:
     def test_noise_free_single_user(self):
         rng = np.random.default_rng(11)

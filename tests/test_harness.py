@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import cfmimo
 from cfmimo.config import SystemConfig
 from cfmimo.errors import CfmimoError
 from cfmimo.harness import (emit_cdf, percentile, read_cdf_csv, run_experiment,
@@ -47,6 +49,17 @@ class TestSimulateDrop:
             assert np.all(np.isfinite(arr)) and np.all(arr >= 0)
         # rates are SE times bandwidth
         assert np.allclose(rep.rate_lb_dl, rep.se_lb_dl * cfg.bandwidth)
+
+    def test_uc_cluster_of_every_ap_is_cell_free(self):
+        # A user-centric cluster of all APs is the cell-free serving set, so
+        # a default-scale drop must give the same LB and UB rates bit for bit.
+        cf = SystemConfig()
+        uc = SystemConfig(association_mode="UC", uc_cluster_size=cf.n_aps)
+        a = simulate_drop(cf, np.random.default_rng(40), 4)
+        b = simulate_drop(uc, np.random.default_rng(40), 4)
+        for name in ("se_lb_dl", "se_ub_dl", "se_lb_ul", "se_ub_ul",
+                     "ub_stderr_dl", "ub_stderr_ul"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestRunExperiment:
@@ -126,8 +139,12 @@ class TestEmitCdf:
 
 
 def run_cli(*args):
+    # The child imports the same cfmimo as the tests, wherever it lives.
+    src = os.path.dirname(os.path.dirname(cfmimo.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "cfmimo.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 class TestCli:
