@@ -3,9 +3,8 @@ ground-user and UAV populations."""
 
 from .config import SystemConfig
 from .deployment import Drop, assign_pilots, sample_drop, toroidal_distance
-from .channel import (LinkSet, LinkState, build_links, los_probability,
-                      rice_factor, sample_channel, sample_channels,
-                      steering_vector)
+from .channel import (LinkSet, build_links, los_probability, rice_factor,
+                      sample_channels, steering_vector)
 from .estimation import (EstimatorSet, build_estimators, covariance_G,
                          gamma_coeff, lmmse_filter_D, pilot_gram_B,
                          simulate_training)

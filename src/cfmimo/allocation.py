@@ -52,70 +52,96 @@ def associate(mode: str, beta, cluster_size=None) -> AssociationMap:
     return AssociationMap(serving)
 
 
-def ppa(gamma_a, served, budget):
-    """Proportional split of one AP's budget: P_k = budget * gamma_k / sum.
+def _columns(x):
+    """x (K,) or (K, A) as a (K, A') float array."""
+    x = np.asarray(x, dtype=float)
+    return x.reshape(len(x), -1)
 
-    gamma_a : (K,) gammas at this AP; served : (K,) bool. An AP whose
-    served users all have gamma 0 transmits nothing.
+
+def _served_sums(x, served):
+    """Per column of x (K, A), the sum of its served entries, equal bit for
+    bit to np.sum of that column's served entries: the served entries move
+    to the top of their column in order, and the columns with n of them are
+    summed as the rows of one (columns, n) array, which takes the same
+    pairwise summation as a 1-D sum of n numbers."""
+    order = np.argsort(~served, axis=0, kind="stable")
+    top = np.take_along_axis(x, order, axis=0).T              # (A, K)
+    count = served.sum(axis=0)
+    tot = np.zeros(x.shape[1])
+    for n in np.unique(count[count > 0]):
+        cols = count == n
+        tot[cols] = top[cols, :n].sum(axis=1)
+    return tot
+
+
+def ppa(gamma, served, budget):
+    """Proportional split of each AP's budget over its served users:
+    P_k = budget * gamma_k / sum of the served gammas.
+
+    gamma, served : (K,) for one AP, or (K, A) with one AP per column. An
+    AP whose served users all have gamma 0 transmits nothing.
     """
-    gamma_a = np.asarray(gamma_a, dtype=float)
     if budget <= 0:
         raise ConfigurationError("DL budget must be positive")
-    p = np.zeros_like(gamma_a)
-    tot = gamma_a[served].sum()
-    if tot > 0:
-        p[served] = budget * gamma_a[served] / tot
-    return p
+    g = _columns(gamma)
+    served = np.asarray(served, dtype=bool).reshape(g.shape)
+    tot = _served_sums(g, served)
+    on = served & (tot > 0)
+    p = np.where(on, budget * g / np.where(tot > 0, tot, 1.0), 0.0)
+    return p.reshape(np.shape(gamma))
 
 
 def waterfill_level(levels, budget):
     """Water level nu with sum (nu - L)^+ = budget, by exact solution of
-    the piecewise-linear equation on sorted levels."""
-    L = np.sort(np.asarray(levels, dtype=float))
-    n = len(L)
-    csum = np.cumsum(L)
+    the piecewise-linear equation on sorted levels.
+
+    levels : (K,) for one AP, or (K, A) with one AP per column, where +inf
+    marks a user outside the pool; every column needs a finite level.
+    Returns nu, a scalar or (A,).
+    """
+    levels = np.asarray(levels, dtype=float)
+    L = np.sort(_columns(levels), axis=0)
+    m = np.arange(1, len(L) + 1)[:, None]
     # With m lowest levels active: nu = (budget + sum_{i<m} L_i) / m.
     # Pick the largest m for which nu still exceeds L_{m-1}.
-    for m in range(n, 0, -1):
-        nu = (budget + csum[m - 1]) / m
-        if nu > L[m - 1]:
-            return nu
-    raise ConfigurationError("waterfilling needs a positive budget")
+    nu = (budget + np.cumsum(L, axis=0)) / m
+    valid = nu > L
+    if not np.all(valid.any(axis=0)):
+        raise ConfigurationError("waterfilling needs a positive budget")
+    last = len(L) - 1 - np.argmax(valid[::-1], axis=0)
+    return nu[last, np.arange(L.shape[1])].reshape(levels.shape[1:])[()]
 
 
-def wfpc(gamma_a, served, sigma_z2, budget):
-    """Waterfilling over one AP's served users: P_k = (nu - sigma_z^2/gamma_k)^+
+def wfpc(gamma, served, sigma_z2, budget):
+    """Waterfilling over each AP's served users: P_k = (nu - sigma_z^2/gamma_k)^+
     with nu matching the budget exactly. Users with gamma 0 sit at infinite
-    noise level and get nothing."""
-    gamma_a = np.asarray(gamma_a, dtype=float)
+    noise level and get nothing.
+
+    gamma, served : (K,) for one AP, or (K, A) with one AP per column.
+    """
     if budget <= 0:
         raise ConfigurationError("DL budget must be positive")
-    p = np.zeros_like(gamma_a)
-    active = served & (gamma_a > 0)
-    if not np.any(active):
-        return p
-    L = sigma_z2 / gamma_a[active]
-    nu = waterfill_level(L, budget)
-    p[active] = np.maximum(nu - L, 0.0)
-    return p
+    g = _columns(gamma)
+    active = np.asarray(served, dtype=bool).reshape(g.shape) & (g > 0)
+    with np.errstate(divide="ignore"):
+        L = np.where(active, sigma_z2 / g, np.inf)
+    p = np.zeros_like(g)
+    live = active.any(axis=0)
+    L = L[:, live]
+    p[:, live] = np.maximum(waterfill_level(L, budget) - L, 0.0)
+    return p.reshape(np.shape(gamma))
 
 
 def dl_power_allocation(policy, gamma, assoc: AssociationMap, sigma_z2, budget):
     """Per-AP downlink powers P (K, A) under PPA or WFPC, plus the
     normalized coefficients eta_dl = P / gamma (zero where gamma is zero)."""
     gamma = np.asarray(gamma, dtype=float)
-    n_users, n_aps = gamma.shape
-    P = np.zeros((n_users, n_aps))
-    for a in range(n_aps):
-        served = assoc.serving[:, a]
-        if not np.any(served):
-            continue
-        if policy == "PPA":
-            P[:, a] = ppa(gamma[:, a], served, budget)
-        elif policy == "WFPC":
-            P[:, a] = wfpc(gamma[:, a], served, sigma_z2, budget)
-        else:
-            raise ConfigurationError(f"unknown DL policy {policy!r}")
+    if policy == "PPA":
+        P = ppa(gamma, assoc.serving, budget)
+    elif policy == "WFPC":
+        P = wfpc(gamma, assoc.serving, sigma_z2, budget)
+    else:
+        raise ConfigurationError(f"unknown DL policy {policy!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         eta_dl = np.where(gamma > 0, P / np.where(gamma > 0, gamma, 1.0), 0.0)
     return P, eta_dl

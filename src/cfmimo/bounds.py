@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkSet, sample_channels
-from .estimation import EstimatorSet, covariance_coeffs
+from .channel import LinkSet, covariance_coeffs, sample_channels
+from .estimation import EstimatorSet
 from .errors import NumericalError
 
 _IMAG_TOL = 1e-9
@@ -101,8 +101,9 @@ class UatfTerms:
     (j, ap[j, c]): the APs serving j, in ascending order, fill j's first
     |A_j| slots. C is the largest serving-set size; an owner served by
     fewer APs has its remaining slots pointing at APs that do not serve it,
-    and the SINRs give those slots weight 0. In cell-free mode C = A and
-    ap[j, c] = c. With a = ap[j, c]:
+    and the SINRs give those slots weight 0 (their filters, and so their
+    terms, are 0 when the estimators were solved on the serving set only).
+    In cell-free mode C = A and ap[j, c] = c. With a = ap[j, c]:
 
     ap      : (J, C) int          AP of each slot
     serving : (K, A) bool         the serving mask the slots were built from
@@ -132,7 +133,8 @@ class UatfTerms:
 
 def uatf_terms(links: LinkSet, est: EstimatorSet, pilot_index,
                serving) -> UatfTerms:
-    """Build the closed-form terms on the serving-set slots of `serving`.
+    """Build the closed-form terms on the serving-set slots of `serving`;
+    raises ValueError if `est` lacks the filter of a link in `serving`.
 
     Each AP's slots take two products against the G_{k,a} of every user k
     at that AP: a complex one with the slots' D for t, and a real one with
@@ -141,6 +143,7 @@ def uatf_terms(links: LinkSet, est: EstimatorSet, pilot_index,
     so Re(a_k^H D a_k) follows from Re(t).
     """
     serving = np.array(serving, dtype=bool)
+    est.require(serving)
     K, A = serving.shape
     N = links.steering.shape[-1]
     C = int(serving.sum(axis=1).max())
@@ -335,9 +338,11 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, pilot_index, eta_dl, eta_ul,
 
     Returns (se_dl, stderr_dl, se_ul, stderr_ul), each (K,), where se is
     frac * mean log2(1 + sinr) and stderr is the standard error of se.
+    Raises ValueError if `est` lacks the filter of a served link.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    est.require(serving_mask)
     K, A = links.beta.shape
     N = links.steering.shape[-1]
     eta_dl = np.asarray(eta_dl, dtype=float) * serving_mask

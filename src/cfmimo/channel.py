@@ -183,15 +183,6 @@ def rice_factor(p_los):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LinkState:
-    """Large-scale state of a single (user, AP) link."""
-    beta: float
-    rice_k: float          # inf marks pure LOS
-    distance_3d: float
-    steering: np.ndarray   # (n_ap_antennas,) unit-modulus entries
-
-
-@dataclass
 class LinkSet:
     """Vectorized large-scale state for all (user, AP) pairs of a drop.
 
@@ -204,12 +195,6 @@ class LinkSet:
     distance_3d: np.ndarray
     steering: np.ndarray
     los_state: np.ndarray
-
-    def link(self, k, a) -> LinkState:
-        return LinkState(beta=float(self.beta[k, a]),
-                         rice_k=float(self.rice_k[k, a]),
-                         distance_3d=float(self.distance_3d[k, a]),
-                         steering=self.steering[k, a].copy())
 
 
 def build_links(drop: Drop, cfg: SystemConfig, rng: np.random.Generator) -> LinkSet:
@@ -264,16 +249,23 @@ def build_links(drop: Drop, cfg: SystemConfig, rng: np.random.Generator) -> Link
                    steering=steer, los_state=los_state)
 
 
-def _ricean_amplitudes(beta, rice_k):
-    """(los_amp, scatter_amp) with the K -> inf limit handled exactly."""
+def covariance_coeffs(beta, rice_k):
+    """(c_los, c_eye) with G = c_los a a^H + c_eye I: beta K/(K+1) and
+    beta/(K+1), and beta and 0 in the pure-LOS limit K = inf. These are the
+    powers of a link's LOS and scattered components."""
     beta = np.asarray(beta, dtype=float)
     k = np.asarray(rice_k, dtype=float)
     pure = np.isinf(k)
     ksafe = np.where(pure, 0.0, k)
-    los_amp = np.where(pure, np.sqrt(beta),
-                       np.sqrt(beta * ksafe / (ksafe + 1.0)))
-    scatter_amp = np.where(pure, 0.0, np.sqrt(beta / (ksafe + 1.0)))
-    return los_amp, scatter_amp
+    c_eye = np.where(pure, 0.0, beta / (ksafe + 1.0))
+    c_los = np.where(pure, beta, beta * ksafe / (ksafe + 1.0))
+    return c_los, c_eye
+
+
+def _ricean_amplitudes(beta, rice_k):
+    """(los_amp, scatter_amp): the square roots of covariance_coeffs."""
+    c_los, c_eye = covariance_coeffs(beta, rice_k)
+    return np.sqrt(c_los), np.sqrt(c_eye)
 
 
 def sample_channels(beta, rice_k, steering, rng: np.random.Generator,
@@ -302,10 +294,12 @@ def sample_channels(beta, rice_k, steering, rng: np.random.Generator,
     rng.standard_normal(out=part)
     np.multiply(part, scale, out=g.imag)
     del part
-    g += (los_amp * np.exp(1j * theta))[..., None] * steering
+    # LOS part, formed only on the links that have one (every link still
+    # draws its phase, so the draw stream does not depend on the K-factors).
+    los_amp = np.broadcast_to(los_amp, shape).reshape(-1)
+    los = np.flatnonzero(los_amp > 0)
+    phase = np.exp(1j * theta.reshape(lead + (-1,))[..., los])
+    a = np.broadcast_to(steering, shape + (n,)).reshape(-1, n)[los]
+    g_los = g.reshape(lead + (-1, n))
+    g_los[..., los, :] += (los_amp[los] * phase)[..., None] * a
     return g
-
-
-def sample_channel(link: LinkState, rng: np.random.Generator):
-    """Single-link convenience wrapper around sample_channels."""
-    return sample_channels(link.beta, link.rice_k, link.steering, rng)

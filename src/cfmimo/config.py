@@ -7,6 +7,7 @@ boundary (config ingestion) and never mixed into the linear-domain code paths.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 SPEED_OF_LIGHT = 299792458.0
@@ -81,10 +82,11 @@ class SystemConfig:
         self.validate()
 
     def validate(self):
+        from .channel import AERIAL_H_MAX, AERIAL_H_MIN
         from .errors import ConfigurationError
 
-        if self.area_side <= 0:
-            raise ConfigurationError("area_side must be positive")
+        if not 0 < self.area_side < math.inf:
+            raise ConfigurationError("area_side must be positive and finite")
         if self.n_aps <= 0 or self.n_ap_antennas <= 0:
             raise ConfigurationError("need at least one AP with one antenna")
         if self.n_gues < 0 or self.n_uavs < 0 or self.n_gues + self.n_uavs == 0:
@@ -96,13 +98,20 @@ class SystemConfig:
         if (self.tau_c - self.tau_p) % 2 != 0:
             raise ConfigurationError(
                 "tau_c - tau_p must be even (equal downlink/uplink split)")
-        if self.uav_height_range[0] <= 0 or self.uav_height_range[1] < self.uav_height_range[0]:
-            raise ConfigurationError("invalid uav_height_range")
+        low, high = self.uav_height_range
+        if not AERIAL_H_MIN <= low <= high <= AERIAL_H_MAX:
+            raise ConfigurationError(
+                f"uav_height_range must be ordered within the aerial "
+                f"model's [{AERIAL_H_MIN}, {AERIAL_H_MAX}] m")
         for name in ("carrier_freq", "bandwidth", "train_power_per_sample",
                      "dl_power_budget", "ul_max_power", "ap_height",
                      "gue_height", "antenna_spacing"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
+        if not math.isfinite(self.fpc_alpha):
+            raise ConfigurationError("fpc_alpha must be finite")
+        if not 0 <= self.shadow_delta <= 1:
+            raise ConfigurationError("shadow_delta must be in [0, 1]")
         if self.association_mode not in ("CF", "UC"):
             raise ConfigurationError("association_mode must be 'CF' or 'UC'")
         if self.association_mode == "UC":

@@ -20,22 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkSet
+from .channel import LinkSet, covariance_coeffs
 from .errors import NumericalError
 
 COND_LIMIT = 1e12
-
-
-def covariance_coeffs(beta, rice_k):
-    """(c_los, c_eye) with G = c_los a a^H + c_eye I: beta K/(K+1) and
-    beta/(K+1), and beta and 0 in the pure-LOS limit K = inf."""
-    beta = np.asarray(beta, dtype=float)
-    k = np.asarray(rice_k, dtype=float)
-    pure = np.isinf(k)
-    ksafe = np.where(pure, 0.0, k)
-    c_eye = np.where(pure, 0.0, beta / (ksafe + 1.0))
-    c_los = np.where(pure, beta, beta * ksafe / (ksafe + 1.0))
-    return c_los, c_eye
 
 
 def covariance_G(beta, rice_k, steering):
@@ -92,6 +80,21 @@ def _check_conditioned(B):
     ew = np.linalg.eigvalsh(B)
     if np.any(ew[..., 0] <= 0) or np.any(ew[..., -1] / ew[..., 0] > COND_LIMIT):
         raise NumericalError("pilot gram is numerically singular")
+
+
+def _check_grams(grams, sigma_w2):
+    """_check_conditioned on the pilot grams, skipping those that cannot fail.
+
+    Each gram is sigma_w^2 I plus a sum of PSD covariances weighted by
+    non-negative training powers (and gains), so its eigenvalues lie in
+    [sigma_w^2, tr(B)] and cond(B) <= tr(B) / sigma_w^2. Only grams
+    whose bound exceeds COND_LIMIT / 2 (the factor absorbs rounding in the
+    eigenvalues) go to eigvalsh; with sigma_w^2 <= 0 every gram does.
+    """
+    if sigma_w2 > 0:
+        bound = np.einsum("...nn->...", grams).real / sigma_w2
+        grams = grams[~(bound <= COND_LIMIT / 2)]
+    _check_conditioned(grams)
 
 
 def _solve_filter(G, B, train_powers):
@@ -173,30 +176,52 @@ def despread_noise(pilot_index, n_aps, n_ant, sigma_w2, rng):
 
 @dataclass
 class EstimatorSet:
-    """Estimation statistics for all (user, AP) pairs of a drop.
+    """Estimation statistics for the (user, AP) links of a drop.
 
-    G, B, D : (K, A, N, N); gamma : (K, A); train_powers : (K,)
+    G, B : (K, A, N, N) for every link. D : (K, A, N, N) and gamma : (K, A)
+    are solved only on the links in `served` and are exactly 0 elsewhere.
+    served : (K, A) bool; train_powers : (K,)
     """
     G: np.ndarray
     B: np.ndarray
     D: np.ndarray
     gamma: np.ndarray
+    served: np.ndarray
     train_powers: np.ndarray
     sigma_w2: float
 
+    def require(self, serving):
+        """Raise ValueError unless every link in `serving` has its filter."""
+        if np.any(np.asarray(serving, dtype=bool) & ~self.served):
+            raise ValueError("serving set needs LMMSE filters the "
+                             "estimator set did not solve")
+
 
 def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
-                     beta_weighted=False) -> EstimatorSet:
-    """Assemble G/B/D/gamma for every (user, AP) pair of a drop."""
-    eta = np.broadcast_to(np.asarray(train_powers, dtype=float),
-                          (links.beta.shape[0],)).copy()
+                     beta_weighted=False, serving=None) -> EstimatorSet:
+    """Assemble G/B for every (user, AP) link of a drop and D/gamma for the
+    links in `serving` (K, A) bool; None, as in cell-free mode, serves
+    every link."""
+    K, A = links.beta.shape
+    eta = np.broadcast_to(np.asarray(train_powers, dtype=float), (K,)).copy()
     G = covariance_G(links.beta, links.rice_k, links.steering)
     grams, row = _pilot_grams(G, pilot_index, eta, sigma_w2, links.beta,
                               beta_weighted)
     # Users on one pilot share its gram: check each distinct gram once.
-    _check_conditioned(grams)
+    _check_grams(grams, sigma_w2)
     B = grams[row]
-    D = _solve_filter(G, B, eta[:, None])
-    gamma = gamma_coeff(G, D, eta[:, None])
-    return EstimatorSet(G=G, B=B, D=D, gamma=gamma, train_powers=eta,
-                        sigma_w2=float(sigma_w2))
+    if serving is None or np.all(serving):
+        served = np.ones((K, A), dtype=bool)
+        D = _solve_filter(G, B, eta[:, None])
+        gamma = gamma_coeff(G, D, eta[:, None])
+    else:
+        served = np.array(serving, dtype=bool)
+        k, a = np.nonzero(served)
+        G_s = G[k, a]
+        D_s = _solve_filter(G_s, B[k, a], eta[k])
+        D = np.zeros_like(G)
+        D[k, a] = D_s
+        gamma = np.zeros((K, A))
+        gamma[k, a] = gamma_coeff(G_s, D_s, eta[k])
+    return EstimatorSet(G=G, B=B, D=D, gamma=gamma, served=served,
+                        train_powers=eta, sigma_w2=float(sigma_w2))

@@ -37,7 +37,8 @@ def simulate_drop(cfg: SystemConfig, rng: np.random.Generator,
                       cfg.uc_cluster_size)
     est = build_estimators(links, drop.pilot_index,
                            np.full(cfg.n_users, cfg.train_power), sigma2,
-                           beta_weighted=cfg.beta_weighted_pilot_gram)
+                           beta_weighted=cfg.beta_weighted_pilot_gram,
+                           serving=assoc.serving)
 
     _, eta_dl = dl_power_allocation(cfg.dl_policy, est.gamma, assoc,
                                     sigma2, cfg.dl_power_budget)

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from cfmimo.allocation import (associate, dl_power_allocation, fpc, ppa,
+from cfmimo.allocation import (AssociationMap, associate,
+                               dl_power_allocation, fpc, ppa,
                                waterfill_level, wfpc)
 from cfmimo.errors import ConfigurationError
 
@@ -185,3 +186,74 @@ class TestDlPowerAllocation:
             assert np.allclose(P.sum(axis=0), 200.0, rtol=1e-12)
             assert np.allclose(P, eta_dl * gamma)
             assert np.all(P[~assoc.serving] == 0.0)
+
+
+def _per_ap_oracle(policy, gamma, serving, sigma_z2, budget):
+    """The per-AP loop the vectorized policies replaced, kept as oracle."""
+    P = np.zeros(gamma.shape)
+    for a in range(gamma.shape[1]):
+        g, served = gamma[:, a], serving[:, a]
+        if not served.any():
+            continue
+        if policy == "PPA":
+            tot = g[served].sum()
+            if tot > 0:
+                P[served, a] = budget * g[served] / tot
+            continue
+        active = served & (g > 0)
+        if not active.any():
+            continue
+        L = sigma_z2 / g[active]
+        Ls = np.sort(L)
+        csum = np.cumsum(Ls)
+        for m in range(len(Ls), 0, -1):
+            nu = (budget + csum[m - 1]) / m
+            if nu > Ls[m - 1]:
+                break
+        P[active, a] = np.maximum(nu - L, 0.0)
+    return P
+
+
+class TestVectorizedPolicies:
+    @pytest.mark.parametrize("policy", ["PPA", "WFPC"])
+    def test_match_per_ap_loop_bit_for_bit(self, policy):
+        # CF and UC masks over 1..140 users (past numpy's 128-term pairwise
+        # summation block), with zero gammas, APs that serve nobody, APs
+        # whose served users all have gamma 0 and all-zero gamma drops.
+        rng = np.random.default_rng(44)
+        for trial in range(60):
+            K, A = int(rng.integers(1, 141)), int(rng.integers(1, 30))
+            gamma = (rng.uniform(size=(K, A))
+                     * 10.0 ** rng.uniform(-14, -6, (K, A)))
+            gamma[rng.random((K, A)) < 0.1] = 0.0
+            if trial % 2:
+                serving = np.ones((K, A), bool)
+            else:
+                serving = associate("UC", rng.uniform(size=(K, A)),
+                                    int(rng.integers(1, A + 1))).serving
+                serving[:, 0] = False                   # serves nobody
+                gamma[:, min(1, A - 1)] = 0.0           # served, all dry
+            if trial % 7 == 0:
+                gamma[:] = 0.0
+            sz2 = 10.0 ** rng.uniform(-12, -8)
+            budget = rng.uniform(0.1, 300.0)
+            P, eta_dl = dl_power_allocation(policy, gamma,
+                                            AssociationMap(serving), sz2,
+                                            budget)
+            want = _per_ap_oracle(policy, gamma, serving, sz2, budget)
+            np.testing.assert_array_equal(P, want)
+            if trial % 7 == 0:
+                assert np.all(P == 0) and np.all(eta_dl == 0)
+
+    def test_waterfill_level_per_column(self):
+        # +inf levels sit outside the pool; each column matches a 1-D call.
+        rng = np.random.default_rng(45)
+        L = rng.uniform(0.1, 10.0, (9, 6))
+        L[rng.random((9, 6)) < 0.4] = np.inf
+        L[0] = rng.uniform(0.1, 10.0, 6)
+        nu = waterfill_level(L, 3.0)
+        assert nu.shape == (6,)
+        for a in range(6):
+            assert nu[a] == waterfill_level(L[np.isfinite(L[:, a]), a], 3.0)
+        with pytest.raises(ConfigurationError):
+            waterfill_level(np.full((3, 2), np.inf), 3.0)

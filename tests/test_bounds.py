@@ -447,6 +447,42 @@ class TestServingSlots:
             sinr_ul_lb(terms, eta_ul, np.ones(mask.shape, bool), 0.3)
 
 
+    def test_served_link_estimators_give_the_same_rates(self):
+        # Filters solved on the serving set only: the SINRs and the UB
+        # outputs equal those of the all-links build bit for bit.
+        links, pilots, est, mask, eta_dl, eta_ul = self._instance()
+        served = build_estimators(links, pilots, est.train_powers, 0.3,
+                                  serving=mask)
+        for e in (est, served):
+            terms = uatf_terms(links, e, pilots, mask)
+            got = (sinr_dl_lb(terms, eta_dl, mask, 0.25),
+                   sinr_ul_lb(terms, eta_ul, mask, 0.3),
+                   *se_ub_mc(links, e, pilots, eta_dl, eta_ul, mask, 0.25,
+                             0.42, 0.42, 10, np.random.default_rng(32)))
+            if e is est:
+                want = got
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_serving_beyond_the_estimators_rejected(self):
+        links, pilots, est, mask, eta_dl, eta_ul = self._instance()
+        served = build_estimators(links, pilots, est.train_powers, 0.3,
+                                  serving=mask)
+        wider = mask.copy()
+        wider[2, np.argmin(mask[2])] = True
+        with pytest.raises(ValueError, match="filters"):
+            uatf_terms(links, served, pilots, wider)
+        with pytest.raises(ValueError, match="filters"):
+            se_ub_mc(links, served, pilots, eta_dl, eta_ul, wider, 0.25,
+                     0.42, 0.42, 2, np.random.default_rng(33))
+        # A narrower serving set reads only filters the set has.
+        narrower = mask.copy()
+        narrower[6, :2] = False
+        uatf_terms(links, served, pilots, narrower)
+        se_ub_mc(links, served, pilots, eta_dl, eta_ul, narrower, 0.25,
+                 0.42, 0.42, 2, np.random.default_rng(33))
+
+
 class TestUpperBoundKernel:
     """se_ub_mc against the einsum oracle on the same draws: only the
     order of floating-point operations may differ."""

@@ -182,7 +182,63 @@ class TestRiceFactor:
         assert np.isinf(rice_factor(1.0 - 1e-12))
 
 
+def _dense_los_channels(beta, rice_k, steering, rng, n_draws=None):
+    """sample_channels with the LOS term formed on every link, rice_k = 0
+    included, as the simulator first did: the reference for the LOS skip."""
+    steering = np.asarray(steering)
+    beta = np.asarray(beta, dtype=float)
+    k = np.asarray(rice_k, dtype=float)
+    pure = np.isinf(k)
+    ksafe = np.where(pure, 0.0, k)
+    los_amp = np.where(pure, np.sqrt(beta),
+                       np.sqrt(beta * ksafe / (ksafe + 1.0)))
+    scatter_amp = np.where(pure, 0.0, np.sqrt(beta / (ksafe + 1.0)))
+    shape = np.broadcast_shapes(los_amp.shape, steering.shape[:-1])
+    n = steering.shape[-1]
+    full = (() if n_draws is None else (n_draws,)) + shape
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=full)
+    scale = (scatter_amp / np.sqrt(2.0))[..., None]
+    g = (rng.standard_normal(full + (n,)) * scale
+         + 1j * (rng.standard_normal(full + (n,)) * scale))
+    return g + (los_amp * np.exp(1j * theta))[..., None] * steering
+
+
 class TestSampleChannels:
+    @pytest.mark.parametrize("n_draws", [None, 1, 7])
+    def test_los_skip_matches_dense_formula(self, n_draws):
+        # Rayleigh, Ricean and pure-LOS links in one array, plus a link
+        # with beta = 0; the draw stream and every bit must be unchanged.
+        rng = np.random.default_rng(40)
+        beta = rng.uniform(0.5, 2.0, (4, 3))
+        rice = np.zeros((4, 3))
+        rice[1] = rng.uniform(0.1, 10.0, 3)
+        rice[2] = [PURE_LOS, 3.0, PURE_LOS]
+        rice[3, 2] = PURE_LOS
+        beta[3, 0] = 0.0
+        steer = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 3, 5)))
+        got = sample_channels(beta, rice, steer, np.random.default_rng(41),
+                              n_draws=n_draws)
+        want = _dense_los_channels(beta, rice, steer,
+                                   np.random.default_rng(41), n_draws)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("rice", [0.0, 2.5, PURE_LOS])
+    @pytest.mark.parametrize("n_draws", [None, 6])
+    def test_scalar_links(self, rice, n_draws):
+        # 0-d link parameters, and a scalar K broadcast over an array of
+        # gains and steering vectors.
+        rng = np.random.default_rng(42)
+        steer = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+        steers = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 4)))
+        for beta, a in ((1.3, steer), (np.array([0.5, 1.0, 2.0]), steers),
+                        (1.3, steers)):
+            got = sample_channels(beta, rice, a, np.random.default_rng(43),
+                                  n_draws=n_draws)
+            want = _dense_los_channels(beta, rice, a,
+                                       np.random.default_rng(43), n_draws)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
     def test_rayleigh_sample_covariance(self):
         rng = np.random.default_rng(3)
         beta, n = 2.0, 4

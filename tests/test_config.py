@@ -69,6 +69,38 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SystemConfig(uav_height_range=(300.0, 22.5))
 
+    @pytest.mark.parametrize("heights", [(5.0, 20.0), (22.0, 100.0),
+                                         (50.0, 301.0)])
+    def test_heights_outside_aerial_model(self, heights):
+        # The aerial path loss holds for [22.5, 300] m only; outside it
+        # every drop would fail with OutOfModelError.
+        with pytest.raises(ConfigurationError, match="uav_height_range"):
+            SystemConfig(uav_height_range=heights)
+        SystemConfig(uav_height_range=(22.5, 22.5))
+
+    @pytest.mark.parametrize("delta", [-0.1, 1.5, float("nan")])
+    def test_shadow_delta_outside_unit_interval(self, delta):
+        with pytest.raises(ConfigurationError, match="shadow_delta"):
+            SystemConfig(shadow_delta=delta)
+        SystemConfig(shadow_delta=0.0)
+        SystemConfig(shadow_delta=1.0)
+
+    @pytest.mark.parametrize("side", [float("nan"), float("inf")])
+    def test_non_finite_area_side(self, side):
+        with pytest.raises(ConfigurationError, match="area_side"):
+            SystemConfig(area_side=side)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_fpc_alpha(self, alpha):
+        with pytest.raises(ConfigurationError, match="fpc_alpha"):
+            SystemConfig(fpc_alpha=alpha)
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_non_finite_dl_power_budget(self, budget):
+        with pytest.raises(ConfigurationError, match="dl_power_budget"):
+            SystemConfig(dl_power_budget=budget)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from cfmimo.channel import PURE_LOS, sample_channels
+from cfmimo import estimation
 from cfmimo.errors import NumericalError
-from cfmimo.estimation import (build_estimators, covariance_G, despread_noise,
-                               gamma_coeff, lmmse_filter_D, pilot_gram_B,
-                               simulate_training)
+from cfmimo.estimation import (COND_LIMIT, build_estimators, covariance_G,
+                               despread_noise, gamma_coeff, lmmse_filter_D,
+                               pilot_gram_B, simulate_training)
 
 from conftest import random_links
 
@@ -148,6 +149,101 @@ class TestBuildEstimators:
         links.beta[1, 2] = 1e13
         with pytest.raises(NumericalError, match="pilot gram"):
             build_estimators(links, pilots, np.ones(4), 1.0)
+
+
+    def test_served_links_match_the_all_links_build(self):
+        # A ragged user-centric mask: a row with one AP, a full row and an
+        # AP that serves nobody.
+        rng = np.random.default_rng(34)
+        links = random_links(rng, 6, 5, 3)
+        links.rice_k[4, 1:3] = PURE_LOS
+        pilots = np.array([0, 1, 0, 2, 1, 0])
+        eta = rng.uniform(0.5, 2.0, 6)
+        mask = rng.random((6, 5)) < 0.5
+        mask[:, 3] = False
+        mask[0] = [False, False, True, False, False]
+        mask[5] = [True, True, True, False, True]
+        full = build_estimators(links, pilots, eta, 0.3)
+        part = build_estimators(links, pilots, eta, 0.3, serving=mask)
+        assert full.served.all()
+        np.testing.assert_array_equal(part.served, mask)
+        for name in ("G", "B", "train_powers"):
+            np.testing.assert_array_equal(getattr(part, name),
+                                          getattr(full, name))
+        for name in ("D", "gamma"):
+            got, want = getattr(part, name), getattr(full, name)
+            np.testing.assert_array_equal(got[mask], want[mask])
+            assert np.all(got[~mask] == 0)
+        # Serving every link takes the all-links path.
+        every = build_estimators(links, pilots, eta, 0.3,
+                                 serving=np.ones((6, 5), bool))
+        np.testing.assert_array_equal(every.D, full.D)
+        np.testing.assert_array_equal(every.gamma, full.gamma)
+
+
+def _grams_of_condition(rng, ratios, n=4, sigma_w2=0.7):
+    """Hermitian grams sigma_w^2 I + c u u^H (a pure-LOS pilot gram), one
+    per ratio, with condition number ratio * COND_LIMIT, so that their
+    bound tr(B)/sigma_w^2 sits just above it."""
+    grams = []
+    for r in ratios:
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        c = (r * COND_LIMIT - 1.0) * sigma_w2
+        grams.append(sigma_w2 * np.eye(n) + c * np.outer(u, u.conj()))
+    return np.array(grams)
+
+
+class TestGramBound:
+    """_check_grams screens grams with cond <= tr(B)/sigma_w^2 and must raise
+    exactly when the full eigvalsh check does."""
+
+    @staticmethod
+    def _raises(check, *args):
+        try:
+            check(*args)
+        except NumericalError:
+            return True
+        return False
+
+    @pytest.mark.parametrize("ratio", [0.4, 0.6, 2.0])
+    def test_same_verdict_as_eigvalsh(self, ratio, monkeypatch):
+        rng = np.random.default_rng(35)
+        grams = _grams_of_condition(rng, [ratio])
+        ew = np.linalg.eigvalsh(grams)
+        assert ew[0, -1] / ew[0, 0] == pytest.approx(ratio * COND_LIMIT,
+                                                     rel=1e-3)
+        checked = []
+        full = estimation._check_conditioned
+        monkeypatch.setattr(estimation, "_check_conditioned",
+                            lambda B: (checked.append(len(B)), full(B)))
+        want = self._raises(full, grams)
+        assert want == (ratio > 1)
+        assert self._raises(estimation._check_grams, grams, 0.7) == want
+        # Only the 0.4x gram is cleared by its bound, without eigvalsh.
+        assert checked[-1] == (0 if ratio < 0.5 else 1)
+
+    def test_mixed_batch_and_zero_noise(self):
+        rng = np.random.default_rng(36)
+        ok = _grams_of_condition(rng, [0.4, 0.6, 1e-9])
+        bad = _grams_of_condition(rng, [0.4, 2.0, 0.6])
+        estimation._check_grams(ok, 0.7)
+        with pytest.raises(NumericalError):
+            estimation._check_grams(bad, 0.7)
+        # With sigma_w^2 = 0 the bound is void and every gram is checked:
+        # a singular PSD sum must still raise.
+        singular = ok - 0.7 * np.eye(4)
+        assert self._raises(estimation._check_conditioned, singular)
+        with pytest.raises(NumericalError):
+            estimation._check_grams(singular, 0.0)
+
+    def test_through_build_estimators_at_zero_noise(self):
+        # Pure-LOS links with sigma_w^2 = 0 leave every gram singular.
+        rng = np.random.default_rng(37)
+        links = random_links(rng, 2, 2, 3)
+        links.rice_k[:] = PURE_LOS
+        with pytest.raises(NumericalError, match="pilot gram"):
+            build_estimators(links, [0, 1], np.ones(2), 0.0)
 
 
 class TestSimulateTraining:
