@@ -99,7 +99,11 @@ class SystemConfig:
             raise ConfigurationError(
                 "tau_c - tau_p must be even (equal downlink/uplink split)")
         low, high = self.uav_height_range
-        if not AERIAL_H_MIN <= low <= high <= AERIAL_H_MAX:
+        if not 0 < low <= high:
+            raise ConfigurationError("invalid uav_height_range")
+        # Only drawn UAV heights meet the aerial path loss, which holds on
+        # [AERIAL_H_MIN, AERIAL_H_MAX]; a ground-only config ignores the range.
+        if self.n_uavs > 0 and not AERIAL_H_MIN <= low <= high <= AERIAL_H_MAX:
             raise ConfigurationError(
                 f"uav_height_range must be ordered within the aerial "
                 f"model's [{AERIAL_H_MIN}, {AERIAL_H_MAX}] m")

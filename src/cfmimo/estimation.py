@@ -210,18 +210,16 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
     # Users on one pilot share its gram: check each distinct gram once.
     _check_grams(grams, sigma_w2)
     B = grams[row]
-    if serving is None or np.all(serving):
+    if serving is None:
         served = np.ones((K, A), dtype=bool)
-        D = _solve_filter(G, B, eta[:, None])
-        gamma = gamma_coeff(G, D, eta[:, None])
     else:
         served = np.array(serving, dtype=bool)
-        k, a = np.nonzero(served)
-        G_s = G[k, a]
-        D_s = _solve_filter(G_s, B[k, a], eta[k])
-        D = np.zeros_like(G)
-        D[k, a] = D_s
-        gamma = np.zeros((K, A))
-        gamma[k, a] = gamma_coeff(G_s, D_s, eta[k])
+    k, a = np.nonzero(served)
+    G_s = G[k, a]
+    D_s = _solve_filter(G_s, B[k, a], eta[k])
+    D = np.zeros_like(G)
+    D[k, a] = D_s
+    gamma = np.zeros((K, A))
+    gamma[k, a] = gamma_coeff(G_s, D_s, eta[k])
     return EstimatorSet(G=G, B=B, D=D, gamma=gamma, served=served,
                         train_powers=eta, sigma_w2=float(sigma_w2))

@@ -78,6 +78,14 @@ class TestValidation:
             SystemConfig(uav_height_range=heights)
         SystemConfig(uav_height_range=(22.5, 22.5))
 
+    def test_ground_only_config_ignores_aerial_range(self):
+        # No UAV height is drawn, so the aerial model's range does not apply;
+        # the ordering and positivity checks still do.
+        SystemConfig(n_uavs=0, uav_height_range=(5.0, 20.0))
+        for heights in [(20.0, 5.0), (0.0, 20.0)]:
+            with pytest.raises(ConfigurationError, match="uav_height_range"):
+                SystemConfig(n_uavs=0, uav_height_range=heights)
+
     @pytest.mark.parametrize("delta", [-0.1, 1.5, float("nan")])
     def test_shadow_delta_outside_unit_interval(self, delta):
         with pytest.raises(ConfigurationError, match="shadow_delta"):

@@ -174,7 +174,7 @@ class TestBuildEstimators:
             got, want = getattr(part, name), getattr(full, name)
             np.testing.assert_array_equal(got[mask], want[mask])
             assert np.all(got[~mask] == 0)
-        # Serving every link takes the all-links path.
+        # An all-ones mask is the same build as serving=None.
         every = build_estimators(links, pilots, eta, 0.3,
                                  serving=np.ones((6, 5), bool))
         np.testing.assert_array_equal(every.D, full.D)
