@@ -24,12 +24,6 @@ class AssociationMap:
     K_a the columns."""
     serving: np.ndarray
 
-    def serving_aps(self, k):
-        return np.nonzero(self.serving[k])[0]
-
-    def served_users(self, a):
-        return np.nonzero(self.serving[:, a])[0]
-
 
 def associate(mode: str, beta, cluster_size=None) -> AssociationMap:
     """CF: every AP serves every user. UC: user k keeps its cluster_size
@@ -161,11 +155,3 @@ def fpc(trace_G, serving_mask, p0_mw, alpha, p_max):
     ok = zeta > 0
     eta[ok] = np.minimum(p_max, p0_mw * zeta[ok] ** (-alpha))
     return eta
-
-
-@dataclass
-class PowerAllocation:
-    """Downlink powers P (mW) with normalized eta_dl, and uplink powers."""
-    dl_power: np.ndarray    # (K, A)
-    eta_dl: np.ndarray      # (K, A)
-    eta_ul: np.ndarray      # (K,)

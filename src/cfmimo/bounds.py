@@ -31,26 +31,6 @@ def _real_guard(x, what):
     return x.real
 
 
-def delta_dl(beta, rice_k, steering, D):
-    """Fourth-moment coefficient of one link against one LMMSE filter:
-
-        delta = c^2 |tr D|^2 + 2 c^2 K tr(D) Re{a^H D a},  c = beta/(K+1).
-
-    This is the excess of E|g^H D g|^2 over the value obtained by treating
-    the two g factors as independent; it vanishes in the pure-LOS limit.
-    The form is symmetric, so it serves the uplink (link of the interfering
-    user, D of the decoding user) as well as the downlink.
-    """
-    a = np.asarray(steering)
-    D = np.asarray(D)
-    c_los, c_eye = covariance_coeffs(beta, rice_k)
-    trD = np.einsum("...nn->...", D)
-    aDa = np.einsum("...n,...nm,...m->...", np.conj(a), D, a)
-    # c^2 = c_eye^2 and c^2 K = c_eye c_los, both 0 in the pure-LOS limit.
-    return (c_eye ** 2 * np.abs(trD) ** 2
-            + 2.0 * c_eye * c_los * np.real(aDa * np.conj(trD)))
-
-
 @dataclass
 class RateReport:
     """Per-user spectral efficiencies (bits/s/Hz) and rates (bits/s) for one
@@ -102,11 +82,11 @@ class UatfTerms:
     |A_j| slots. C is the largest serving-set size; an owner served by
     fewer APs has its remaining slots pointing at APs that do not serve it,
     and the SINRs give those slots weight 0 (their filters, and so their
-    terms, are 0 when the estimators were solved on the serving set only).
+    terms, are 0: the estimators are solved on the serving set only).
     In cell-free mode C = A and ap[j, c] = c. With a = ap[j, c]:
 
     ap      : (J, C) int          AP of each slot
-    serving : (K, A) bool         the serving mask the slots were built from
+    serving : (K, A) bool         the estimators' serving mask
     t       : (J, C, K) complex   tr(D_{j,a} G_{k,a})
     cross   : (J, C, K) real      tr(G_{j,a} D_{j,a}^H G_{k,a})
     delta   : (J, C, K) real      delta of link (k, a) against D_{j,a}
@@ -122,19 +102,16 @@ class UatfTerms:
     gamma: np.ndarray
     eta_train: np.ndarray
 
-    def at_slots(self, x, serving_mask):
-        """x (K, A) read at each owner's slots, (K, C), after checking that
-        serving_mask is the mask the terms were built for."""
-        if not np.array_equal(serving_mask, self.serving):
-            raise ValueError("serving_mask differs from the one the UatF "
-                             "terms were built for")
+    def at_slots(self, x):
+        """x (K, A) read at each owner's slots, (K, C)."""
         return np.take_along_axis(np.asarray(x, dtype=float), self.ap, axis=1)
 
 
-def uatf_terms(links: LinkSet, est: EstimatorSet, pilot_index,
-               serving) -> UatfTerms:
-    """Build the closed-form terms on the serving-set slots of `serving`;
-    raises ValueError if `est` lacks the filter of a link in `serving`.
+def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
+    """Build the closed-form terms on the serving-set slots of the drop.
+
+    links : the drop's link state; est : its estimators, which carry the
+        serving mask (est.served) and the pilot assignment.
 
     Each AP's slots take two products against the G_{k,a} of every user k
     at that AP: a complex one with the slots' D for t, and a real one with
@@ -142,8 +119,7 @@ def uatf_terms(links: LinkSet, est: EstimatorSet, pilot_index,
     G_k = c_los a_k a_k^H + c_eye I, t = c_los a_k^H D a_k + c_eye tr(D),
     so Re(a_k^H D a_k) follows from Re(t).
     """
-    serving = np.array(serving, dtype=bool)
-    est.require(serving)
+    serving = est.served
     K, A = serving.shape
     N = links.steering.shape[-1]
     C = int(serving.sum(axis=1).max())
@@ -185,8 +161,7 @@ def uatf_terms(links: LinkSet, est: EstimatorSet, pilot_index,
         x = c_eye[a] * trD[lo:hi, None]
         delta[rows] = x * (2.0 * t_a.real - x)
 
-    pilot_index = np.asarray(pilot_index)
-    collide = pilot_index[:, None] == pilot_index[None, :]
+    collide = est.pilot_index[:, None] == est.pilot_index[None, :]
 
     return UatfTerms(ap=ap, serving=serving, t=t.reshape(K, C, K),
                      cross=cross.reshape(K, C, K),
@@ -225,16 +200,16 @@ def _self_terms(terms: UatfTerms):
     return gamma, terms.eta_train[:, None] * self_delta - gamma ** 2
 
 
-def sinr_dl_lb(terms: UatfTerms, eta_dl, serving_mask, sigma_z2,
-               return_parts=False):
+def sinr_dl_lb(terms: UatfTerms, eta_dl, sigma_z2, return_parts=False):
     """Closed-form downlink SINR for every user (linear).
 
-    eta_dl : (K, A) normalized per-link downlink powers eta_{k,a}^DL
-    serving_mask : (K, A) bool, the serving sets A_k; it must be the mask
-        the terms were built for.
+    terms : the drop's UatfTerms, which fix the serving sets A_k
+    eta_dl : (K, A) normalized per-link downlink powers eta_{k,a}^DL; only
+        the entries on the serving sets are read
+    sigma_z2 : noise power at the users
     """
-    w = terms.at_slots(np.asarray(eta_dl, dtype=float) * serving_mask,
-                       serving_mask)                            # (J, C)
+    w = terms.at_slots(np.asarray(eta_dl, dtype=float)
+                       * terms.serving)                         # (J, C)
     eta = terms.eta_train
     K = len(eta)
     gamma, self_bu = _self_terms(terms)
@@ -258,16 +233,15 @@ def sinr_dl_lb(terms: UatfTerms, eta_dl, serving_mask, sigma_z2,
     return sinr
 
 
-def sinr_ul_lb(terms: UatfTerms, eta_ul, serving_mask, sigma_w2,
-               return_parts=False):
+def sinr_ul_lb(terms: UatfTerms, eta_ul, sigma_w2, return_parts=False):
     """Closed-form uplink SINR for every user (linear).
 
+    terms : the drop's UatfTerms, which fix the serving sets A_k
     eta_ul : (K,) uplink transmit powers
-    serving_mask : (K, A) bool, the serving sets A_k; it must be the mask
-        the terms were built for.
+    sigma_w2 : noise power at the APs
     """
     eta_ul = np.asarray(eta_ul, dtype=float)
-    m = terms.at_slots(serving_mask, serving_mask)              # (K, C) 0/1
+    m = terms.at_slots(terms.serving)                           # (K, C) 0/1
     eta = terms.eta_train
     K = len(eta)
     gamma, self_bu = _self_terms(terms)
@@ -301,10 +275,17 @@ def sinr_ul_lb(terms: UatfTerms, eta_ul, serving_mask, sigma_w2,
 # Monte-Carlo upper bounds
 # ---------------------------------------------------------------------------
 
-def se_ub_mc(links: LinkSet, est: EstimatorSet, pilot_index, eta_dl, eta_ul,
-             serving_mask, sigma_z2, frac_dl, frac_ul, n_trials,
-             rng: np.random.Generator, batch=64):
+def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
+             frac_dl, frac_ul, n_trials, rng: np.random.Generator, batch=64):
     """Monte-Carlo SE upper bounds for all users, both directions.
+
+    links, est : the drop's link state and estimators; est carries the
+        serving mask (est.served) and the pilot assignment
+    eta_dl : (K, A) normalized downlink powers, read on the serving sets
+    eta_ul : (K,) uplink transmit powers
+    sigma_z2 : noise power at the users (the APs' is est.sigma_w2)
+    frac_dl, frac_ul : phase fractions of the coherence block
+    n_trials : coherence blocks drawn; batch : trials per batch
 
     Each trial draws one coherence block (channels + training noise), runs
     the actual LMMSE estimation, and evaluates the instantaneous SINR with
@@ -338,17 +319,16 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, pilot_index, eta_dl, eta_ul,
 
     Returns (se_dl, stderr_dl, se_ul, stderr_ul), each (K,), where se is
     frac * mean log2(1 + sinr) and stderr is the standard error of se.
-    Raises ValueError if `est` lacks the filter of a served link.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    est.require(serving_mask)
+    serving_mask = est.served
     K, A = links.beta.shape
     N = links.steering.shape[-1]
     eta_dl = np.asarray(eta_dl, dtype=float) * serving_mask
     eta_ul = np.asarray(eta_ul, dtype=float)
     sigma_w2 = est.sigma_w2
-    pilot_index = np.asarray(pilot_index)
+    pilot_index = est.pilot_index
     P = int(pilot_index.max()) + 1
     # spread[p, k]: user k's training amplitude on pilot p.
     spread = np.zeros((P, K))

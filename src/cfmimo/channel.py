@@ -120,27 +120,23 @@ AERIAL_H_MAX = 300.0
 
 
 def los_probability(distance_2d, uav_height):
-    """LOS probability for an aerial user in the urban-micro scenario.
-
-    Heights in [22.5, 300] m use the aerial table; [1.5, 22.5) falls back to
-    the street-canyon ground formula the table delegates to.
+    """LOS probability for an aerial user in the urban-micro scenario, from
+    the aerial table, which holds for heights in [22.5, 300] m as the aerial
+    path loss does.
     """
     d = np.asarray(distance_2d, dtype=float)
     h = np.asarray(uav_height, dtype=float)
-    if np.any(h < 1.5) or np.any(h > AERIAL_H_MAX):
-        raise OutOfModelError("UAV height outside [1.5, 300] m")
+    if np.any(h < AERIAL_H_MIN) or np.any(h > AERIAL_H_MAX):
+        raise OutOfModelError("UAV height outside [22.5, 300] m")
     d = np.maximum(d, 1e-12)
 
-    logh = np.log10(np.maximum(h, 1.5))
+    logh = np.log10(h)
     p1 = 233.98 * logh - 0.95
     d1 = np.maximum(294.05 * logh - 432.94, 18.0)
     # above 100 m the urban clutter is cleared and the table pins LOS
-    aerial = np.where(h > 100.0, 1.0,
-                      np.where(d <= d1, 1.0,
-                               d1 / d + np.exp(-d / p1) * (1.0 - d1 / d)))
-    ground = np.where(d <= 18.0, 1.0,
-                      18.0 / d + np.exp(-d / 36.0) * (1.0 - 18.0 / d))
-    p = np.where(h >= AERIAL_H_MIN, aerial, ground)
+    p = np.where(h > 100.0, 1.0,
+                 np.where(d <= d1, 1.0,
+                          d1 / d + np.exp(-d / p1) * (1.0 - d1 / d)))
     return np.clip(p, 0.0, 1.0)
 
 

@@ -66,6 +66,10 @@ def main(argv=None):
     except OSError as e:
         print(f"ERROR IOError: {e}", file=sys.stderr)
         return 3
+    except Exception as e:                      # noqa: BLE001 - CLI boundary
+        print(f"ERROR InternalError: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Scenario configuration and unit helpers.
+"""Scenario configuration.
 
 All powers are kept in mW internally; dB/dBm quantities are converted at the
 boundary (config ingestion) and never mixed into the linear-domain code paths.
@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, fields
+from numbers import Integral, Real
 
 SPEED_OF_LIGHT = 299792458.0
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -18,18 +19,23 @@ def db_to_lin(x_db):
     return 10.0 ** (x_db / 10.0)
 
 
-def lin_to_db(x):
-    import numpy as np
-    return 10.0 * np.log10(x)
-
-
 def dbm_to_mw(x_dbm):
     return 10.0 ** (x_dbm / 10.0)
 
 
-def mw_to_dbm(x_mw):
-    import numpy as np
-    return 10.0 * np.log10(x_mw)
+_TYPE_NAMES = {"int": "an integer", "float": "a number", "str": "a string",
+               "tuple": "a pair of numbers"}
+
+
+def _has_type(value, kind):
+    """Whether a config value has its field's declared kind, the annotation
+    as written ("int", "float", "str" or "tuple"; annotations stay strings
+    in this module). Bools count as neither integers nor numbers."""
+    if kind == "tuple":
+        return (isinstance(value, (tuple, list)) and len(value) == 2
+                and all(_has_type(x, "float") for x in value))
+    cls = {"int": Integral, "float": Real, "str": str}[kind]
+    return isinstance(value, cls) and not isinstance(value, bool)
 
 
 @dataclass
@@ -74,10 +80,6 @@ class SystemConfig:
     shadow_delta: float = 0.5
     shadow_decorr: float = 100.0         # m
 
-    # Reproduce the printed pilot-gram formula (extra slow-fading factor)
-    # instead of the derivation-consistent one. Off by default.
-    beta_weighted_pilot_gram: bool = False
-
     def __post_init__(self):
         self.validate()
 
@@ -85,6 +87,11 @@ class SystemConfig:
         from .channel import AERIAL_H_MAX, AERIAL_H_MIN
         from .errors import ConfigurationError
 
+        for f in fields(self):
+            if not _has_type(getattr(self, f.name), f.type):
+                raise ConfigurationError(
+                    f"{f.name} must be {_TYPE_NAMES[f.type]}, "
+                    f"got {getattr(self, f.name)!r}")
         if not 0 < self.area_side < math.inf:
             raise ConfigurationError("area_side must be positive and finite")
         if self.n_aps <= 0 or self.n_ap_antennas <= 0:
@@ -125,6 +132,8 @@ class SystemConfig:
             raise ConfigurationError("dl_policy must be 'PPA' or 'WFPC'")
         if self.shadowing_std < 0:
             raise ConfigurationError("shadowing_std must be >= 0")
+        if self.rng_seed < 0:
+            raise ConfigurationError("rng_seed must be >= 0")
 
     # -- derived quantities -------------------------------------------------
 
@@ -138,10 +147,6 @@ class SystemConfig:
 
     @property
     def tau_d(self):
-        return (self.tau_c - self.tau_p) // 2
-
-    @property
-    def tau_u(self):
         return (self.tau_c - self.tau_p) // 2
 
     @property
@@ -177,9 +182,8 @@ class SystemConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        if "uav_height_range" in data:
-            data = dict(data)
-            data["uav_height_range"] = tuple(data["uav_height_range"])
+        if isinstance(data.get("uav_height_range"), list):
+            data = dict(data, uav_height_range=tuple(data["uav_height_range"]))
         return cls(**data)
 
     @classmethod

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .errors import ConfigurationError
 
 GUE = 0
 UAV = 1
@@ -49,15 +48,7 @@ def assign_pilots(cfg: SystemConfig, n_users: int, rng: np.random.Generator):
     """Random pilot assignment: each user draws uniformly from the tau_p
     orthogonal sequences, independently. Collisions (pilot contamination)
     are allowed and expected when n_users > tau_p."""
-    if cfg.tau_p < 1:
-        raise ConfigurationError("tau_p must be >= 1")
     return rng.integers(0, cfg.tau_p, size=n_users)
-
-
-def pilot_matrix(tau_p: int) -> np.ndarray:
-    """Orthonormal pilot book: column p is the p-th canonical basis vector,
-    so |phi_i^H phi_k|^2 is exactly 0 or 1."""
-    return np.eye(tau_p)
 
 
 def sample_drop(cfg: SystemConfig, rng: np.random.Generator) -> Drop:
@@ -66,9 +57,8 @@ def sample_drop(cfg: SystemConfig, rng: np.random.Generator) -> Drop:
     AP and user horizontal positions are i.i.d. uniform over the square;
     GUEs sit at the fixed ground-user height, UAV heights are uniform over
     the configured range. Each AP carries a uniform linear array laid out
-    along a uniformly random horizontal azimuth.
+    along a uniformly random horizontal azimuth. cfg must be valid.
     """
-    cfg.validate()
     side = cfg.area_side
     n_a, n_g, n_u = cfg.n_aps, cfg.n_gues, cfg.n_uavs
     n_users = n_g + n_u

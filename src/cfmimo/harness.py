@@ -18,7 +18,7 @@ from .bounds import RateReport, se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb, uatf_te
 from .channel import build_links
 from .config import SystemConfig
 from .deployment import GUE, UAV, sample_drop
-from .errors import CfmimoError
+from .errors import CfmimoError, NumericalError
 from .estimation import build_estimators
 
 POPULATIONS = {"gue": GUE, "uav": UAV}
@@ -37,7 +37,6 @@ def simulate_drop(cfg: SystemConfig, rng: np.random.Generator,
                       cfg.uc_cluster_size)
     est = build_estimators(links, drop.pilot_index,
                            np.full(cfg.n_users, cfg.train_power), sigma2,
-                           beta_weighted=cfg.beta_weighted_pilot_gram,
                            serving=assoc.serving)
 
     _, eta_dl = dl_power_allocation(cfg.dl_policy, est.gamma, assoc,
@@ -46,21 +45,24 @@ def simulate_drop(cfg: SystemConfig, rng: np.random.Generator,
     eta_ul = fpc(trace_G, assoc.serving, cfg.fpc_p0_mw, cfg.fpc_alpha,
                  cfg.ul_max_power)
 
-    terms = uatf_terms(links, est, drop.pilot_index, assoc.serving)
-    frac_dl = cfg.tau_d / cfg.tau_c
-    frac_ul = cfg.tau_u / cfg.tau_c
-    sdl = sinr_dl_lb(terms, eta_dl, assoc.serving, sigma2)
-    sul = sinr_ul_lb(terms, eta_ul, assoc.serving, sigma2)
+    terms = uatf_terms(links, est)
+    # Downlink and uplink split the data part of the block equally.
+    frac = cfg.tau_d / cfg.tau_c
+    sdl = sinr_dl_lb(terms, eta_dl, sigma2)
+    sul = sinr_ul_lb(terms, eta_ul, sigma2)
 
     ub_dl, err_dl, ub_ul, err_ul = se_ub_mc(
-        links, est, drop.pilot_index, eta_dl, eta_ul, assoc.serving,
-        sigma2, frac_dl, frac_ul, n_fading_trials, rng)
+        links, est, eta_dl, eta_ul, sigma2, frac, frac, n_fading_trials, rng)
 
-    return RateReport(
-        se_lb_dl=se_lb(sdl, frac_dl), se_ub_dl=ub_dl,
-        se_lb_ul=se_lb(sul, frac_ul), se_ub_ul=ub_ul,
+    rep = RateReport(
+        se_lb_dl=se_lb(sdl, frac), se_ub_dl=ub_dl,
+        se_lb_ul=se_lb(sul, frac), se_ub_ul=ub_ul,
         ub_stderr_dl=err_dl, ub_stderr_ul=err_ul,
         sinr_lb_dl=sdl, sinr_lb_ul=sul, bandwidth=cfg.bandwidth)
+    if not np.all(np.isfinite([rep.se_lb_dl, rep.se_ub_dl, rep.se_lb_ul,
+                               rep.se_ub_ul, err_dl, err_ul])):
+        raise NumericalError("non-finite SE bound or UB standard error")
+    return rep
 
 
 @dataclass
@@ -159,20 +161,6 @@ def emit_cdf(result: ExperimentResult, out_dir):
             f.write(",".join(str(x) for x in row) + "\n")
     written.append(summary)
     return written
-
-
-def read_cdf_csv(path):
-    """Parse a rate-CDF CSV back into (rates, cdf) arrays."""
-    rates, cdf = [], []
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "rate_bps,cdf":
-            raise CfmimoError(f"{path}: unexpected header {header!r}")
-        for line in f:
-            a, b = line.strip().split(",")
-            rates.append(float(a))
-            cdf.append(float(b))
-    return np.asarray(rates), np.asarray(cdf)
 
 
 def summarize(out_dir):

@@ -19,6 +19,31 @@ def random_links(rng, n_users, n_aps, n_ant, rice_max=3.0):
                    los_state=np.zeros((n_users, n_aps), dtype=bool))
 
 
+def lmmse_filter_D(G, B, train_powers):
+    """Oracle: the LMMSE filter D = sqrt(eta) G B^{-1}, by explicit inverse.
+
+    G, B : (..., N, N)   train_powers : broadcastable to leading dims
+    """
+    eta = np.asarray(train_powers, dtype=float)
+    return np.sqrt(eta)[..., None, None] * (G @ np.linalg.inv(B))
+
+
+def simulate_training(g, pilot_index, train_powers, sigma_w2, tau_p, rng):
+    """Oracle: one uplink training phase with canonical-basis pilots phi_p.
+
+    g : (..., K, A, N) channel draws, one coherence block per leading index.
+    Returns (y_hat, Y): the received matrices Y (..., A, N, tau_p) =
+    sum_k sqrt(eta_k) g_k phi_k^T + W, with W i.i.d. CN(0, sigma_w^2), and
+    each user's de-spread observation y_hat_k = Y phi_k, (..., K, A, N).
+    """
+    phi = np.eye(tau_p)[:, np.asarray(pilot_index)]            # (tau_p, K)
+    amp = np.sqrt(np.asarray(train_powers, dtype=float))
+    Y = np.einsum("...kan,k,pk->...anp", np.asarray(g), amp, phi)
+    Y = Y + (rng.standard_normal(Y.shape)
+             + 1j * rng.standard_normal(Y.shape)) * np.sqrt(sigma_w2 / 2.0)
+    return np.einsum("...anp,pk->...kan", Y, phi), Y
+
+
 @pytest.fixture
 def small_instance():
     """3 APs, 2 antennas, 3 users; users 0 and 1 share a pilot."""

@@ -14,7 +14,7 @@ from cfmimo import harness
 from cfmimo.channel import sample_channels
 from cfmimo.config import SystemConfig
 from cfmimo.deployment import UAV
-from cfmimo.estimation import build_estimators, gamma_coeff, lmmse_filter_D
+from cfmimo.estimation import build_estimators
 from cfmimo.harness import run_experiment, simulate_drop, emit_cdf
 from cfmimo.allocation import (waterfill_level, wfpc, ppa, associate,
                                dl_power_allocation)
@@ -55,14 +55,13 @@ class TestCriterion1:
         eta_tr = np.array([1.5, 0.8, 1.2])
         sw2, sz2 = 0.3, 0.25
         est = build_estimators(links, pilots, eta_tr, sw2)
-        mask = np.ones((3, 3), bool)
-        terms = uatf_terms(links, est, pilots, mask)
+        terms = uatf_terms(links, est)
         eta_dl = rng.uniform(0.2, 1.0, (3, 3))
         eta_ul = np.array([0.7, 0.4, 0.9])
         K = 3
 
-        _, pdl = sinr_dl_lb(terms, eta_dl, mask, sz2, return_parts=True)
-        _, pul = sinr_ul_lb(terms, eta_ul, mask, sw2, return_parts=True)
+        _, pdl = sinr_dl_lb(terms, eta_dl, sz2, return_parts=True)
+        _, pul = sinr_ul_lb(terms, eta_ul, sw2, return_parts=True)
 
         # Closed-form counterparts of the pairwise second moments.
         # Random LOS phases make every channel zero-mean, so AP-to-AP cross

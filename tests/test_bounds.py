@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,11 +7,10 @@ import pytest
 from cfmimo import harness
 from cfmimo.allocation import (AssociationMap, associate,
                                dl_power_allocation)
-from cfmimo.bounds import (delta_dl, se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb,
-                           uatf_terms)
-from cfmimo.channel import PURE_LOS, _ricean_amplitudes
+from cfmimo.bounds import se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb, uatf_terms
+from cfmimo.channel import PURE_LOS, LinkSet, _ricean_amplitudes
 from cfmimo.config import SystemConfig
-from cfmimo.estimation import build_estimators, lmmse_filter_D
+from cfmimo.estimation import EstimatorSet, build_estimators, covariance_G
 
 from conftest import random_links
 
@@ -23,7 +23,10 @@ def unit_steer(rng, n):
 
 def delta_oracle(beta, k, a, D):
     """Independently coded evaluator of the fourth-moment coefficient:
-    scalar forms pulled out of the printed trace expressions term by term."""
+    scalar forms pulled out of the printed trace expressions term by term.
+    It vanishes in the pure-LOS limit."""
+    if np.isinf(k):
+        return 0.0
     c = beta / (k + 1.0)
     trD = np.trace(D)
     aDa = np.conj(a) @ D @ a
@@ -34,14 +37,38 @@ def delta_oracle(beta, k, a, D):
     return term1 + term2
 
 
+def uatf_delta(beta, k, a, D):
+    """delta of one link (gain beta, K-factor k, steering a) against the
+    filter D, as uatf_terms forms it on a one-user, one-AP drop."""
+    shape = (1, 1)
+    links = LinkSet(beta=np.full(shape, beta), rice_k=np.full(shape, k),
+                    distance_3d=np.ones(shape), steering=a[None, None],
+                    los_state=np.zeros(shape, bool))
+    est = EstimatorSet(G=covariance_G(links.beta, links.rice_k, a[None, None]),
+                       D=np.asarray(D, complex)[None, None],
+                       gamma=np.zeros(shape), served=np.ones(shape, bool),
+                       pilot_index=np.zeros(1, int), train_powers=np.ones(1),
+                       sigma_w2=1.0)
+    return uatf_terms(links, est).delta[0, 0, 0]
+
+
+def real_trace_filter(rng, n):
+    """A random complex filter with a real trace, as every LMMSE filter
+    D = sqrt(eta) G B^{-1} has (uatf_terms rejects any other)."""
+    D = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return D - 1j * np.trace(D).imag / n * np.eye(n)
+
+
 class TestDelta:
+    """The fourth-moment coefficient delta in uatf_terms."""
+
     def test_rayleigh_reduces_to_trace_squared(self):
         rng = np.random.default_rng(0)
         a = unit_steer(rng, 3)
-        D = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        D = real_trace_filter(rng, 3)
         beta = 1.7
         expected = beta ** 2 * np.abs(np.trace(D)) ** 2
-        assert delta_dl(beta, 0.0, a, D) == pytest.approx(expected)
+        assert uatf_delta(beta, 0.0, a, D) == pytest.approx(expected)
 
     def test_identity_filter(self):
         rng = np.random.default_rng(1)
@@ -50,28 +77,28 @@ class TestDelta:
         beta, k = 2.0, 1.5
         c = beta / (k + 1)
         expected = c ** 2 * (n ** 2 + 2 * k * n ** 2)
-        assert delta_dl(beta, k, a, np.eye(n)) == pytest.approx(expected)
+        assert uatf_delta(beta, k, a, np.eye(n)) == pytest.approx(expected)
 
     def test_zero_filter(self):
         rng = np.random.default_rng(2)
         a = unit_steer(rng, 3)
-        assert delta_dl(1.0, 2.0, a, np.zeros((3, 3))) == 0.0
+        assert uatf_delta(1.0, 2.0, a, np.zeros((3, 3))) == 0.0
 
     def test_pure_los_vanishes(self):
         rng = np.random.default_rng(3)
         a = unit_steer(rng, 3)
-        D = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert delta_dl(1.5, PURE_LOS, a, D) == 0.0
+        D = real_trace_filter(rng, 3)
+        assert uatf_delta(1.5, PURE_LOS, a, D) == 0.0
 
     def test_random_instances_match_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             n = rng.integers(2, 5)
             a = unit_steer(rng, n)
-            D = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            D = real_trace_filter(rng, n)
             beta = rng.uniform(0.1, 3.0)
             k = rng.uniform(0.0, 5.0)
-            assert delta_dl(beta, k, a, D) == pytest.approx(
+            assert uatf_delta(beta, k, a, D) == pytest.approx(
                 delta_oracle(beta, k, a, D), rel=1e-10)
 
 
@@ -94,31 +121,30 @@ class TestSeLb:
 def _dl_setup(small_instance, rng):
     links, pilots, eta_tr, sw2, est = small_instance
     eta_dl = rng.uniform(0.1, 1.0, links.beta.shape)
-    mask = np.ones(links.beta.shape, dtype=bool)
-    terms = uatf_terms(links, est, pilots, mask)
-    return links, pilots, est, terms, eta_dl, mask, sw2
+    terms = uatf_terms(links, est)
+    return links, pilots, est, terms, eta_dl, sw2
 
 
 class TestSinrClosedForms:
     def test_zero_dl_power_zero_sinr(self, small_instance):
         rng = np.random.default_rng(5)
-        links, pilots, est, terms, eta_dl, mask, sw2 = _dl_setup(
+        links, pilots, est, terms, eta_dl, sw2 = _dl_setup(
             small_instance, rng)
-        sinr = sinr_dl_lb(terms, np.zeros_like(eta_dl), mask, 0.25)
+        sinr = sinr_dl_lb(terms, np.zeros_like(eta_dl), 0.25)
         assert np.allclose(sinr, 0.0)
 
     def test_zero_ul_power_zero_sinr(self, small_instance):
         rng = np.random.default_rng(6)
-        links, pilots, est, terms, eta_dl, mask, sw2 = _dl_setup(
+        links, pilots, est, terms, eta_dl, sw2 = _dl_setup(
             small_instance, rng)
-        sinr = sinr_ul_lb(terms, np.zeros(3), mask, sw2)
+        sinr = sinr_ul_lb(terms, np.zeros(3), sw2)
         assert np.allclose(sinr, 0.0)
 
     def test_uncontaminated_user_has_no_contamination_term(self, small_instance):
         rng = np.random.default_rng(7)
-        links, pilots, est, terms, eta_dl, mask, sw2 = _dl_setup(
+        links, pilots, est, terms, eta_dl, sw2 = _dl_setup(
             small_instance, rng)
-        _, parts = sinr_dl_lb(terms, eta_dl, mask, 0.25, return_parts=True)
+        _, parts = sinr_dl_lb(terms, eta_dl, 0.25, return_parts=True)
         # user 2 is alone on its pilot
         assert parts["contamination"][2] == 0.0
         assert parts["contamination"][0] > 0.0
@@ -126,10 +152,10 @@ class TestSinrClosedForms:
     def test_dl_homogeneity(self, small_instance):
         # scaling DL powers and user noise by c leaves the SINR unchanged
         rng = np.random.default_rng(8)
-        links, pilots, est, terms, eta_dl, mask, sw2 = _dl_setup(
+        links, pilots, est, terms, eta_dl, sw2 = _dl_setup(
             small_instance, rng)
-        s1 = sinr_dl_lb(terms, eta_dl, mask, 0.25)
-        s2 = sinr_dl_lb(terms, 7.0 * eta_dl, mask, 7.0 * 0.25)
+        s1 = sinr_dl_lb(terms, eta_dl, 0.25)
+        s2 = sinr_dl_lb(terms, 7.0 * eta_dl, 7.0 * 0.25)
         assert np.allclose(s1, s2, rtol=1e-12)
 
     def test_ul_single_user_single_ap_rayleigh_reduction(self):
@@ -141,9 +167,9 @@ class TestSinrClosedForms:
         eta_tr = np.array([2.0])
         sw2 = 0.4
         est = build_estimators(links, [0], eta_tr, sw2)
-        terms = uatf_terms(links, est, [0], np.ones((1, 1), bool))
+        terms = uatf_terms(links, est)
         eta_ul = np.array([0.7])
-        sinr = sinr_ul_lb(terms, eta_ul, np.ones((1, 1), bool), sw2)
+        sinr = sinr_ul_lb(terms, eta_ul, sw2)
 
         n = 3
         gamma = n * eta_tr[0] * beta ** 2 / (eta_tr[0] * beta + sw2)
@@ -157,11 +183,10 @@ class TestSinrClosedForms:
 
     def test_denominators_positive(self, small_instance):
         rng = np.random.default_rng(10)
-        links, pilots, est, terms, eta_dl, mask, sw2 = _dl_setup(
+        links, pilots, est, terms, eta_dl, sw2 = _dl_setup(
             small_instance, rng)
-        _, pdl = sinr_dl_lb(terms, eta_dl, mask, 0.25, return_parts=True)
-        _, pul = sinr_ul_lb(terms, np.full(3, 0.5), mask, sw2,
-                            return_parts=True)
+        _, pdl = sinr_dl_lb(terms, eta_dl, 0.25, return_parts=True)
+        _, pul = sinr_ul_lb(terms, np.full(3, 0.5), sw2, return_parts=True)
         assert np.all(pdl["bu"] + pdl["cross"] + pdl["noise"]
                       + pdl["contamination"] > 0)
         assert np.all(pul["bu"] + pul["cross"] + pul["noise"]
@@ -177,8 +202,7 @@ class TestUpperBound:
         links.rice_k[:] = PURE_LOS
         est = build_estimators(links, [0], [1.0], 1e-8)
         se, err, se_u, err_u = se_ub_mc(
-            links, est, [0], np.ones((1, 1)), np.ones(1),
-            np.ones((1, 1), bool), 0.5, 0.42, 0.42, 64,
+            links, est, np.ones((1, 1)), np.ones(1), 0.5, 0.42, 0.42, 64,
             np.random.default_rng(12))
         beta = links.beta[0, 0]
         snr = (beta * 2) ** 2 / 0.5   # |g^H g_hat|^2 / sigma_z^2, no fading
@@ -187,42 +211,42 @@ class TestUpperBound:
 
     def test_lb_below_ub(self, small_instance):
         rng = np.random.default_rng(13)
-        links, pilots, est, terms, eta_dl, mask, sw2 = _dl_setup(
+        links, pilots, est, terms, eta_dl, sw2 = _dl_setup(
             small_instance, rng)
         eta_ul = np.full(3, 0.5)
         frac = 0.42
-        lb_dl = se_lb(sinr_dl_lb(terms, eta_dl, mask, sw2), frac)
-        lb_ul = se_lb(sinr_ul_lb(terms, eta_ul, mask, sw2), frac)
+        lb_dl = se_lb(sinr_dl_lb(terms, eta_dl, sw2), frac)
+        lb_ul = se_lb(sinr_ul_lb(terms, eta_ul, sw2), frac)
         ub_dl, e_dl, ub_ul, e_ul = se_ub_mc(
-            links, est, pilots, eta_dl, eta_ul, mask, sw2, frac, frac,
-            2000, np.random.default_rng(14))
+            links, est, eta_dl, eta_ul, sw2, frac, frac, 2000,
+            np.random.default_rng(14))
         assert np.all(lb_dl <= ub_dl + 3 * e_dl)
         assert np.all(lb_ul <= ub_ul + 3 * e_ul)
 
     def test_convergence_with_more_trials(self, small_instance):
         rng = np.random.default_rng(15)
-        links, pilots, est, terms, eta_dl, mask, sw2 = _dl_setup(
+        links, pilots, est, terms, eta_dl, sw2 = _dl_setup(
             small_instance, rng)
         eta_ul = np.full(3, 0.5)
-        args = (links, est, pilots, eta_dl, eta_ul, mask, sw2, 0.42, 0.42)
+        args = (links, est, eta_dl, eta_ul, sw2, 0.42, 0.42)
         ub1, e1, _, _ = se_ub_mc(*args, 2000, np.random.default_rng(16))
         ub2, e2, _, _ = se_ub_mc(*args, 4000, np.random.default_rng(17))
         assert np.all(np.abs(ub1 - ub2) < 3 * np.hypot(e1, e2))
 
 
-def _se_ub_mc_einsum(links, est, pilot_index, eta_dl, eta_ul, serving_mask,
-                     sigma_z2, frac_dl, frac_ul, n_trials, rng, batch=64):
+def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac_dl, frac_ul,
+                     n_trials, rng, batch=64):
     """Oracle: the per-pilot-loop, 3-operand-einsum formulation of se_ub_mc,
     with the channel draw written out, on the same draw sequence."""
     K, A = links.beta.shape
     N = links.steering.shape[-1]
-    eta_dl = np.asarray(eta_dl, dtype=float) * serving_mask
+    eta_dl = np.asarray(eta_dl, dtype=float) * est.served
     eta_ul = np.asarray(eta_ul, dtype=float)
-    mask = np.asarray(serving_mask, dtype=float)
+    mask = est.served.astype(float)
     amp = np.sqrt(est.train_powers)
     wdl = np.sqrt(eta_dl)
     sigma_w2 = est.sigma_w2
-    pilot_index = np.asarray(pilot_index)
+    pilot_index = est.pilot_index
     los_amp, scatter_amp = _ricean_amplitudes(links.beta, links.rice_k)
 
     sums = np.zeros((2, K))
@@ -271,7 +295,7 @@ def _se_ub_mc_einsum(links, est, pilot_index, eta_dl, eta_ul, serving_mask,
 
 def _mixed_instance(rng, n_ant=3):
     """5 GUEs (Rayleigh) and 3 UAVs (Ricean, with pure-LOS links) on 5 APs,
-    4 pilots shared by up to three users."""
+    4 pilots shared by up to three users, every link served."""
     links = random_links(rng, 8, 5, n_ant)
     links.rice_k[:5] = 0.0
     links.rice_k[5:] = rng.uniform(2.0, 30.0, (3, 5))
@@ -290,7 +314,7 @@ class TestUatfTerms:
         rng = np.random.default_rng(27)
         links, pilots, est = _mixed_instance(rng)
         K, A = links.beta.shape
-        terms = uatf_terms(links, est, pilots, np.ones((K, A), bool))
+        terms = uatf_terms(links, est)
         G, D = est.G, est.D
         np.testing.assert_array_equal(terms.ap, np.tile(np.arange(A), (K, 1)))
         t = np.empty((K, A, K), complex)
@@ -302,7 +326,7 @@ class TestUatfTerms:
                     t[j, a, k] = np.trace(D[j, a] @ G[k, a])
                     cross[j, a, k] = np.trace(
                         G[j, a] @ D[j, a].conj().T @ G[k, a]).real
-                    delta[j, a, k] = delta_dl(
+                    delta[j, a, k] = delta_oracle(
                         links.beta[k, a], links.rice_k[k, a],
                         links.steering[k, a], D[j, a])
         for got, want in ((terms.t, t), (terms.cross, cross),
@@ -311,7 +335,7 @@ class TestUatfTerms:
                                        atol=1e-12 * np.abs(want).max())
 
 
-def _dense_terms(links, est, pilot_index):
+def _dense_terms(links, est):
     """Oracle: the dense (J, K, A) closed-form terms over every (filter
     owner, user, AP) triple, as uatf_terms built them before the
     serving-set slots."""
@@ -330,8 +354,7 @@ def _dense_terms(links, est, pilot_index):
     t = np.einsum("janm,kamn->jka", D, G)
     GDH = np.einsum("janm,japm->janp", G, np.conj(D))
     cross = np.einsum("janp,kapn->jka", GDH, G).real
-    pilot_index = np.asarray(pilot_index)
-    collide = pilot_index[:, None] == pilot_index[None, :]
+    collide = est.pilot_index[:, None] == est.pilot_index[None, :]
     return dict(t=t, cross=cross, delta=delta, collide=collide,
                 gamma=est.gamma, eta=est.train_powers)
 
@@ -389,11 +412,12 @@ class TestServingSlots:
         rng = np.random.default_rng(30)
         links, pilots, est = _mixed_instance(rng)
         links.beta[0] *= 1e-3              # too weak to get any DL power
-        est = build_estimators(links, pilots, est.train_powers, 0.3)
         mask = rng.random(links.beta.shape) < 0.6
         mask[:, 4] = True
         mask[3] = [False, True, False, False, False]
         mask[6] = True
+        est = build_estimators(links, pilots, est.train_powers, 0.3,
+                               serving=mask)
         assoc = AssociationMap(mask)
         _, eta_dl = dl_power_allocation("WFPC", est.gamma, assoc, 0.25, 1.0)
         assert np.any(eta_dl.sum(axis=1) == 0)
@@ -401,11 +425,11 @@ class TestServingSlots:
 
     def test_slot_layout(self):
         links, pilots, est, mask, _, _ = self._instance()
-        terms = uatf_terms(links, est, pilots, mask)
+        terms = uatf_terms(links, est)
         K, A = mask.shape
         counts = mask.sum(axis=1)
         assert terms.ap.shape == (K, counts.max())
-        dense = _dense_terms(links, est, pilots)
+        dense = _dense_terms(links, est)
         for j in range(K):
             served = terms.ap[j, :counts[j]]
             np.testing.assert_array_equal(served, np.nonzero(mask[j])[0])
@@ -422,10 +446,10 @@ class TestServingSlots:
 
     def test_sinrs_match_dense_oracle(self):
         links, pilots, est, mask, eta_dl, eta_ul = self._instance()
-        terms = uatf_terms(links, est, pilots, mask)
-        dense = _dense_terms(links, est, pilots)
-        got_dl = sinr_dl_lb(terms, eta_dl, mask, 0.25)
-        got_ul = sinr_ul_lb(terms, eta_ul, mask, 0.3)
+        terms = uatf_terms(links, est)
+        dense = _dense_terms(links, est)
+        got_dl = sinr_dl_lb(terms, eta_dl, 0.25)
+        got_ul = sinr_ul_lb(terms, eta_ul, 0.3)
         np.testing.assert_allclose(
             got_dl, _dense_sinr_dl(dense, eta_dl, mask, 0.25),
             rtol=1e-12, atol=0)
@@ -434,53 +458,23 @@ class TestServingSlots:
             rtol=1e-12, atol=0)
         assert np.all(got_dl[eta_dl.sum(axis=1) == 0] == 0.0)
 
-    def test_other_serving_mask_rejected(self):
-        links, pilots, est, mask, eta_dl, eta_ul = self._instance()
-        terms = uatf_terms(links, est, pilots, mask)
-        other = mask.copy()
-        other[2, np.argmin(mask[2])] ^= True
-        with pytest.raises(ValueError):
-            sinr_dl_lb(terms, eta_dl, other, 0.25)
-        with pytest.raises(ValueError):
-            sinr_ul_lb(terms, eta_ul, other, 0.3)
-        with pytest.raises(ValueError):
-            sinr_ul_lb(terms, eta_ul, np.ones(mask.shape, bool), 0.3)
-
-
     def test_served_link_estimators_give_the_same_rates(self):
         # Filters solved on the serving set only: the SINRs and the UB
-        # outputs equal those of the all-links build bit for bit.
+        # outputs equal those from the all-links filters on the same
+        # serving set bit for bit, so no unserved filter is read.
         links, pilots, est, mask, eta_dl, eta_ul = self._instance()
-        served = build_estimators(links, pilots, est.train_powers, 0.3,
-                                  serving=mask)
-        for e in (est, served):
-            terms = uatf_terms(links, e, pilots, mask)
-            got = (sinr_dl_lb(terms, eta_dl, mask, 0.25),
-                   sinr_ul_lb(terms, eta_ul, mask, 0.3),
-                   *se_ub_mc(links, e, pilots, eta_dl, eta_ul, mask, 0.25,
-                             0.42, 0.42, 10, np.random.default_rng(32)))
-            if e is est:
+        full = build_estimators(links, pilots, est.train_powers, 0.3)
+        assert np.any(full.D[~mask] != 0)
+        for e in (dataclasses.replace(full, served=mask), est):
+            terms = uatf_terms(links, e)
+            got = (sinr_dl_lb(terms, eta_dl, 0.25),
+                   sinr_ul_lb(terms, eta_ul, 0.3),
+                   *se_ub_mc(links, e, eta_dl, eta_ul, 0.25, 0.42, 0.42, 10,
+                             np.random.default_rng(32)))
+            if e is not est:
                 want = got
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
-
-    def test_serving_beyond_the_estimators_rejected(self):
-        links, pilots, est, mask, eta_dl, eta_ul = self._instance()
-        served = build_estimators(links, pilots, est.train_powers, 0.3,
-                                  serving=mask)
-        wider = mask.copy()
-        wider[2, np.argmin(mask[2])] = True
-        with pytest.raises(ValueError, match="filters"):
-            uatf_terms(links, served, pilots, wider)
-        with pytest.raises(ValueError, match="filters"):
-            se_ub_mc(links, served, pilots, eta_dl, eta_ul, wider, 0.25,
-                     0.42, 0.42, 2, np.random.default_rng(33))
-        # A narrower serving set reads only filters the set has.
-        narrower = mask.copy()
-        narrower[6, :2] = False
-        uatf_terms(links, served, pilots, narrower)
-        se_ub_mc(links, served, pilots, eta_dl, eta_ul, narrower, 0.25,
-                 0.42, 0.42, 2, np.random.default_rng(33))
 
 
 class TestUpperBoundKernel:
@@ -497,22 +491,22 @@ class TestUpperBoundKernel:
     def test_mixed_population_with_pure_los_links(self):
         rng = np.random.default_rng(20)
         links, pilots, est = _mixed_instance(rng)
-        mask = np.ones(links.beta.shape, bool)
-        args = (links, est, pilots, rng.uniform(0.1, 1.0, links.beta.shape),
-                rng.uniform(0.2, 1.0, 8), mask, 0.25, 0.42, 0.42)
+        args = (links, est, rng.uniform(0.1, 1.0, links.beta.shape),
+                rng.uniform(0.2, 1.0, 8), 0.25, 0.42, 0.42)
         self._check(args, 40, 21)
 
     def test_sparse_serving_mask_with_waterfilling(self):
         rng = np.random.default_rng(22)
         links, pilots, est = _mixed_instance(rng, n_ant=2)
         links.beta[0] *= 1e-3              # too weak to get any DL power
-        est = build_estimators(links, pilots, est.train_powers, 0.3)
         assoc = associate("UC", links.beta, 2)
+        est = build_estimators(links, pilots, est.train_powers, 0.3,
+                               serving=assoc.serving)
         _, eta_dl = dl_power_allocation("WFPC", est.gamma, assoc, 0.25, 1.0)
         assert np.any(eta_dl.sum(axis=1) == 0)
         assert not assoc.serving.all()
-        args = (links, est, pilots, eta_dl, rng.uniform(0.2, 1.0, 8),
-                assoc.serving, 0.25, 0.42, 0.42)
+        args = (links, est, eta_dl, rng.uniform(0.2, 1.0, 8), 0.25, 0.42,
+                0.42)
         se_dl = self._check(args, 40, 23)[0]
         assert np.all(se_dl[eta_dl.sum(axis=1) == 0] == 0.0)
 
@@ -522,8 +516,10 @@ class TestUpperBoundKernel:
         links, pilots, est = _mixed_instance(rng)
         mask = rng.random(links.beta.shape) < 0.7
         mask[:, 0] = True
-        args = (links, est, pilots, rng.uniform(0.1, 1.0, links.beta.shape),
-                rng.uniform(0.2, 1.0, 8), mask, 0.25, 0.42, 0.42)
+        est = build_estimators(links, pilots, est.train_powers, 0.3,
+                               serving=mask)
+        args = (links, est, rng.uniform(0.1, 1.0, links.beta.shape),
+                rng.uniform(0.2, 1.0, 8), 0.25, 0.42, 0.42)
         self._check(args, 70, 25)
 
     def test_peak_memory_of_one_default_batch(self, monkeypatch):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from cfmimo import SystemConfig, los_probability, rice_factor, steering_vector
 from cfmimo.channel import (PURE_LOS, cost231_constant, gue_large_scale,
+                            los_probability, rice_factor, steering_vector,
                             sample_channels, three_slope_path_loss_db,
                             uav_path_loss_db, uav_large_scale)
+from cfmimo.config import SystemConfig
 from cfmimo.errors import GeometryError, OutOfModelError
 from cfmimo.estimation import covariance_G
 
@@ -150,6 +151,9 @@ class TestAerialModel:
             los_probability(100.0, 400.0)
         with pytest.raises(OutOfModelError):
             los_probability(100.0, 1.0)
+        # Below the aerial table's 22.5 m, as for the aerial path loss.
+        with pytest.raises(OutOfModelError):
+            los_probability(100.0, 10.0)
 
     def test_path_loss_spot_values(self):
         for d, h, los in [(100, 30, True), (100, 30, False),

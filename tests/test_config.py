@@ -3,27 +3,28 @@ import json
 import numpy as np
 import pytest
 
-from cfmimo.config import SystemConfig, db_to_lin, dbm_to_mw, lin_to_db, mw_to_dbm
+from cfmimo.config import SystemConfig, db_to_lin, dbm_to_mw
 from cfmimo.errors import ConfigurationError
 
 
 class TestUnitHelpers:
     def test_db_round_trip(self):
         assert db_to_lin(10.0) == pytest.approx(10.0)
-        assert lin_to_db(db_to_lin(7.3)) == pytest.approx(7.3)
+        assert 10 * np.log10(db_to_lin(7.3)) == pytest.approx(7.3)
 
     def test_dbm(self):
         assert dbm_to_mw(0.0) == pytest.approx(1.0)
         assert dbm_to_mw(-35.0) == pytest.approx(10 ** -3.5)
-        assert mw_to_dbm(100.0) == pytest.approx(20.0)
+        assert dbm_to_mw(20.0) == pytest.approx(100.0)
 
 
 class TestDerived:
     def test_counts_and_split(self):
         cfg = SystemConfig()
         assert cfg.n_users == 60
-        assert cfg.tau_d == cfg.tau_u == 84
-        assert cfg.tau_d + cfg.tau_u + cfg.tau_p == cfg.tau_c
+        # Downlink and uplink each take tau_d samples of the data part.
+        assert cfg.tau_d == 84
+        assert 2 * cfg.tau_d + cfg.tau_p == cfg.tau_c
 
     def test_wavelength(self):
         cfg = SystemConfig()
@@ -33,7 +34,7 @@ class TestDerived:
         # -174 dBm/Hz + 10 log10(20 MHz) + 9 dB = -91.99 dBm
         cfg = SystemConfig()
         expected_dbm = -174.0 + 10 * np.log10(20e6) + 9.0
-        assert mw_to_dbm(cfg.noise_power_mw) == pytest.approx(expected_dbm)
+        assert cfg.noise_power_mw == pytest.approx(dbm_to_mw(expected_dbm))
 
     def test_train_energy(self):
         cfg = SystemConfig()
@@ -108,6 +109,43 @@ class TestValidation:
     def test_non_finite_dl_power_budget(self, budget):
         with pytest.raises(ConfigurationError, match="dl_power_budget"):
             SystemConfig(dl_power_budget=budget)
+
+    # Values as they arrive from a JSON config file.
+
+    @pytest.mark.parametrize("data", [{"n_aps": "5"}, {"n_aps": 5.5},
+                                      {"n_aps": 5.0},
+                                      {"tau_p": True, "tau_c": 3}])
+    def test_int_field_of_another_type(self, data):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            SystemConfig.from_dict(data)
+
+    @pytest.mark.parametrize("value", ["20e6", True, None, [20e6]])
+    def test_float_field_of_another_type(self, value):
+        with pytest.raises(ConfigurationError,
+                           match="bandwidth must be a number"):
+            SystemConfig.from_dict({"bandwidth": value})
+        # An integer is a number.
+        assert SystemConfig.from_dict({"bandwidth": 20_000_000}).bandwidth \
+            == 20e6
+
+    @pytest.mark.parametrize("value", [300.0, "22.5-300", [22.5],
+                                       [22.5, 100.0, 300.0], [22.5, "300"],
+                                       [True, 300.0]])
+    def test_height_range_not_a_pair_of_numbers(self, value):
+        with pytest.raises(ConfigurationError,
+                           match="uav_height_range must be a pair"):
+            SystemConfig.from_dict({"uav_height_range": value})
+
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence takes non-negative integers only.
+        with pytest.raises(ConfigurationError, match="rng_seed"):
+            SystemConfig(rng_seed=-1)
+        SystemConfig(rng_seed=0)
+
+    def test_removed_pilot_gram_switch_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="beta_weighted_pilot_gram"):
+            SystemConfig.from_dict({"beta_weighted_pilot_gram": False})
 
 
 class TestSerialization:

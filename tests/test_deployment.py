@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cfmimo import SystemConfig, assign_pilots, sample_drop, toroidal_distance
+from cfmimo.config import SystemConfig
+from cfmimo.deployment import assign_pilots, sample_drop, toroidal_distance
 from cfmimo.deployment import GUE, UAV
 from cfmimo.errors import ConfigurationError
 

@@ -5,10 +5,9 @@ from cfmimo.channel import PURE_LOS, sample_channels
 from cfmimo import estimation
 from cfmimo.errors import NumericalError
 from cfmimo.estimation import (COND_LIMIT, build_estimators, covariance_G,
-                               despread_noise, gamma_coeff, lmmse_filter_D,
-                               pilot_gram_B, simulate_training)
+                               gamma_coeff)
 
-from conftest import random_links
+from conftest import lmmse_filter_D, random_links, simulate_training
 
 
 def unit_steer(rng, n):
@@ -46,6 +45,13 @@ class TestCovarianceG:
                            2.0 * np.outer(a, np.conj(a)))
 
 
+def pilot_gram_B(G, pilot_index, train_powers, sigma_w2):
+    """Each user's pilot gram (K, A, N, N), as build_estimators forms it."""
+    grams, row = estimation._pilot_grams(G, pilot_index, train_powers,
+                                         sigma_w2)
+    return grams[row]
+
+
 class TestPilotGramB:
     def test_single_user_no_contamination(self):
         rng = np.random.default_rng(4)
@@ -64,29 +70,19 @@ class TestPilotGramB:
         assert np.allclose(B[0], B[1])
         assert np.allclose(B[2], 3.0 * G[2] + 0.5 * np.eye(2))
 
-    def test_beta_weighted_adds_beta_factor(self):
-        rng = np.random.default_rng(6)
-        links = random_links(rng, 2, 1, 2)
-        G = covariance_G(links.beta, links.rice_k, links.steering)
-        eta = np.array([1.0, 2.0])
-        B = pilot_gram_B(G, [0, 0], eta, 0.5, beta=links.beta,
-                         beta_weighted=True)
-        expected = (eta[0] * links.beta[0, 0] * G[0]
-                    + eta[1] * links.beta[1, 0] * G[1] + 0.5 * np.eye(2))
-        assert np.allclose(B[0, 0], expected)
-
     def test_matches_sample_covariance_of_despread_observation(self):
         links, pilots, eta, sw2, est = _small(seed=7)
+        B = pilot_gram_B(est.G, pilots, eta, sw2)
         rng = np.random.default_rng(8)
         n_draws, acc = 200000, 0
         cov = np.zeros((3, 2, 2, 2), dtype=complex)  # (K, A, N, N)
         for _ in range(10):
             g = sample_channels(links.beta, links.rice_k, links.steering,
                                 rng, n_draws=n_draws // 10)
-            y = simulate_training(g, pilots, eta, sw2, 2, rng)
+            y, _ = simulate_training(g, pilots, eta, sw2, 2, rng)
             cov += np.einsum("tkan,tkam->kanm", y, np.conj(y))
         cov /= n_draws
-        rel = np.linalg.norm(cov - est.B) / np.linalg.norm(est.B)
+        rel = np.linalg.norm(cov - B) / np.linalg.norm(B)
         assert rel < 0.01
 
 
@@ -100,25 +96,33 @@ def _small(seed):
     return links, pilots, eta, sw2, est
 
 
+def _one_link(beta, rice_k, n, seed=0):
+    """One user on one AP with n antennas."""
+    links = random_links(np.random.default_rng(seed), 1, 1, n)
+    links.beta[:] = beta
+    links.rice_k[:] = rice_k
+    return links
+
+
 class TestLmmseFilter:
+    """The filters build_estimators solves."""
+
     def test_rayleigh_single_user_scalar_form(self):
         beta, eta, sw2, n = 1.7, 2.0, 0.4, 3
-        G = beta * np.eye(n)
-        B = eta * G + sw2 * np.eye(n)
-        D = lmmse_filter_D(G, B, eta)
+        D = build_estimators(_one_link(beta, 0.0, n), [0], [eta], sw2).D
         expected = np.sqrt(eta) * beta / (eta * beta + sw2) * np.eye(n)
-        assert np.allclose(D, expected)
+        assert np.allclose(D[0, 0], expected)
 
     def test_vanishes_with_noise(self):
-        G = 1.5 * np.eye(2)
-        D = lmmse_filter_D(G, 1.0 * G + 1e12 * np.eye(2), 1.0)
+        D = build_estimators(_one_link(1.5, 0.0, 2), [0], [1.0], 1e12).D
         assert np.linalg.norm(D) < 1e-10
 
     def test_singular_gram_rejected(self):
-        G = np.eye(2)
-        B = np.diag([1.0, 1e-15])
         with pytest.raises(NumericalError):
-            lmmse_filter_D(G, B, 1.0)
+            estimation._check_conditioned(np.diag([1.0, 1e-15]))
+        # A pure-LOS link 1e15 above the noise: cond(B) = 1 + 2e15.
+        with pytest.raises(NumericalError, match="pilot gram"):
+            build_estimators(_one_link(1.0, PURE_LOS, 2), [0], [1.0], 1e-15)
 
     def test_orthogonality_principle(self):
         # E[(g - g_hat) y_hat^H] -> 0
@@ -129,7 +133,7 @@ class TestLmmseFilter:
         for _ in range(10):
             g = sample_channels(links.beta, links.rice_k, links.steering,
                                 rng, n_draws=n_draws // 10)
-            y = simulate_training(g, pilots, eta, sw2, 2, rng)
+            y, _ = simulate_training(g, pilots, eta, sw2, 2, rng)
             ghat = np.einsum("kanm,tkam->tkan", est.D, y)
             acc += np.einsum("tkan,tkam->kanm", g - ghat, np.conj(y))
         resid = np.linalg.norm(acc / n_draws)
@@ -167,7 +171,7 @@ class TestBuildEstimators:
         part = build_estimators(links, pilots, eta, 0.3, serving=mask)
         assert full.served.all()
         np.testing.assert_array_equal(part.served, mask)
-        for name in ("G", "B", "train_powers"):
+        for name in ("G", "pilot_index", "train_powers"):
             np.testing.assert_array_equal(getattr(part, name),
                                           getattr(full, name))
         for name in ("D", "gamma"):
@@ -247,18 +251,20 @@ class TestGramBound:
 
 
 class TestSimulateTraining:
+    """The training oracle the Monte-Carlo checks above draw from."""
+
     def test_noise_free_single_user(self):
         rng = np.random.default_rng(11)
         links = random_links(rng, 1, 2, 3)
         g = sample_channels(links.beta, links.rice_k, links.steering, rng)
-        y = simulate_training(g, [0], [4.0], 0.0, 2, rng)
+        y, _ = simulate_training(g, [0], [4.0], 0.0, 2, rng)
         assert np.allclose(y[0], 2.0 * g[0])
 
     def test_orthogonal_pilots_no_cross_term(self):
         rng = np.random.default_rng(12)
         links = random_links(rng, 2, 1, 2)
         g = sample_channels(links.beta, links.rice_k, links.steering, rng)
-        y = simulate_training(g, [0, 1], [1.0, 1.0], 0.0, 2, rng)
+        y, _ = simulate_training(g, [0, 1], [1.0, 1.0], 0.0, 2, rng)
         assert np.allclose(y[0], g[0])
         assert np.allclose(y[1], g[1])
 
@@ -267,17 +273,24 @@ class TestSimulateTraining:
         links = random_links(rng, 3, 2, 2)
         g = sample_channels(links.beta, links.rice_k, links.steering, rng)
         pilots = np.array([0, 1, 0])
-        y, Y = simulate_training(g, pilots, [1.0, 2.0, 3.0], 0.2, 4, rng,
-                                 return_Y=True)
-        phi = np.eye(4)
-        for k in range(3):
-            assert np.allclose(y[k], Y @ phi[:, pilots[k]])
+        eta = np.array([1.0, 2.0, 3.0])
+        y, Y = simulate_training(g, pilots, eta, 0.2, 4, rng)
+        # Users 0 and 2 share pilot 0: both observe the sum of their
+        # channels and the same noise; pilots 2 and 3 carry noise only.
+        both = np.sqrt(eta[0]) * g[0] + np.sqrt(eta[2]) * g[2]
+        np.testing.assert_allclose(y[0], Y[..., 0])
+        np.testing.assert_allclose(y[2], Y[..., 0])
+        np.testing.assert_allclose(y[1], Y[..., 1])
+        noise = np.stack([y[0] - both, y[1] - np.sqrt(eta[1]) * g[1],
+                          Y[..., 2], Y[..., 3]])
+        assert np.mean(np.abs(noise) ** 2) == pytest.approx(0.2, rel=0.75)
 
     def test_despread_noise_shared_within_pilot(self):
         rng = np.random.default_rng(14)
-        w = despread_noise([0, 0, 1], 2, 3, 0.5, rng)
-        assert np.array_equal(w[0], w[1])
-        assert not np.array_equal(w[0], w[2])
+        y, _ = simulate_training(np.zeros((3, 2, 3)), [0, 0, 1],
+                                 np.ones(3), 0.5, 2, rng)
+        assert np.array_equal(y[0], y[1])
+        assert not np.array_equal(y[0], y[2])
 
 
 class TestGammaCoeff:
@@ -303,7 +316,7 @@ class TestGammaCoeff:
         for _ in range(10):
             g = sample_channels(links.beta, links.rice_k, links.steering,
                                 rng, n_draws=n_draws // 10)
-            y = simulate_training(g, pilots, eta, sw2, 2, rng)
+            y, _ = simulate_training(g, pilots, eta, sw2, 2, rng)
             ghat = np.einsum("kanm,tkam->tkan", est.D, y)
             acc += np.einsum("tkan->ka", np.abs(ghat) ** 2)
         assert np.allclose(acc / n_draws, est.gamma, rtol=0.01)

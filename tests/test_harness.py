@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import cfmimo
+from cfmimo import cli, harness
 from cfmimo.config import SystemConfig
-from cfmimo.errors import CfmimoError
-from cfmimo.harness import (emit_cdf, percentile, read_cdf_csv, run_experiment,
+from cfmimo.errors import CfmimoError, NumericalError
+from cfmimo.harness import (emit_cdf, percentile, run_experiment,
                             simulate_drop, summarize)
 
 
@@ -61,6 +62,28 @@ class TestSimulateDrop:
                      "ub_stderr_dl", "ub_stderr_ul"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
+    @pytest.mark.parametrize("field", [0, 1, 2, 3])
+    def test_non_finite_output_rejected(self, monkeypatch, field):
+        # One NaN in any UB output (SE or stderr) stops the campaign with
+        # the drop's index; a NaN UL UB power feeds NaN into the LB too.
+        real = harness.se_ub_mc
+
+        def nan_stage(*args, **kwargs):
+            out = [x.copy() for x in real(*args, **kwargs)]
+            out[field][1] = np.nan
+            return tuple(out)
+
+        monkeypatch.setattr(harness, "se_ub_mc", nan_stage)
+        with pytest.raises(NumericalError, match="^drop 0: non-finite"):
+            run_experiment(tiny_cfg(), 2, 4)
+
+    def test_non_finite_lower_bound_rejected(self, monkeypatch):
+        real = harness.fpc
+        monkeypatch.setattr(harness, "fpc",
+                            lambda *a, **k: real(*a, **k) * np.nan)
+        with pytest.raises(NumericalError, match="^drop 0: non-finite"):
+            run_experiment(tiny_cfg(), 1, 4)
+
 
 class TestRunExperiment:
     def test_shapes_and_populations(self):
@@ -97,7 +120,9 @@ class TestEmitCdf:
         res = run_experiment(tiny_cfg(), 2, 4)
         files = emit_cdf(res, tmp_path)
         assert len(files) == 8 + 1   # 2 pops x 2 dirs x 2 bounds + summary
-        rates, cdf = read_cdf_csv(tmp_path / "gue_dl_lb.csv")
+        path = tmp_path / "gue_dl_lb.csv"
+        assert path.read_text().startswith("rate_bps,cdf\n")
+        rates, cdf = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
         assert rates.size == 6
         assert np.all(np.diff(rates) >= 0)
         assert np.all(np.diff(cdf) > 0)
@@ -130,12 +155,6 @@ class TestEmitCdf:
         emit_cdf(run_experiment(tiny_cfg(), 2, 4), d2)
         for name in ("gue_dl_lb.csv", "uav_ul_ub.csv", "summary.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-
-    def test_bad_header_rejected(self, tmp_path):
-        p = tmp_path / "x.csv"
-        p.write_text("rate,cdf\n1,0.5\n")
-        with pytest.raises(CfmimoError):
-            read_cdf_csv(p)
 
 
 def run_cli(*args):
@@ -192,3 +211,26 @@ class TestCli:
         r = run_cli("summarize", "--in", str(tmp_path / "nope"))
         assert r.returncode == 3
         assert r.stderr.startswith("ERROR IOError:")
+
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"n_aps": "5"}')
+        code = cli.main(["run", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR ConfigurationError: n_aps must be an integer, got '5'"]
+
+    def test_internal_error_prints_one_line(self, tmp_path, monkeypatch,
+                                            capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("stage failed")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        cfg_path = tmp_path / "cfg.json"
+        tiny_cfg().to_json(cfg_path)
+        code = cli.main(["run", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "o")])
+        assert code != 0
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR InternalError: RuntimeError: stage failed"]
