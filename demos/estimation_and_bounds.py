@@ -59,7 +59,7 @@ frac = cfg.tau_d / cfg.tau_c            # equal downlink/uplink split
 lb_dl = se_lb(sinr_dl_lb(terms, eta_dl, sigma2), frac)
 lb_ul = se_lb(sinr_ul_lb(terms, eta_ul, sigma2), frac)
 ub_dl, e_dl, ub_ul, e_ul = se_ub_mc(links, est, eta_dl, eta_ul, sigma2,
-                                    frac, frac, 2000, rng)
+                                    frac, 2000, rng)
 
 print("\nper-user SE, bits/s/Hz (LB <= UB):")
 print(" user  kind   DL LB   DL UB   UL LB   UL UB")

@@ -4,8 +4,6 @@ driven from Python.
 
 Run: python3 demos/rate_cdf_run.py
 """
-import numpy as np
-
 from cfmimo.config import SystemConfig
 from cfmimo.harness import emit_cdf, percentile, run_experiment, summarize
 

@@ -7,7 +7,9 @@ true channels and actual LMMSE estimates/beamformers.
 
 All SINR denominators decompose into: beamforming-gain-uncertainty term,
 cross-interference trace term, noise term, and a pilot-contamination term
-over users sharing the same pilot.
+over users sharing the same pilot. The cross traces are formed for every
+pair of users; the contamination traces only for the pairs that share a
+pilot.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ class RateReport:
     se_ub_ul: np.ndarray
     ub_stderr_dl: np.ndarray
     ub_stderr_ul: np.ndarray
-    sinr_lb_dl: np.ndarray
-    sinr_lb_ul: np.ndarray
     bandwidth: float
 
     @property
@@ -74,8 +74,8 @@ def se_lb(sinr, phase_fraction):
 
 @dataclass
 class UatfTerms:
-    """Per-drop cache of every pairwise trace the closed forms read, on
-    serving-set slots.
+    """Per-drop cache of every trace the closed forms read, on serving-set
+    slots.
 
     The J = K filter owners are the users. Slot c of owner j is the link
     (j, ap[j, c]): the APs serving j, in ascending order, fill j's first
@@ -83,22 +83,27 @@ class UatfTerms:
     fewer APs has its remaining slots pointing at APs that do not serve it,
     and the SINRs give those slots weight 0 (their filters, and so their
     terms, are 0: the estimators are solved on the serving set only).
-    In cell-free mode C = A and ap[j, c] = c. With a = ap[j, c]:
+    In cell-free mode C = A and ap[j, c] = c.
+
+    cross is read for every (owner, user) pair. t and delta are read only
+    on the P pairs p = (j, k) = (pj[p], pk[p]) whose users share a pilot,
+    self-pairs included, in row-major (j, k) order. With a = ap[j, c]:
 
     ap      : (J, C) int          AP of each slot
     serving : (K, A) bool         the estimators' serving mask
-    t       : (J, C, K) complex   tr(D_{j,a} G_{k,a})
     cross   : (J, C, K) real      tr(G_{j,a} D_{j,a}^H G_{k,a})
-    delta   : (J, C, K) real      delta of link (k, a) against D_{j,a}
-    collide : (K, K) bool         shared-pilot indicator
+    pj, pk  : (P,) int            filter owner and user of each pair
+    t       : (P, C) complex      tr(D_{j,a} G_{k,a})
+    delta   : (P, C) real         delta of link (k, a) against D_{j,a}
     gamma   : (K, A); eta_train : (K,)
     """
     ap: np.ndarray
     serving: np.ndarray
-    t: np.ndarray
     cross: np.ndarray
+    pj: np.ndarray
+    pk: np.ndarray
+    t: np.ndarray
     delta: np.ndarray
-    collide: np.ndarray
     gamma: np.ndarray
     eta_train: np.ndarray
 
@@ -113,11 +118,12 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     links : the drop's link state; est : its estimators, which carry the
         serving mask (est.served) and the pilot assignment.
 
-    Each AP's slots take two products against the G_{k,a} of every user k
-    at that AP: a complex one with the slots' D for t, and a real one with
-    the slots' D G for cross. delta needs no third product: with
-    G_k = c_los a_k a_k^H + c_eye I, t = c_los a_k^H D a_k + c_eye tr(D),
-    so Re(a_k^H D a_k) follows from Re(t).
+    Each AP's slots take one real product with the slots' D G against the
+    G_{k,a} of every user k at that AP, for cross. t and delta need no
+    product against G: with G_k = c_los a_k a_k^H + c_eye I and
+    x = c_eye tr(D), t = c_los a_k^H D a_k + x and
+    delta = x (x + 2 c_los Re(a_k^H D a_k)), so each pair gathers only its
+    owner's filters and its user's steering vectors.
     """
     serving = est.served
     K, A = serving.shape
@@ -133,70 +139,56 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     edges = np.searchsorted(a_s, np.arange(A + 1))
     S = len(order)
 
-    D = est.D[j_s, a_s]                                         # (S, N, N)
-    trD = _real_guard(np.einsum("snn->s", D), "tr(D)")
-    # For Hermitian G_k, tr(X G_k) = sum_nm X[n, m] conj(G_k[n, m]), and
-    # Re tr(X G_k) is the real dot product of the (re, im) entries. cross
-    # is real and equals Re tr(D_j G_j G_k), the conjugate of
-    # tr(G_j D_j^H G_k).
-    DG = (D @ est.G[j_s, a_s]).reshape(S, N * N).view(float)
-    D = D.reshape(S, N * N)
+    # For Hermitian G_k, Re tr(X G_k) is the real dot product of the
+    # (re, im) entries of X and G_k. cross is real and equals
+    # Re tr(D_j G_j G_k), the conjugate of tr(G_j D_j^H G_k).
+    DG = (est.D[j_s, a_s] @ est.G[j_s, a_s]).reshape(S, N * N).view(float)
     G_ap = np.swapaxes(est.G, 0, 1).reshape(A, K, N * N)
-    G_conj = np.conj(np.swapaxes(G_ap, 1, 2))                   # (A, N^2, K)
     G_real = np.swapaxes(G_ap.view(float), 1, 2)                # (A, 2N^2, K)
-    # delta = c^2 tr(D)^2 + 2 c^2 K tr(D) Re(a^H D a) with c = c_eye and
-    # c^2 K = c_eye c_los, i.e. x (2 Re t - x) with x = c_eye tr(D).
-    c_eye = covariance_coeffs(links.beta, links.rice_k)[1].T    # (A, K)
-
     # Each AP's block is computed in cache and scattered to its slots.
-    t = np.empty((K * C, K), dtype=complex)
     cross = np.empty((K * C, K))
-    delta = np.empty((K * C, K))
     for a in range(A):
         lo, hi = edges[a], edges[a + 1]
-        rows = order[lo:hi]
-        t_a = D[lo:hi] @ G_conj[a]
-        t[rows] = t_a
-        cross[rows] = DG[lo:hi] @ G_real[a]
-        x = c_eye[a] * trD[lo:hi, None]
-        delta[rows] = x * (2.0 * t_a.real - x)
+        cross[order[lo:hi]] = DG[lo:hi] @ G_real[a]
 
-    collide = est.pilot_index[:, None] == est.pilot_index[None, :]
+    pj, pk = np.nonzero(est.pilot_index[:, None] == est.pilot_index)
+    link = (pk[:, None], ap[pj])                                # (P, C)
+    D = est.D[pj[:, None], ap[pj]]                              # (P, C, N, N)
+    steer = links.steering[link]
+    aDa = np.einsum("pcn,pcn->pc", np.conj(steer),
+                    np.einsum("pcnm,pcm->pcn", D, steer))
+    c_los, c_eye = covariance_coeffs(links.beta[link], links.rice_k[link])
+    x = c_eye * _real_guard(np.einsum("pcnn->pc", D), "tr(D)")
 
-    return UatfTerms(ap=ap, serving=serving, t=t.reshape(K, C, K),
-                     cross=cross.reshape(K, C, K),
-                     delta=delta.reshape(K, C, K), collide=collide,
+    return UatfTerms(ap=ap, serving=serving, cross=cross.reshape(K, C, K),
+                     pj=pj, pk=pk, t=c_los * aDa + x,
+                     delta=x * (x + 2.0 * c_los * aDa.real),
                      gamma=est.gamma, eta_train=est.train_powers)
 
 
-def _slot_sum(w, x):
-    """sum_c w[j, c] x[j, c, k] for every (j, k): J products of (1, C) by
-    (C, K)."""
-    return (w[:, None, :] @ x)[:, 0]
-
-
 def _contamination(terms: UatfTerms, w):
-    """Coherent pilot-contamination factor per (filter owner j, user k):
+    """Coherent pilot-contamination factor of each pair p = (filter owner
+    j, user k) that shares a pilot:
 
-        sum_c w[j, c] delta[j, c, k] + |sum_c sqrt(w[j, c]) t[j, c, k]|^2
-                                     - sum_c w[j, c] |t[j, c, k]|^2
+        sum_c w[j, c] delta[p, c] + |sum_c sqrt(w[j, c]) t[p, c]|^2
+                                  - sum_c w[j, c] |t[p, c]|^2
 
-    with w (J, C) per-slot power weights over the owner's serving set. The
-    |sum|^2 - sum|.|^2 arrangement is the ordered cross-AP double sum in
-    closed form.
+    with w (J, C) per-slot power weights over the owner's serving set, and
+    0 on the self-pairs. The |sum|^2 - sum|.|^2 arrangement is the ordered
+    cross-AP double sum in closed form.
     """
-    coherent = np.abs(_slot_sum(np.sqrt(w), terms.t)) ** 2
-    diagonal = _slot_sum(w, np.abs(terms.t) ** 2)
-    dterm = _slot_sum(w, terms.delta)
-    return dterm + coherent - diagonal
+    w = w[terms.pj]
+    coherent = np.abs(np.einsum("pc,pc->p", np.sqrt(w), terms.t)) ** 2
+    diagonal = np.einsum("pc,pc->p", w, np.abs(terms.t) ** 2)
+    dterm = np.einsum("pc,pc->p", w, terms.delta)
+    return np.where(terms.pj != terms.pk, dterm + coherent - diagonal, 0.0)
 
 
 def _self_terms(terms: UatfTerms):
     """Per-slot gamma and eta_k delta_k - gamma^2 of each user's own links,
     both (K, C)."""
-    K = len(terms.eta_train)
-    gamma = np.take_along_axis(terms.gamma, terms.ap, axis=1)
-    self_delta = terms.delta[np.arange(K), :, np.arange(K)]
+    gamma = terms.at_slots(terms.gamma)
+    self_delta = terms.delta[terms.pj == terms.pk]
     return gamma, terms.eta_train[:, None] * self_delta - gamma ** 2
 
 
@@ -218,9 +210,8 @@ def sinr_dl_lb(terms: UatfTerms, eta_dl, sigma_z2, return_parts=False):
     bu = np.einsum("kc,kc->k", w, self_bu)
     cross = (np.sqrt(eta)[:, None] * w).ravel() @ terms.cross.reshape(-1, K)
 
-    cont_jk = _contamination(terms, w)
-    cont_w = terms.collide & ~np.eye(K, dtype=bool)
-    contamination = eta * np.einsum("jk,jk->k", cont_w, cont_jk)
+    cont = _contamination(terms, w)
+    contamination = eta * np.bincount(terms.pk, cont, minlength=K)
 
     den = bu + cross + sigma_z2 + contamination
     if np.any(den <= 0):
@@ -229,7 +220,7 @@ def sinr_dl_lb(terms: UatfTerms, eta_dl, sigma_z2, return_parts=False):
     if return_parts:
         return sinr, {"num": num, "bu": bu, "cross": cross,
                       "contamination": contamination, "noise": sigma_z2,
-                      "cont_jk": cont_jk}
+                      "cont_pair": cont}
     return sinr
 
 
@@ -255,11 +246,11 @@ def sinr_ul_lb(terms: UatfTerms, eta_ul, sigma_w2, return_parts=False):
 
     noise = sigma_w2 * gsum
 
-    # Interferer j against victim k's serving set: the factor with owner k,
-    # transposed to (j, k).
-    cont_jk = _contamination(terms, m).T
-    cont_w = terms.collide & ~np.eye(K, dtype=bool)
-    contamination = np.einsum("j,j,jk,jk->k", eta_ul, eta, cont_w, cont_jk)
+    # Interferer pk against the serving set of victim pj, who owns the
+    # filters of the pair.
+    cont = _contamination(terms, m)
+    contamination = np.bincount(terms.pj, eta_ul[terms.pk] * eta[terms.pk]
+                                * cont, minlength=K)
 
     den = bu + cross + noise + contamination
     if np.any(den <= 0):
@@ -267,7 +258,7 @@ def sinr_ul_lb(terms: UatfTerms, eta_ul, sigma_w2, return_parts=False):
     sinr = num / den
     if return_parts:
         return sinr, {"num": num, "bu": bu, "cross": cross, "noise": noise,
-                      "contamination": contamination, "cont_jk": cont_jk}
+                      "contamination": contamination, "cont_pair": cont}
     return sinr
 
 
@@ -276,7 +267,7 @@ def sinr_ul_lb(terms: UatfTerms, eta_ul, sigma_w2, return_parts=False):
 # ---------------------------------------------------------------------------
 
 def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
-             frac_dl, frac_ul, n_trials, rng: np.random.Generator, batch=64):
+             frac, n_trials, rng: np.random.Generator, batch=64):
     """Monte-Carlo SE upper bounds for all users, both directions.
 
     links, est : the drop's link state and estimators; est carries the
@@ -284,7 +275,7 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     eta_dl : (K, A) normalized downlink powers, read on the serving sets
     eta_ul : (K,) uplink transmit powers
     sigma_z2 : noise power at the users (the APs' is est.sigma_w2)
-    frac_dl, frac_ul : phase fractions of the coherence block
+    frac : fraction of the coherence block each direction's data phase takes
     n_trials : coherence blocks drawn; batch : trials per batch
 
     Each trial draws one coherence block (channels + training noise), runs
@@ -395,8 +386,7 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
         # Free the batch (and the views that hold it) before the next draw.
         del g, g_flat, ghat_c, re_im
 
-        for i, (frac, sinr) in enumerate(((frac_dl, sinr_dl),
-                                          (frac_ul, sinr_ul))):
+        for i, sinr in enumerate((sinr_dl, sinr_ul)):
             se = se_lb(sinr, frac)
             sums[i] += se.sum(axis=0)
             sq[i] += (se ** 2).sum(axis=0)

@@ -182,15 +182,12 @@ def rice_factor(p_los):
 class LinkSet:
     """Vectorized large-scale state for all (user, AP) pairs of a drop.
 
-    beta, rice_k, distance_3d : (n_users, n_aps)
-    steering                  : (n_users, n_aps, n_ap_antennas)
-    los_state                 : (n_users, n_aps) bool, meaningful for UAV rows
+    beta, rice_k : (n_users, n_aps)
+    steering     : (n_users, n_aps, n_ap_antennas)
     """
     beta: np.ndarray
     rice_k: np.ndarray
-    distance_3d: np.ndarray
     steering: np.ndarray
-    los_state: np.ndarray
 
 
 def build_links(drop: Drop, cfg: SystemConfig, rng: np.random.Generator) -> LinkSet:
@@ -220,7 +217,6 @@ def build_links(drop: Drop, cfg: SystemConfig, rng: np.random.Generator) -> Link
 
     beta = np.empty((n_users, n_aps))
     rice_k = np.zeros((n_users, n_aps))
-    los_state = np.zeros((n_users, n_aps), dtype=bool)
 
     is_gue = drop.user_kind == GUE
     is_uav = drop.user_kind == UAV
@@ -239,10 +235,8 @@ def build_links(drop: Drop, cfg: SystemConfig, rng: np.random.Generator) -> Link
         los = rng.random(p_los.shape) < p_los
         beta[is_uav] = uav_large_scale(dist3d[is_uav], h, cfg.carrier_freq, los)
         rice_k[is_uav] = rice_factor(p_los)
-        los_state[is_uav] = los
 
-    return LinkSet(beta=beta, rice_k=rice_k, distance_3d=dist3d,
-                   steering=steer, los_state=los_state)
+    return LinkSet(beta=beta, rice_k=rice_k, steering=steer)
 
 
 def covariance_coeffs(beta, rice_k):

@@ -21,7 +21,6 @@ class Drop:
     """One random realization of all node positions and pilot assignments.
 
     ap_positions      : (n_aps, 3) reference-element coordinates
-    ap_azimuths       : (n_aps,) ULA orientation, radians
     ap_elements       : (n_aps, n_ap_antennas, 3) per-antenna coordinates
     user_positions    : (n_users, 3)
     user_kind         : (n_users,) GUE=0 / UAV=1
@@ -29,7 +28,6 @@ class Drop:
     """
 
     ap_positions: np.ndarray
-    ap_azimuths: np.ndarray
     ap_elements: np.ndarray
     user_positions: np.ndarray
     user_kind: np.ndarray
@@ -87,9 +85,9 @@ def sample_drop(cfg: SystemConfig, rng: np.random.Generator) -> Drop:
 
     pilot_index = assign_pilots(cfg, n_users, rng)
 
-    return Drop(ap_positions=ap_positions, ap_azimuths=ap_azimuths,
-                ap_elements=ap_elements, user_positions=user_positions,
-                user_kind=user_kind, pilot_index=pilot_index)
+    return Drop(ap_positions=ap_positions, ap_elements=ap_elements,
+                user_positions=user_positions, user_kind=user_kind,
+                pilot_index=pilot_index)
 
 
 def wrapped_delta(p, q, area_side: float) -> np.ndarray:

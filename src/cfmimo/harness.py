@@ -52,13 +52,12 @@ def simulate_drop(cfg: SystemConfig, rng: np.random.Generator,
     sul = sinr_ul_lb(terms, eta_ul, sigma2)
 
     ub_dl, err_dl, ub_ul, err_ul = se_ub_mc(
-        links, est, eta_dl, eta_ul, sigma2, frac, frac, n_fading_trials, rng)
+        links, est, eta_dl, eta_ul, sigma2, frac, n_fading_trials, rng)
 
     rep = RateReport(
         se_lb_dl=se_lb(sdl, frac), se_ub_dl=ub_dl,
         se_lb_ul=se_lb(sul, frac), se_ub_ul=ub_ul,
-        ub_stderr_dl=err_dl, ub_stderr_ul=err_ul,
-        sinr_lb_dl=sdl, sinr_lb_ul=sul, bandwidth=cfg.bandwidth)
+        ub_stderr_dl=err_dl, ub_stderr_ul=err_ul, bandwidth=cfg.bandwidth)
     if not np.all(np.isfinite([rep.se_lb_dl, rep.se_ub_dl, rep.se_lb_ul,
                                rep.se_ub_ul, err_dl, err_ul])):
         raise NumericalError("non-finite SE bound or UB standard error")

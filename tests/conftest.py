@@ -13,10 +13,7 @@ def random_links(rng, n_users, n_aps, n_ant, rice_max=3.0):
     phase = rng.uniform(0, 2 * np.pi, (n_users, n_aps, n_ant))
     phase[..., 0] = 0.0
     steer = np.exp(1j * phase)
-    return LinkSet(beta=beta, rice_k=rice,
-                   distance_3d=np.ones((n_users, n_aps)),
-                   steering=steer,
-                   los_state=np.zeros((n_users, n_aps), dtype=bool))
+    return LinkSet(beta=beta, rice_k=rice, steering=steer)
 
 
 def lmmse_filter_D(G, B, train_powers):

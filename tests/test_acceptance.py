@@ -9,14 +9,14 @@ whole file stays well inside a few minutes on a desktop machine.
 import numpy as np
 import pytest
 
-from cfmimo.bounds import se_lb, sinr_dl_lb, sinr_ul_lb, uatf_terms
+from cfmimo.bounds import sinr_dl_lb, sinr_ul_lb, uatf_terms
 from cfmimo import harness
 from cfmimo.channel import sample_channels
 from cfmimo.config import SystemConfig
 from cfmimo.deployment import UAV
 from cfmimo.estimation import build_estimators
 from cfmimo.harness import run_experiment, simulate_drop, emit_cdf
-from cfmimo.allocation import (waterfill_level, wfpc, ppa, associate,
+from cfmimo.allocation import (waterfill_level, wfpc, ppa,
                                dl_power_allocation)
 
 from conftest import random_links
@@ -68,14 +68,15 @@ class TestCriterion1:
         # terms drop and each (victim k, source j) pair decomposes exactly.
         gamma, eta = terms.gamma, terms.eta_train
         idx = np.arange(K)
-        self_delta = terms.delta[idx, :, idx]      # CF: slot c is AP c
-        collide = terms.collide & ~np.eye(K, dtype=bool)
+        pj, pk = terms.pj, terms.pk                # pilot-sharing pairs
+        self_delta = terms.delta[pj == pk]         # CF: slot c is AP c
 
         # DL: m_kj = sum_a sqrt(eta_dl[j,a]) g_k^H ghat_j
         dl_mean = np.einsum("ka,ka->k", np.sqrt(eta_dl), gamma)   # E m_kk
         dl_pair = np.einsum("j,ja,jak->kj", np.sqrt(eta), eta_dl, terms.cross)
-        # the victim's own pilot power scales the leakage into beam j
-        dl_pair += (eta[:, None] * pdl["cont_jk"].T) * collide.T
+        # the victim's own pilot power scales the leakage into beam j; the
+        # per-pair factors are 0 on self-pairs
+        dl_pair[pk, pj] += eta[pk] * pdl["cont_pair"]
         dl_pair[idx, idx] += dl_mean ** 2 \
             + np.einsum("ka,ka->k", eta_dl, eta[:, None] * self_delta
                         - gamma ** 2)
@@ -83,7 +84,7 @@ class TestCriterion1:
         # UL: u_kj = sum_a ghat_k^H g_j  (full serving set)
         gsum = gamma.sum(axis=1)                                  # E u_kk
         ul_pair = np.sqrt(eta)[:, None] * terms.cross.sum(axis=1)  # (k, j)
-        ul_pair += (eta[None, :] * pul["cont_jk"].T) * collide.T
+        ul_pair[pj, pk] += eta[pk] * pul["cont_pair"]
         ul_pair[idx, idx] += gsum ** 2 \
             + (eta[:, None] * self_delta - gamma ** 2).sum(axis=1)
 

@@ -42,14 +42,13 @@ def uatf_delta(beta, k, a, D):
     filter D, as uatf_terms forms it on a one-user, one-AP drop."""
     shape = (1, 1)
     links = LinkSet(beta=np.full(shape, beta), rice_k=np.full(shape, k),
-                    distance_3d=np.ones(shape), steering=a[None, None],
-                    los_state=np.zeros(shape, bool))
+                    steering=a[None, None])
     est = EstimatorSet(G=covariance_G(links.beta, links.rice_k, a[None, None]),
                        D=np.asarray(D, complex)[None, None],
                        gamma=np.zeros(shape), served=np.ones(shape, bool),
                        pilot_index=np.zeros(1, int), train_powers=np.ones(1),
                        sigma_w2=1.0)
-    return uatf_terms(links, est).delta[0, 0, 0]
+    return uatf_terms(links, est).delta[0, 0]
 
 
 def real_trace_filter(rng, n):
@@ -202,7 +201,7 @@ class TestUpperBound:
         links.rice_k[:] = PURE_LOS
         est = build_estimators(links, [0], [1.0], 1e-8)
         se, err, se_u, err_u = se_ub_mc(
-            links, est, np.ones((1, 1)), np.ones(1), 0.5, 0.42, 0.42, 64,
+            links, est, np.ones((1, 1)), np.ones(1), 0.5, 0.42, 64,
             np.random.default_rng(12))
         beta = links.beta[0, 0]
         snr = (beta * 2) ** 2 / 0.5   # |g^H g_hat|^2 / sigma_z^2, no fading
@@ -218,7 +217,7 @@ class TestUpperBound:
         lb_dl = se_lb(sinr_dl_lb(terms, eta_dl, sw2), frac)
         lb_ul = se_lb(sinr_ul_lb(terms, eta_ul, sw2), frac)
         ub_dl, e_dl, ub_ul, e_ul = se_ub_mc(
-            links, est, eta_dl, eta_ul, sw2, frac, frac, 2000,
+            links, est, eta_dl, eta_ul, sw2, frac, 2000,
             np.random.default_rng(14))
         assert np.all(lb_dl <= ub_dl + 3 * e_dl)
         assert np.all(lb_ul <= ub_ul + 3 * e_ul)
@@ -228,14 +227,14 @@ class TestUpperBound:
         links, pilots, est, terms, eta_dl, sw2 = _dl_setup(
             small_instance, rng)
         eta_ul = np.full(3, 0.5)
-        args = (links, est, eta_dl, eta_ul, sw2, 0.42, 0.42)
+        args = (links, est, eta_dl, eta_ul, sw2, 0.42)
         ub1, e1, _, _ = se_ub_mc(*args, 2000, np.random.default_rng(16))
         ub2, e2, _, _ = se_ub_mc(*args, 4000, np.random.default_rng(17))
         assert np.all(np.abs(ub1 - ub2) < 3 * np.hypot(e1, e2))
 
 
-def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac_dl, frac_ul,
-                     n_trials, rng, batch=64):
+def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac, n_trials,
+                     rng, batch=64):
     """Oracle: the per-pilot-loop, 3-operand-einsum formulation of se_ub_mc,
     with the channel draw written out, on the same draw sequence."""
     K, A = links.beta.shape
@@ -280,8 +279,7 @@ def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac_dl, frac_ul,
         noise = sigma_w2 * np.einsum("ka,tkan->tk", mask, np.abs(ghat) ** 2)
         sinr_ul = sig / (interf + noise)
 
-        for i, (frac, sinr) in enumerate(((frac_dl, sinr_dl),
-                                          (frac_ul, sinr_ul))):
+        for i, sinr in enumerate((sinr_dl, sinr_ul)):
             se = se_lb(sinr, frac)
             sums[i] += se.sum(axis=0)
             sq[i] += (se ** 2).sum(axis=0)
@@ -307,6 +305,14 @@ def _mixed_instance(rng, n_ant=3):
     return links, pilots, est
 
 
+def _sharing_pairs(pilots):
+    """Oracle: the (owner, user) pairs on one pilot, self-pairs included, in
+    row-major order."""
+    K = len(pilots)
+    return [(j, k) for j in range(K) for k in range(K)
+            if pilots[j] == pilots[k]]
+
+
 class TestUatfTerms:
     def test_matches_per_link_traces(self):
         # Every pairwise trace against its definition, link by link, on an
@@ -329,9 +335,13 @@ class TestUatfTerms:
                     delta[j, a, k] = delta_oracle(
                         links.beta[k, a], links.rice_k[k, a],
                         links.steering[k, a], D[j, a])
-        for got, want in ((terms.t, t), (terms.cross, cross),
-                          (terms.delta, delta)):
-            np.testing.assert_allclose(got, want, rtol=0,
+        # t and delta are formed on the pilot-sharing pairs only.
+        np.testing.assert_array_equal(np.column_stack([terms.pj, terms.pk]),
+                                      _sharing_pairs(pilots))
+        on_pairs = (terms.pj, slice(None), terms.pk)
+        for got, want, at in ((terms.t, t, on_pairs), (terms.cross, cross, ...),
+                              (terms.delta, delta, on_pairs)):
+            np.testing.assert_allclose(got, want[at], rtol=0,
                                        atol=1e-12 * np.abs(want).max())
 
 
@@ -404,13 +414,22 @@ def _dense_sinr_ul(terms, eta_ul, serving_mask, sigma_w2):
     return num / (bu + cross + noise + contamination)
 
 
+# Pilot assignments of the 8 users of _mixed_instance: its own mix (None),
+# one pilot for every user (every pair contaminates) and all pilots
+# distinct (only self-pairs).
+PILOT_CASES = pytest.mark.parametrize(
+    "pilots", [None, (0,) * 8, tuple(range(8))],
+    ids=["mix", "shared", "distinct"])
+
+
 class TestServingSlots:
     """The slot closed forms against the dense (J, K, A) oracle on a ragged
     mask: a single-AP row, padded slots and a WFPC user with no DL power."""
 
-    def _instance(self):
+    def _instance(self, pilots=None):
         rng = np.random.default_rng(30)
-        links, pilots, est = _mixed_instance(rng)
+        links, mixed, est = _mixed_instance(rng)
+        pilots = mixed if pilots is None else np.array(pilots)
         links.beta[0] *= 1e-3              # too weak to get any DL power
         mask = rng.random(links.beta.shape) < 0.6
         mask[:, 4] = True
@@ -423,33 +442,41 @@ class TestServingSlots:
         assert np.any(eta_dl.sum(axis=1) == 0)
         return links, pilots, est, mask, eta_dl, rng.uniform(0.2, 1.0, 8)
 
-    def test_slot_layout(self):
-        links, pilots, est, mask, _, _ = self._instance()
+    @PILOT_CASES
+    def test_slot_layout(self, pilots):
+        links, pilots, est, mask, _, _ = self._instance(pilots)
         terms = uatf_terms(links, est)
         K, A = mask.shape
         counts = mask.sum(axis=1)
         assert terms.ap.shape == (K, counts.max())
+        np.testing.assert_array_equal(np.column_stack([terms.pj, terms.pk]),
+                                      _sharing_pairs(pilots))
         dense = _dense_terms(links, est)
         for j in range(K):
             served = terms.ap[j, :counts[j]]
             np.testing.assert_array_equal(served, np.nonzero(mask[j])[0])
             assert not mask[j, terms.ap[j, counts[j]:]].any()
+            mine = terms.pj == j
+            users = terms.pk[mine]
             for c, a in enumerate(terms.ap[j]):
-                for name, got in (("t", terms.t), ("cross", terms.cross)):
-                    want = dense[name][j, :, a]
-                    np.testing.assert_allclose(got[j, c], want, rtol=1e-12,
-                                               atol=0)
-                want = dense["delta"][:, j, a]
+                np.testing.assert_allclose(terms.cross[j, c],
+                                           dense["cross"][j, :, a],
+                                           rtol=1e-12, atol=0)
+                np.testing.assert_allclose(terms.t[mine, c],
+                                           dense["t"][j, users, a],
+                                           rtol=1e-12, atol=0)
+                want = dense["delta"][users, j, a]
                 np.testing.assert_allclose(
-                    terms.delta[j, c], want, rtol=0,
+                    terms.delta[mine, c], want, rtol=0,
                     atol=1e-12 * np.abs(dense["delta"]).max())
 
-    def test_sinrs_match_dense_oracle(self):
-        links, pilots, est, mask, eta_dl, eta_ul = self._instance()
+    @PILOT_CASES
+    def test_sinrs_match_dense_oracle(self, pilots):
+        links, pilots, est, mask, eta_dl, eta_ul = self._instance(pilots)
         terms = uatf_terms(links, est)
         dense = _dense_terms(links, est)
-        got_dl = sinr_dl_lb(terms, eta_dl, 0.25)
-        got_ul = sinr_ul_lb(terms, eta_ul, 0.3)
+        got_dl, pdl = sinr_dl_lb(terms, eta_dl, 0.25, return_parts=True)
+        got_ul, pul = sinr_ul_lb(terms, eta_ul, 0.3, return_parts=True)
         np.testing.assert_allclose(
             got_dl, _dense_sinr_dl(dense, eta_dl, mask, 0.25),
             rtol=1e-12, atol=0)
@@ -457,6 +484,9 @@ class TestServingSlots:
             got_ul, _dense_sinr_ul(dense, eta_ul, mask, 0.3),
             rtol=1e-12, atol=0)
         assert np.all(got_dl[eta_dl.sum(axis=1) == 0] == 0.0)
+        if len(set(pilots)) == len(pilots):
+            assert np.all(pdl["contamination"] == 0.0)
+            assert np.all(pul["contamination"] == 0.0)
 
     def test_served_link_estimators_give_the_same_rates(self):
         # Filters solved on the serving set only: the SINRs and the UB
@@ -469,7 +499,7 @@ class TestServingSlots:
             terms = uatf_terms(links, e)
             got = (sinr_dl_lb(terms, eta_dl, 0.25),
                    sinr_ul_lb(terms, eta_ul, 0.3),
-                   *se_ub_mc(links, e, eta_dl, eta_ul, 0.25, 0.42, 0.42, 10,
+                   *se_ub_mc(links, e, eta_dl, eta_ul, 0.25, 0.42, 10,
                              np.random.default_rng(32)))
             if e is not est:
                 want = got
@@ -492,7 +522,7 @@ class TestUpperBoundKernel:
         rng = np.random.default_rng(20)
         links, pilots, est = _mixed_instance(rng)
         args = (links, est, rng.uniform(0.1, 1.0, links.beta.shape),
-                rng.uniform(0.2, 1.0, 8), 0.25, 0.42, 0.42)
+                rng.uniform(0.2, 1.0, 8), 0.25, 0.42)
         self._check(args, 40, 21)
 
     def test_sparse_serving_mask_with_waterfilling(self):
@@ -505,8 +535,7 @@ class TestUpperBoundKernel:
         _, eta_dl = dl_power_allocation("WFPC", est.gamma, assoc, 0.25, 1.0)
         assert np.any(eta_dl.sum(axis=1) == 0)
         assert not assoc.serving.all()
-        args = (links, est, eta_dl, rng.uniform(0.2, 1.0, 8), 0.25, 0.42,
-                0.42)
+        args = (links, est, eta_dl, rng.uniform(0.2, 1.0, 8), 0.25, 0.42)
         se_dl = self._check(args, 40, 23)[0]
         assert np.all(se_dl[eta_dl.sum(axis=1) == 0] == 0.0)
 
@@ -519,7 +548,7 @@ class TestUpperBoundKernel:
         est = build_estimators(links, pilots, est.train_powers, 0.3,
                                serving=mask)
         args = (links, est, rng.uniform(0.1, 1.0, links.beta.shape),
-                rng.uniform(0.2, 1.0, 8), 0.25, 0.42, 0.42)
+                rng.uniform(0.2, 1.0, 8), 0.25, 0.42)
         self._check(args, 70, 25)
 
     def test_peak_memory_of_one_default_batch(self, monkeypatch):
