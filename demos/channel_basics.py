@@ -29,8 +29,9 @@ for h in (22.5, 100.0, 300.0):
 gue_gain = three_slope_path_loss_db(np.hypot(300.0, 13.35), cfg)
 print(f"  GUE                 gain = {gue_gain:7.1f} dB")
 
-# LOS probability grows quickly with height; above 100 m it saturates at 1
-# and the channel degenerates to a pure LOS ray (infinite K-factor).
+# LOS probability grows quickly with height; above 100 m it saturates at 1.
+# It is also the share of a UAV link's power in the LOS ray, so there the
+# channel degenerates to a pure LOS ray.
 print("\nLOS probability at 200 m horizontal distance:")
 for h in (22.5, 40.0, 80.0, 120.0):
     print(f"  h = {h:6.1f} m   p_LOS = {los_probability(200.0, h):.3f}")
@@ -44,4 +45,4 @@ print("\none drop at full scale:")
 print(f"  median beta, GUE links: {np.median(links.beta[~uav]):.3e}")
 print(f"  median beta, UAV links: {np.median(links.beta[uav]):.3e}")
 print(f"  UAV links in pure LOS:  "
-      f"{np.isinf(links.rice_k[uav]).mean() * 100:.0f}%")
+      f"{(links.los_frac[uav] == 1).mean() * 100:.0f}%")

@@ -30,7 +30,8 @@ est = build_estimators(links, drop.pilot_index, eta_tr, sigma2,
 # orthonormal, so de-spreading user k's pilot leaves the sum of the
 # channels on it plus CN(0, sigma2 I) noise shared by those users.
 n_mc = 20000
-g = sample_channels(links.beta, links.rice_k, links.steering, rng, n_draws=n_mc)
+g = sample_channels(links.beta, links.los_frac, links.steering, rng,
+                    n_draws=n_mc)
 spread = np.zeros((cfg.tau_p, cfg.n_users))
 spread[drop.pilot_index, np.arange(cfg.n_users)] = np.sqrt(eta_tr)
 y = np.einsum("pk,tkan->tpan", spread, g)
@@ -50,9 +51,9 @@ print(f"captured channel energy: median {np.median(frac):.3f}, "
 # Bounds for one drop under the default policies.
 _, eta_dl = dl_power_allocation(cfg.dl_policy, est.gamma, assoc, sigma2,
                                 cfg.dl_power_budget)
-trace_G = np.real(np.einsum("kann->ka", est.G))
-eta_ul = fpc(trace_G, assoc.serving, cfg.fpc_p0_mw, cfg.fpc_alpha,
-             cfg.ul_max_power)
+# FPC reads tr G = N beta: the steering entries have unit modulus.
+eta_ul = fpc(cfg.n_ap_antennas * links.beta, assoc.serving, cfg.fpc_p0_mw,
+             cfg.fpc_alpha, cfg.ul_max_power)
 
 terms = uatf_terms(links, est)
 frac = cfg.tau_d / cfg.tau_c            # equal downlink/uplink split

@@ -35,31 +35,13 @@ def _real_guard(x, what):
 
 @dataclass
 class RateReport:
-    """Per-user spectral efficiencies (bits/s/Hz) and rates (bits/s) for one
-    drop. Rates are SE times the system bandwidth."""
+    """Per-user spectral efficiencies (bits/s/Hz) for one drop."""
     se_lb_dl: np.ndarray
     se_ub_dl: np.ndarray
     se_lb_ul: np.ndarray
     se_ub_ul: np.ndarray
     ub_stderr_dl: np.ndarray
     ub_stderr_ul: np.ndarray
-    bandwidth: float
-
-    @property
-    def rate_lb_dl(self):
-        return self.se_lb_dl * self.bandwidth
-
-    @property
-    def rate_ub_dl(self):
-        return self.se_ub_dl * self.bandwidth
-
-    @property
-    def rate_lb_ul(self):
-        return self.se_lb_ul * self.bandwidth
-
-    @property
-    def rate_ub_ul(self):
-        return self.se_ub_ul * self.bandwidth
 
 
 def se_lb(sinr, phase_fraction):
@@ -157,7 +139,7 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     steer = links.steering[link]
     aDa = np.einsum("pcn,pcn->pc", np.conj(steer),
                     np.einsum("pcnm,pcm->pcn", D, steer))
-    c_los, c_eye = covariance_coeffs(links.beta[link], links.rice_k[link])
+    c_los, c_eye = covariance_coeffs(links.beta[link], links.los_frac[link])
     x = c_eye * _real_guard(np.einsum("pcnn->pc", D), "tr(D)")
 
     return UatfTerms(ap=ap, serving=serving, cross=cross.reshape(K, C, K),
@@ -341,7 +323,7 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     done = 0
     while done < n_trials:
         T = min(batch, n_trials - done)
-        g = sample_channels(links.beta, links.rice_k, links.steering,
+        g = sample_channels(links.beta, links.los_frac, links.steering,
                             rng, n_draws=T)                     # (T, K, A, N)
         g_flat = g.reshape(T, K, A * N)
 

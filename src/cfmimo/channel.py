@@ -1,13 +1,15 @@
 """Per-link large-scale state and fast-fading channel generation.
 
-Each (user, AP) link carries a slow-fading gain beta, a Ricean K-factor,
-and a far-field-free steering vector built from exact element-to-user path
-lengths. Fast fading draws follow the Ricean model
+Each (user, AP) link carries a slow-fading gain beta, a LOS power fraction
+kappa in [0, 1] (the share of beta in the LOS ray; kappa = K/(K+1) for a
+Ricean K-factor K), and a far-field-free steering vector built from exact
+element-to-user path lengths. Fast fading draws follow the Ricean model
 
-    g = sqrt(beta/(K+1)) * ( sqrt(K) e^{j theta} a + h ),   h ~ CN(0, I),
+    g = sqrt(beta) * ( sqrt(kappa) e^{j theta} a + sqrt(1 - kappa) h ),
+    h ~ CN(0, I),
 
-with theta redrawn uniformly per coherence block. K = inf (pure LOS) drops
-the scattered component entirely: g = sqrt(beta) e^{j theta} a.
+with theta redrawn uniformly per coherence block. kappa = 1 is pure LOS
+and kappa = 0 is Rayleigh fading.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ import numpy as np
 from .config import SystemConfig
 from .deployment import Drop, GUE, UAV, toroidal_distance, wrapped_delta
 from .errors import GeometryError, OutOfModelError
-
-PURE_LOS = np.inf
-PURE_LOS_EPS = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # Steering vectors
@@ -164,16 +162,6 @@ def uav_large_scale(distance_3d, uav_height, carrier_freq, los):
     return 10.0 ** (-pl / 10.0)
 
 
-def rice_factor(p_los):
-    """Ricean K from the LOS probability: K = p/(1-p); saturates to the
-    pure-LOS marker (inf) when p is within 1e-9 of one."""
-    p = np.asarray(p_los, dtype=float)
-    pure = p >= 1.0 - PURE_LOS_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.where(pure, PURE_LOS, p / (1.0 - p))
-    return k if k.ndim else float(k)
-
-
 # ---------------------------------------------------------------------------
 # Link-state assembly and fading draws
 # ---------------------------------------------------------------------------
@@ -182,11 +170,12 @@ def rice_factor(p_los):
 class LinkSet:
     """Vectorized large-scale state for all (user, AP) pairs of a drop.
 
-    beta, rice_k : (n_users, n_aps)
-    steering     : (n_users, n_aps, n_ap_antennas)
+    beta, los_frac : (n_users, n_aps); los_frac is the share of beta in the
+                     LOS ray, 1 on pure-LOS links and 0 on Rayleigh ones
+    steering       : (n_users, n_aps, n_ap_antennas)
     """
     beta: np.ndarray
-    rice_k: np.ndarray
+    los_frac: np.ndarray
     steering: np.ndarray
 
 
@@ -194,8 +183,8 @@ def build_links(drop: Drop, cfg: SystemConfig, rng: np.random.Generator) -> Link
     """Compute large-scale state for every (user, AP) pair of a drop.
 
     UAV links draw one Bernoulli LOS state per drop, used consistently for
-    the LOS/NLOS path-loss branch; the Ricean K comes from the LOS
-    probability itself.
+    the LOS/NLOS path-loss branch; their LOS power fraction is the LOS
+    probability itself. Ground links are Rayleigh (fraction 0).
     """
     side = cfg.area_side
     ap_ref = drop.ap_positions
@@ -216,7 +205,7 @@ def build_links(drop: Drop, cfg: SystemConfig, rng: np.random.Generator) -> Link
                             cfg.wavelength)
 
     beta = np.empty((n_users, n_aps))
-    rice_k = np.zeros((n_users, n_aps))
+    los_frac = np.zeros((n_users, n_aps))
 
     is_gue = drop.user_kind == GUE
     is_uav = drop.user_kind == UAV
@@ -227,48 +216,36 @@ def build_links(drop: Drop, cfg: SystemConfig, rng: np.random.Generator) -> Link
         else:
             z = np.zeros((int(is_gue.sum()), n_aps))
         beta[is_gue] = gue_large_scale(dist3d[is_gue], z, cfg)
-        rice_k[is_gue] = 0.0
 
     if np.any(is_uav):
         h = users[is_uav, 2][:, None]
         p_los = los_probability(dist2d[is_uav], h)
         los = rng.random(p_los.shape) < p_los
         beta[is_uav] = uav_large_scale(dist3d[is_uav], h, cfg.carrier_freq, los)
-        rice_k[is_uav] = rice_factor(p_los)
+        los_frac[is_uav] = p_los
 
-    return LinkSet(beta=beta, rice_k=rice_k, steering=steer)
+    return LinkSet(beta=beta, los_frac=los_frac, steering=steer)
 
 
-def covariance_coeffs(beta, rice_k):
-    """(c_los, c_eye) with G = c_los a a^H + c_eye I: beta K/(K+1) and
-    beta/(K+1), and beta and 0 in the pure-LOS limit K = inf. These are the
-    powers of a link's LOS and scattered components."""
+def covariance_coeffs(beta, los_frac):
+    """(c_los, c_eye) with G = c_los a a^H + c_eye I: beta kappa and
+    beta (1 - kappa), the powers of a link's LOS and scattered components."""
     beta = np.asarray(beta, dtype=float)
-    k = np.asarray(rice_k, dtype=float)
-    pure = np.isinf(k)
-    ksafe = np.where(pure, 0.0, k)
-    c_eye = np.where(pure, 0.0, beta / (ksafe + 1.0))
-    c_los = np.where(pure, beta, beta * ksafe / (ksafe + 1.0))
-    return c_los, c_eye
+    kappa = np.asarray(los_frac, dtype=float)
+    return beta * kappa, beta * (1.0 - kappa)
 
 
-def _ricean_amplitudes(beta, rice_k):
-    """(los_amp, scatter_amp): the square roots of covariance_coeffs."""
-    c_los, c_eye = covariance_coeffs(beta, rice_k)
-    return np.sqrt(c_los), np.sqrt(c_eye)
-
-
-def sample_channels(beta, rice_k, steering, rng: np.random.Generator,
+def sample_channels(beta, los_frac, steering, rng: np.random.Generator,
                     n_draws=None):
     """Draw fast-fading channel vectors for the given links.
 
-    beta, rice_k : (...,) broadcastable link arrays
-    steering     : (..., N)
+    beta, los_frac : (...,) broadcastable link arrays
+    steering       : (..., N)
     Returns (..., N), or (n_draws, ..., N) when n_draws is given. Phase
     rotations are redrawn per call (one call == one coherence block).
     """
     steering = np.asarray(steering)
-    los_amp, scatter_amp = _ricean_amplitudes(beta, rice_k)
+    los_amp, scatter_amp = map(np.sqrt, covariance_coeffs(beta, los_frac))
     shape = np.broadcast_shapes(los_amp.shape, steering.shape[:-1])
     n = steering.shape[-1]
     lead = () if n_draws is None else (n_draws,)
@@ -285,7 +262,7 @@ def sample_channels(beta, rice_k, steering, rng: np.random.Generator,
     np.multiply(part, scale, out=g.imag)
     del part
     # LOS part, formed only on the links that have one (every link still
-    # draws its phase, so the draw stream does not depend on the K-factors).
+    # draws its phase, so the draw stream does not depend on los_frac).
     los_amp = np.broadcast_to(los_amp, shape).reshape(-1)
     los = np.flatnonzero(los_amp > 0)
     phase = np.exp(1j * theta.reshape(lead + (-1,))[..., los])

@@ -15,10 +15,6 @@ SPEED_OF_LIGHT = 299792458.0
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
 
-def db_to_lin(x_db):
-    return 10.0 ** (x_db / 10.0)
-
-
 def dbm_to_mw(x_dbm):
     return 10.0 ** (x_dbm / 10.0)
 
@@ -116,11 +112,16 @@ class SystemConfig:
                 f"model's [{AERIAL_H_MIN}, {AERIAL_H_MAX}] m")
         for name in ("carrier_freq", "bandwidth", "train_power_per_sample",
                      "dl_power_budget", "ul_max_power", "ap_height",
-                     "gue_height", "antenna_spacing"):
+                     "gue_height", "antenna_spacing", "shadow_decorr",
+                     "three_slope_d0", "three_slope_d1"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigurationError(f"{name} must be positive and finite")
-        if not math.isfinite(self.fpc_alpha):
-            raise ConfigurationError("fpc_alpha must be finite")
+        if not self.three_slope_d0 <= self.three_slope_d1:
+            raise ConfigurationError(
+                "three_slope_d0 must not exceed three_slope_d1")
+        for name in ("noise_figure", "fpc_p0", "fpc_alpha", "shadowing_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         if not 0 <= self.shadow_delta <= 1:
             raise ConfigurationError("shadow_delta must be in [0, 1]")
         if self.association_mode not in ("CF", "UC"):

@@ -22,15 +22,15 @@ from .errors import NumericalError
 COND_LIMIT = 1e12
 
 
-def covariance_G(beta, rice_k, steering):
-    """Channel covariance G = beta/(K+1) (K a a^H + I); pure LOS (K = inf)
-    gives beta a a^H exactly.
+def covariance_G(beta, los_frac, steering):
+    """Channel covariance G = beta (kappa a a^H + (1 - kappa) I), kappa the
+    LOS power fraction; pure LOS (kappa = 1) gives beta a a^H exactly.
 
-    beta, rice_k : (...,)   steering : (..., N)   ->   (..., N, N)
+    beta, los_frac : (...,)   steering : (..., N)   ->   (..., N, N)
     """
     a = np.asarray(steering)
     n = a.shape[-1]
-    c_los, c_eye = covariance_coeffs(beta, rice_k)
+    c_los, c_eye = covariance_coeffs(beta, los_frac)
     outer = a[..., :, None] * np.conj(a)[..., None, :]
     return (c_los[..., None, None] * outer
             + c_eye[..., None, None] * np.eye(n))
@@ -122,7 +122,7 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
     to every later stage of the drop."""
     K, A = links.beta.shape
     eta = np.broadcast_to(np.asarray(train_powers, dtype=float), (K,)).copy()
-    G = covariance_G(links.beta, links.rice_k, links.steering)
+    G = covariance_G(links.beta, links.los_frac, links.steering)
     grams, row = _pilot_grams(G, pilot_index, eta, sigma_w2)
     # Users on one pilot share its gram: check each distinct gram once.
     _check_grams(grams, sigma_w2)

@@ -41,9 +41,9 @@ def simulate_drop(cfg: SystemConfig, rng: np.random.Generator,
 
     _, eta_dl = dl_power_allocation(cfg.dl_policy, est.gamma, assoc,
                                     sigma2, cfg.dl_power_budget)
-    trace_G = np.real(np.einsum("kann->ka", est.G))
-    eta_ul = fpc(trace_G, assoc.serving, cfg.fpc_p0_mw, cfg.fpc_alpha,
-                 cfg.ul_max_power)
+    # tr G = N beta: the steering entries have unit modulus.
+    eta_ul = fpc(cfg.n_ap_antennas * links.beta, assoc.serving,
+                 cfg.fpc_p0_mw, cfg.fpc_alpha, cfg.ul_max_power)
 
     terms = uatf_terms(links, est)
     # Downlink and uplink split the data part of the block equally.
@@ -57,7 +57,7 @@ def simulate_drop(cfg: SystemConfig, rng: np.random.Generator,
     rep = RateReport(
         se_lb_dl=se_lb(sdl, frac), se_ub_dl=ub_dl,
         se_lb_ul=se_lb(sul, frac), se_ub_ul=ub_ul,
-        ub_stderr_dl=err_dl, ub_stderr_ul=err_ul, bandwidth=cfg.bandwidth)
+        ub_stderr_dl=err_dl, ub_stderr_ul=err_ul)
     if not np.all(np.isfinite([rep.se_lb_dl, rep.se_ub_dl, rep.se_lb_ul,
                                rep.se_ub_ul, err_dl, err_ul])):
         raise NumericalError("non-finite SE bound or UB standard error")
@@ -106,10 +106,10 @@ def run_experiment(cfg: SystemConfig, n_drops: int,
                                 n_fading_trials)
         except CfmimoError as e:
             raise type(e)(f"drop {i}: {e}") from e
-        out["rate_lb_dl"][i] = rep.rate_lb_dl
-        out["rate_ub_dl"][i] = rep.rate_ub_dl
-        out["rate_lb_ul"][i] = rep.rate_lb_ul
-        out["rate_ub_ul"][i] = rep.rate_ub_ul
+        out["rate_lb_dl"][i] = rep.se_lb_dl * cfg.bandwidth
+        out["rate_ub_dl"][i] = rep.se_ub_dl * cfg.bandwidth
+        out["rate_lb_ul"][i] = rep.se_lb_ul * cfg.bandwidth
+        out["rate_ub_ul"][i] = rep.se_ub_ul * cfg.bandwidth
 
     kind = np.concatenate([np.full(cfg.n_gues, GUE, dtype=int),
                            np.full(cfg.n_uavs, UAV, dtype=int)])

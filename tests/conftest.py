@@ -6,14 +6,15 @@ from cfmimo.estimation import build_estimators
 
 
 def random_links(rng, n_users, n_aps, n_ant, rice_max=3.0):
-    """Synthetic link state with random gains, K-factors and unit-modulus
+    """Synthetic link state with random gains, LOS power fractions
+    K/(K+1) for Ricean K-factors uniform on [0, rice_max], and unit-modulus
     steering vectors (first entry 1), bypassing geometry."""
     beta = rng.uniform(0.5, 2.0, (n_users, n_aps))
     rice = rng.uniform(0.0, rice_max, (n_users, n_aps))
     phase = rng.uniform(0, 2 * np.pi, (n_users, n_aps, n_ant))
     phase[..., 0] = 0.0
     steer = np.exp(1j * phase)
-    return LinkSet(beta=beta, rice_k=rice, steering=steer)
+    return LinkSet(beta=beta, los_frac=rice / (rice + 1.0), steering=steer)
 
 
 def lmmse_filter_D(G, B, train_powers):
@@ -46,7 +47,7 @@ def small_instance():
     """3 APs, 2 antennas, 3 users; users 0 and 1 share a pilot."""
     rng = np.random.default_rng(7)
     links = random_links(rng, 3, 3, 2)
-    links.rice_k[0] = 0.0
+    links.los_frac[0] = 0.0
     pilots = np.array([0, 0, 1])
     eta_tr = np.array([1.5, 0.8, 1.2])
     sigma_w2 = 0.3

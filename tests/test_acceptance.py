@@ -31,7 +31,7 @@ def _draw_estimates(links, est, pilots, rng, n_draws):
     """One batch of coherence blocks: true channels and LMMSE estimates."""
     K, A = links.beta.shape
     N = links.steering.shape[-1]
-    g = sample_channels(links.beta, links.rice_k, links.steering, rng,
+    g = sample_channels(links.beta, links.los_frac, links.steering, rng,
                         n_draws=n_draws)
     amp = np.sqrt(est.train_powers)
     pilots = np.asarray(pilots)

@@ -3,12 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfmimo import harness
 from cfmimo.allocation import (AssociationMap, associate,
                                dl_power_allocation)
 from cfmimo.bounds import se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb, uatf_terms
-from cfmimo.channel import PURE_LOS, LinkSet, _ricean_amplitudes
+from cfmimo.channel import LinkSet, covariance_coeffs
 from cfmimo.config import SystemConfig
 from cfmimo.estimation import EstimatorSet, build_estimators, covariance_G
 
@@ -21,29 +22,30 @@ def unit_steer(rng, n):
     return a
 
 
-def delta_oracle(beta, k, a, D):
+def delta_oracle(beta, kappa, a, D):
     """Independently coded evaluator of the fourth-moment coefficient:
-    scalar forms pulled out of the printed trace expressions term by term.
-    It vanishes in the pure-LOS limit."""
-    if np.isinf(k):
-        return 0.0
-    c = beta / (k + 1.0)
+    scalar forms pulled out of the printed trace expressions term by term,
+    with scattered power c = beta (1 - kappa) and LOS power beta kappa.
+    It vanishes in the pure-LOS limit kappa = 1."""
+    c = beta * (1.0 - kappa)
     trD = np.trace(D)
     aDa = np.conj(a) @ D @ a
     aDHa = np.conj(a) @ D.conj().T @ a
     term1 = c ** 2 * (trD * np.conj(trD)).real
-    term2 = c ** 2 * k * ((aDa * np.trace(D.conj().T))
-                          + (aDHa * np.trace(D))).real
+    term2 = c * beta * kappa * ((aDa * np.trace(D.conj().T))
+                                + (aDHa * np.trace(D))).real
     return term1 + term2
 
 
-def uatf_delta(beta, k, a, D):
-    """delta of one link (gain beta, K-factor k, steering a) against the
-    filter D, as uatf_terms forms it on a one-user, one-AP drop."""
+def uatf_delta(beta, kappa, a, D):
+    """delta of one link (gain beta, LOS power fraction kappa, steering a)
+    against the filter D, as uatf_terms forms it on a one-user, one-AP
+    drop."""
     shape = (1, 1)
-    links = LinkSet(beta=np.full(shape, beta), rice_k=np.full(shape, k),
-                    steering=a[None, None])
-    est = EstimatorSet(G=covariance_G(links.beta, links.rice_k, a[None, None]),
+    links = LinkSet(beta=np.full(shape, beta),
+                    los_frac=np.full(shape, kappa), steering=a[None, None])
+    est = EstimatorSet(G=covariance_G(links.beta, links.los_frac,
+                                      a[None, None]),
                        D=np.asarray(D, complex)[None, None],
                        gamma=np.zeros(shape), served=np.ones(shape, bool),
                        pilot_index=np.zeros(1, int), train_powers=np.ones(1),
@@ -76,18 +78,19 @@ class TestDelta:
         beta, k = 2.0, 1.5
         c = beta / (k + 1)
         expected = c ** 2 * (n ** 2 + 2 * k * n ** 2)
-        assert uatf_delta(beta, k, a, np.eye(n)) == pytest.approx(expected)
+        assert uatf_delta(beta, k / (k + 1), a, np.eye(n)) \
+            == pytest.approx(expected)
 
     def test_zero_filter(self):
         rng = np.random.default_rng(2)
         a = unit_steer(rng, 3)
-        assert uatf_delta(1.0, 2.0, a, np.zeros((3, 3))) == 0.0
+        assert uatf_delta(1.0, 2.0 / 3.0, a, np.zeros((3, 3))) == 0.0
 
     def test_pure_los_vanishes(self):
         rng = np.random.default_rng(3)
         a = unit_steer(rng, 3)
         D = real_trace_filter(rng, 3)
-        assert uatf_delta(1.5, PURE_LOS, a, D) == 0.0
+        assert uatf_delta(1.5, 1.0, a, D) == 0.0
 
     def test_random_instances_match_oracle(self):
         rng = np.random.default_rng(4)
@@ -97,8 +100,9 @@ class TestDelta:
             D = real_trace_filter(rng, n)
             beta = rng.uniform(0.1, 3.0)
             k = rng.uniform(0.0, 5.0)
-            assert uatf_delta(beta, k, a, D) == pytest.approx(
-                delta_oracle(beta, k, a, D), rel=1e-10)
+            kappa = k / (k + 1.0)
+            assert uatf_delta(beta, kappa, a, D) == pytest.approx(
+                delta_oracle(beta, kappa, a, D), rel=1e-10)
 
 
 class TestSeLb:
@@ -115,6 +119,34 @@ class TestSeLb:
         # log2(1 + 1e-20) rounds to exactly 0; the rate must not.
         assert se_lb(1e-20, 1.0) == pytest.approx(1e-20 / np.log(2),
                                                   rel=1e-12)
+
+
+class TestLosEndpoints:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 5),
+           A=st.integers(1, 3), N=st.integers(1, 4),
+           endpoint=st.sampled_from([0.0, 1.0]))
+    def test_near_endpoint_converges(self, seed, K, A, N, endpoint):
+        # A LOS fraction 1e-9 from pure LOS or from Rayleigh gives gamma and
+        # both closed-form SINRs within 1e-6 of the endpoint itself, on a
+        # random subset of the links of a random drop.
+        rng = np.random.default_rng(seed)
+        links = random_links(rng, K, A, N)
+        pilots = rng.integers(0, max(K - 1, 1), K)
+        eta_tr = rng.uniform(0.5, 2.0, K)
+        eta_dl = rng.uniform(0.1, 1.0, (K, A))
+        eta_ul = rng.uniform(0.1, 1.0, K)
+        moved = rng.random((K, A)) < 0.6
+        near = endpoint + (1e-9 if endpoint == 0.0 else -1e-9)
+        out = []
+        for kappa in (endpoint, near):
+            links.los_frac[moved] = kappa
+            est = build_estimators(links, pilots, eta_tr, 0.3)
+            terms = uatf_terms(links, est)
+            out.append((est.gamma, sinr_dl_lb(terms, eta_dl, 0.3),
+                        sinr_ul_lb(terms, eta_ul, 0.3)))
+        for want, got in zip(*out):
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
 
 
 def _dl_setup(small_instance, rng):
@@ -158,8 +190,8 @@ class TestSinrClosedForms:
         assert np.allclose(s1, s2, rtol=1e-12)
 
     def test_ul_single_user_single_ap_rayleigh_reduction(self):
-        # no contamination, K = 0: SINR must reduce to the scalar cell-free
-        # expression built from gamma
+        # no contamination, Rayleigh: SINR must reduce to the scalar
+        # cell-free expression built from gamma
         rng = np.random.default_rng(9)
         links = random_links(rng, 1, 1, 3, rice_max=0.0)
         beta = float(links.beta[0, 0])
@@ -198,7 +230,7 @@ class TestUpperBound:
         # every trial sees the same SINR
         rng = np.random.default_rng(11)
         links = random_links(rng, 1, 1, 2)
-        links.rice_k[:] = PURE_LOS
+        links.los_frac[:] = 1.0
         est = build_estimators(links, [0], [1.0], 1e-8)
         se, err, se_u, err_u = se_ub_mc(
             links, est, np.ones((1, 1)), np.ones(1), 0.5, 0.42, 64,
@@ -246,7 +278,8 @@ def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac, n_trials,
     wdl = np.sqrt(eta_dl)
     sigma_w2 = est.sigma_w2
     pilot_index = est.pilot_index
-    los_amp, scatter_amp = _ricean_amplitudes(links.beta, links.rice_k)
+    los_amp, scatter_amp = map(np.sqrt, covariance_coeffs(links.beta,
+                                                          links.los_frac))
 
     sums = np.zeros((2, K))
     sq = np.zeros((2, K))
@@ -295,10 +328,11 @@ def _mixed_instance(rng, n_ant=3):
     """5 GUEs (Rayleigh) and 3 UAVs (Ricean, with pure-LOS links) on 5 APs,
     4 pilots shared by up to three users, every link served."""
     links = random_links(rng, 8, 5, n_ant)
-    links.rice_k[:5] = 0.0
-    links.rice_k[5:] = rng.uniform(2.0, 30.0, (3, 5))
-    links.rice_k[5, :3] = PURE_LOS
-    links.rice_k[7, 1:] = PURE_LOS
+    k = rng.uniform(2.0, 30.0, (3, 5))
+    links.los_frac[:5] = 0.0
+    links.los_frac[5:] = k / (k + 1.0)
+    links.los_frac[5, :3] = 1.0
+    links.los_frac[7, 1:] = 1.0
     links.beta[5:] *= 10.0
     pilots = np.array([0, 1, 2, 3, 0, 1, 2, 0])
     est = build_estimators(links, pilots, rng.uniform(0.5, 2.0, 8), 0.3)
@@ -333,7 +367,7 @@ class TestUatfTerms:
                     cross[j, a, k] = np.trace(
                         G[j, a] @ D[j, a].conj().T @ G[k, a]).real
                     delta[j, a, k] = delta_oracle(
-                        links.beta[k, a], links.rice_k[k, a],
+                        links.beta[k, a], links.los_frac[k, a],
                         links.steering[k, a], D[j, a])
         # t and delta are formed on the pilot-sharing pairs only.
         np.testing.assert_array_equal(np.column_stack([terms.pj, terms.pk]),
@@ -350,12 +384,10 @@ def _dense_terms(links, est):
     owner, user, AP) triple, as uatf_terms built them before the
     serving-set slots."""
     G, D = est.G, est.D
-    beta, k = links.beta, links.rice_k
-    pure = np.isinf(k)
-    ksafe = np.where(pure, 0.0, k)
-    c = np.where(pure, 0.0, beta / (ksafe + 1.0))
-    c2, c2k = c * c, c * c * ksafe
-    trace_D = np.einsum("kann->ka", D).real
+    beta, kappa = links.beta, links.los_frac
+    c = beta * (1.0 - kappa)
+    c2, c2k = c * c, c * beta * kappa
+    trace_D = np.trace(D, axis1=-2, axis2=-1).real
     a = links.steering
     aDa = np.einsum("kan,janm,kam->jka", np.conj(a), D, a)
     delta = (c2[:, None, :] * trace_D[None, :, :] ** 2

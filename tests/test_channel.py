@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from cfmimo.channel import (PURE_LOS, cost231_constant, gue_large_scale,
-                            los_probability, rice_factor, steering_vector,
+from cfmimo.channel import (build_links, cost231_constant, gue_large_scale,
+                            los_probability, steering_vector,
                             sample_channels, three_slope_path_loss_db,
                             uav_path_loss_db, uav_large_scale)
 from cfmimo.config import SystemConfig
+from cfmimo.deployment import UAV, sample_drop, wrapped_delta
 from cfmimo.errors import GeometryError, OutOfModelError
 from cfmimo.estimation import covariance_G
 
@@ -178,25 +179,31 @@ class TestAerialModel:
             uav_path_loss_db(100.0, 10.0, 1.9e9, True)
 
 
-class TestRiceFactor:
-    def test_values(self):
-        assert rice_factor(0.0) == 0.0
-        assert rice_factor(0.5) == pytest.approx(1.0)
-        assert np.isinf(rice_factor(1.0))
-        assert np.isinf(rice_factor(1.0 - 1e-12))
+class TestBuildLinks:
+    def test_los_frac_is_los_probability(self):
+        # A UAV link's LOS power fraction is its LOS probability; ground
+        # links are Rayleigh.
+        cfg = SystemConfig(area_side=400.0, n_aps=8, n_gues=5, n_uavs=6)
+        drop = sample_drop(cfg, np.random.default_rng(50))
+        links = build_links(drop, cfg, np.random.default_rng(51))
+        uav = drop.user_kind == UAV
+        delta = wrapped_delta(drop.ap_positions[None, :, :],
+                              drop.user_positions[:, None, :], cfg.area_side)
+        dist2d = np.sqrt(np.sum(delta[..., :2] ** 2, axis=-1))
+        p_los = los_probability(dist2d[uav], drop.user_positions[uav, 2:])
+        assert np.any(p_los < 1.0) and np.any(p_los == 1.0)
+        np.testing.assert_array_equal(links.los_frac[uav], p_los)
+        np.testing.assert_array_equal(links.los_frac[~uav], 0.0)
 
 
-def _dense_los_channels(beta, rice_k, steering, rng, n_draws=None):
-    """sample_channels with the LOS term formed on every link, rice_k = 0
+def _dense_los_channels(beta, los_frac, steering, rng, n_draws=None):
+    """sample_channels with the LOS term formed on every link, los_frac = 0
     included, as the simulator first did: the reference for the LOS skip."""
     steering = np.asarray(steering)
     beta = np.asarray(beta, dtype=float)
-    k = np.asarray(rice_k, dtype=float)
-    pure = np.isinf(k)
-    ksafe = np.where(pure, 0.0, k)
-    los_amp = np.where(pure, np.sqrt(beta),
-                       np.sqrt(beta * ksafe / (ksafe + 1.0)))
-    scatter_amp = np.where(pure, 0.0, np.sqrt(beta / (ksafe + 1.0)))
+    kappa = np.asarray(los_frac, dtype=float)
+    los_amp = np.sqrt(beta * kappa)
+    scatter_amp = np.sqrt(beta * (1.0 - kappa))
     shape = np.broadcast_shapes(los_amp.shape, steering.shape[:-1])
     n = steering.shape[-1]
     full = (() if n_draws is None else (n_draws,)) + shape
@@ -214,31 +221,34 @@ class TestSampleChannels:
         # with beta = 0; the draw stream and every bit must be unchanged.
         rng = np.random.default_rng(40)
         beta = rng.uniform(0.5, 2.0, (4, 3))
-        rice = np.zeros((4, 3))
-        rice[1] = rng.uniform(0.1, 10.0, 3)
-        rice[2] = [PURE_LOS, 3.0, PURE_LOS]
-        rice[3, 2] = PURE_LOS
+        kappa = np.zeros((4, 3))
+        k = rng.uniform(0.1, 10.0, 3)
+        kappa[1] = k / (k + 1.0)
+        kappa[2] = [1.0, 0.75, 1.0]
+        kappa[3, 2] = 1.0
         beta[3, 0] = 0.0
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 3, 5)))
-        got = sample_channels(beta, rice, steer, np.random.default_rng(41),
+        got = sample_channels(beta, kappa, steer, np.random.default_rng(41),
                               n_draws=n_draws)
-        want = _dense_los_channels(beta, rice, steer,
+        want = _dense_los_channels(beta, kappa, steer,
                                    np.random.default_rng(41), n_draws)
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("rice", [0.0, 2.5, PURE_LOS])
+    # Each case is named by its Ricean K-factor, kappa = K/(K+1).
+    @pytest.mark.parametrize("kappa", [0.0, 2.5 / 3.5, 1.0],
+                             ids=["0.0", "2.5", "inf"])
     @pytest.mark.parametrize("n_draws", [None, 6])
-    def test_scalar_links(self, rice, n_draws):
-        # 0-d link parameters, and a scalar K broadcast over an array of
-        # gains and steering vectors.
+    def test_scalar_links(self, kappa, n_draws):
+        # 0-d link parameters, and a scalar LOS fraction broadcast over an
+        # array of gains and steering vectors.
         rng = np.random.default_rng(42)
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
         steers = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 4)))
         for beta, a in ((1.3, steer), (np.array([0.5, 1.0, 2.0]), steers),
                         (1.3, steers)):
-            got = sample_channels(beta, rice, a, np.random.default_rng(43),
+            got = sample_channels(beta, kappa, a, np.random.default_rng(43),
                                   n_draws=n_draws)
-            want = _dense_los_channels(beta, rice, a,
+            want = _dense_los_channels(beta, kappa, a,
                                        np.random.default_rng(43), n_draws)
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want)
@@ -255,20 +265,20 @@ class TestSampleChannels:
     def test_pure_los_norm_exact(self):
         rng = np.random.default_rng(4)
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, 4)); steer[0] = 1
-        g = sample_channels(3.0, PURE_LOS, steer, rng, n_draws=50)
+        g = sample_channels(3.0, 1.0, steer, rng, n_draws=50)
         assert np.allclose(np.sum(np.abs(g) ** 2, axis=-1), 3.0 * 4)
 
     def test_sample_covariance_matches_covariance_G(self):
         rng = np.random.default_rng(5)
-        beta, k, n = 1.7, 2.5, 4
+        beta, kappa, n = 1.7, 2.5 / 3.5, 4
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, n)); steer[0] = 1
-        G = covariance_G(beta, k, steer)
-        g = sample_channels(beta, k, steer, rng, n_draws=300000)
+        G = covariance_G(beta, kappa, steer)
+        g = sample_channels(beta, kappa, steer, rng, n_draws=300000)
         cov = np.einsum("tn,tm->nm", g, np.conj(g)) / len(g)
         assert np.linalg.norm(cov - G) < 0.01 * np.linalg.norm(G)
 
     def test_zero_mean_over_phase(self):
         rng = np.random.default_rng(6)
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, 4)); steer[0] = 1
-        g = sample_channels(1.0, 5.0, steer, rng, n_draws=200000)
+        g = sample_channels(1.0, 5.0 / 6.0, steer, rng, n_draws=200000)
         assert np.all(np.abs(g.mean(axis=0)) < 0.01)

@@ -3,15 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from cfmimo.config import SystemConfig, db_to_lin, dbm_to_mw
+from cfmimo.config import SystemConfig, dbm_to_mw
 from cfmimo.errors import ConfigurationError
 
 
 class TestUnitHelpers:
-    def test_db_round_trip(self):
-        assert db_to_lin(10.0) == pytest.approx(10.0)
-        assert 10 * np.log10(db_to_lin(7.3)) == pytest.approx(7.3)
-
     def test_dbm(self):
         assert dbm_to_mw(0.0) == pytest.approx(1.0)
         assert dbm_to_mw(-35.0) == pytest.approx(10 ** -3.5)
@@ -109,6 +105,28 @@ class TestValidation:
     def test_non_finite_dl_power_budget(self, budget):
         with pytest.raises(ConfigurationError, match="dl_power_budget"):
             SystemConfig(dl_power_budget=budget)
+
+    # Each of these used to reach the drop loop: a LinAlgError from the
+    # shadowing or estimation stages, a NumericalError at drop 0, or a
+    # silent run on an inverted or negative breakpoint.
+    @pytest.mark.parametrize("field, value", [
+        ("noise_figure", float("nan")), ("noise_figure", float("inf")),
+        ("noise_figure", float("-inf")),
+        ("fpc_p0", float("nan")), ("fpc_p0", float("inf")),
+        ("fpc_p0", float("-inf")),
+        ("shadowing_std", float("nan")), ("shadowing_std", float("inf")),
+        ("shadow_decorr", float("nan")), ("shadow_decorr", 0.0),
+        ("shadow_decorr", -5.0), ("shadow_decorr", float("inf")),
+        ("three_slope_d0", 0.0), ("three_slope_d0", -1.0),
+        ("three_slope_d0", float("nan")), ("three_slope_d0", 80.0),
+        ("three_slope_d1", float("nan")), ("three_slope_d1", -3.0),
+        ("three_slope_d1", float("inf"))])
+    def test_bad_scenario_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SystemConfig(**{field: value})
+
+    def test_three_slope_breakpoints_may_coincide(self):
+        SystemConfig(three_slope_d0=50.0, three_slope_d1=50.0)
 
     # Values as they arrive from a JSON config file.
 

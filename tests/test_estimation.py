@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfmimo.channel import PURE_LOS, sample_channels
+from cfmimo.channel import sample_channels
 from cfmimo import estimation
 from cfmimo.errors import NumericalError
 from cfmimo.estimation import (COND_LIMIT, build_estimators, covariance_G,
@@ -25,14 +25,14 @@ class TestCovarianceG:
     def test_k1_substitution(self):
         rng = np.random.default_rng(1)
         a = unit_steer(rng, 3)
-        G = covariance_G(2.0, 1.0, a)
+        G = covariance_G(2.0, 0.5, a)                   # K = 1
         assert np.allclose(G, np.outer(a, np.conj(a)) + np.eye(3))
 
     def test_trace_is_beta_times_n(self):
         rng = np.random.default_rng(2)
         a = unit_steer(rng, 4)
-        for k in (0.0, 0.5, 3.0, 100.0, PURE_LOS):
-            G = covariance_G(1.7, k, a)
+        for kappa in (0.0, 0.5 / 1.5, 3.0 / 4.0, 100.0 / 101.0, 1.0):
+            G = covariance_G(1.7, kappa, a)
             assert np.trace(G).real == pytest.approx(1.7 * 4)
             # Hermitian PSD
             assert np.allclose(G, G.conj().T)
@@ -41,7 +41,7 @@ class TestCovarianceG:
     def test_pure_los(self):
         rng = np.random.default_rng(3)
         a = unit_steer(rng, 4)
-        assert np.allclose(covariance_G(2.0, PURE_LOS, a),
+        assert np.allclose(covariance_G(2.0, 1.0, a),
                            2.0 * np.outer(a, np.conj(a)))
 
 
@@ -56,14 +56,14 @@ class TestPilotGramB:
     def test_single_user_no_contamination(self):
         rng = np.random.default_rng(4)
         links = random_links(rng, 1, 2, 3)
-        G = covariance_G(links.beta, links.rice_k, links.steering)
+        G = covariance_G(links.beta, links.los_frac, links.steering)
         B = pilot_gram_B(G, [0], [2.0], 0.5)
         assert np.allclose(B[0], 2.0 * G[0] + 0.5 * np.eye(3))
 
     def test_shared_pilot_two_term_sum(self):
         rng = np.random.default_rng(5)
         links = random_links(rng, 3, 1, 2)
-        G = covariance_G(links.beta, links.rice_k, links.steering)
+        G = covariance_G(links.beta, links.los_frac, links.steering)
         eta = np.array([1.0, 2.0, 3.0])
         B = pilot_gram_B(G, [0, 0, 1], eta, 0.5)
         assert np.allclose(B[0], 1.0 * G[0] + 2.0 * G[1] + 0.5 * np.eye(2))
@@ -77,7 +77,7 @@ class TestPilotGramB:
         n_draws, acc = 200000, 0
         cov = np.zeros((3, 2, 2, 2), dtype=complex)  # (K, A, N, N)
         for _ in range(10):
-            g = sample_channels(links.beta, links.rice_k, links.steering,
+            g = sample_channels(links.beta, links.los_frac, links.steering,
                                 rng, n_draws=n_draws // 10)
             y, _ = simulate_training(g, pilots, eta, sw2, 2, rng)
             cov += np.einsum("tkan,tkam->kanm", y, np.conj(y))
@@ -96,11 +96,11 @@ def _small(seed):
     return links, pilots, eta, sw2, est
 
 
-def _one_link(beta, rice_k, n, seed=0):
+def _one_link(beta, los_frac, n, seed=0):
     """One user on one AP with n antennas."""
     links = random_links(np.random.default_rng(seed), 1, 1, n)
     links.beta[:] = beta
-    links.rice_k[:] = rice_k
+    links.los_frac[:] = los_frac
     return links
 
 
@@ -122,7 +122,7 @@ class TestLmmseFilter:
             estimation._check_conditioned(np.diag([1.0, 1e-15]))
         # A pure-LOS link 1e15 above the noise: cond(B) = 1 + 2e15.
         with pytest.raises(NumericalError, match="pilot gram"):
-            build_estimators(_one_link(1.0, PURE_LOS, 2), [0], [1.0], 1e-15)
+            build_estimators(_one_link(1.0, 1.0, 2), [0], [1.0], 1e-15)
 
     def test_orthogonality_principle(self):
         # E[(g - g_hat) y_hat^H] -> 0
@@ -131,7 +131,7 @@ class TestLmmseFilter:
         n_draws = 200000
         acc = np.zeros((3, 2, 2, 2), dtype=complex)
         for _ in range(10):
-            g = sample_channels(links.beta, links.rice_k, links.steering,
+            g = sample_channels(links.beta, links.los_frac, links.steering,
                                 rng, n_draws=n_draws // 10)
             y, _ = simulate_training(g, pilots, eta, sw2, 2, rng)
             ghat = np.einsum("kanm,tkam->tkan", est.D, y)
@@ -148,7 +148,7 @@ class TestBuildEstimators:
         rng = np.random.default_rng(31)
         links = random_links(rng, 4, 3, 2)
         pilots = np.array([0, 0, 1, 2])
-        links.rice_k[1, 2] = PURE_LOS
+        links.los_frac[1, 2] = 1.0
         build_estimators(links, pilots, np.ones(4), 1.0)
         links.beta[1, 2] = 1e13
         with pytest.raises(NumericalError, match="pilot gram"):
@@ -160,7 +160,7 @@ class TestBuildEstimators:
         # AP that serves nobody.
         rng = np.random.default_rng(34)
         links = random_links(rng, 6, 5, 3)
-        links.rice_k[4, 1:3] = PURE_LOS
+        links.los_frac[4, 1:3] = 1.0
         pilots = np.array([0, 1, 0, 2, 1, 0])
         eta = rng.uniform(0.5, 2.0, 6)
         mask = rng.random((6, 5)) < 0.5
@@ -245,7 +245,7 @@ class TestGramBound:
         # Pure-LOS links with sigma_w^2 = 0 leave every gram singular.
         rng = np.random.default_rng(37)
         links = random_links(rng, 2, 2, 3)
-        links.rice_k[:] = PURE_LOS
+        links.los_frac[:] = 1.0
         with pytest.raises(NumericalError, match="pilot gram"):
             build_estimators(links, [0, 1], np.ones(2), 0.0)
 
@@ -256,14 +256,14 @@ class TestSimulateTraining:
     def test_noise_free_single_user(self):
         rng = np.random.default_rng(11)
         links = random_links(rng, 1, 2, 3)
-        g = sample_channels(links.beta, links.rice_k, links.steering, rng)
+        g = sample_channels(links.beta, links.los_frac, links.steering, rng)
         y, _ = simulate_training(g, [0], [4.0], 0.0, 2, rng)
         assert np.allclose(y[0], 2.0 * g[0])
 
     def test_orthogonal_pilots_no_cross_term(self):
         rng = np.random.default_rng(12)
         links = random_links(rng, 2, 1, 2)
-        g = sample_channels(links.beta, links.rice_k, links.steering, rng)
+        g = sample_channels(links.beta, links.los_frac, links.steering, rng)
         y, _ = simulate_training(g, [0, 1], [1.0, 1.0], 0.0, 2, rng)
         assert np.allclose(y[0], g[0])
         assert np.allclose(y[1], g[1])
@@ -271,7 +271,7 @@ class TestSimulateTraining:
     def test_despread_equals_Y_times_pilot(self):
         rng = np.random.default_rng(13)
         links = random_links(rng, 3, 2, 2)
-        g = sample_channels(links.beta, links.rice_k, links.steering, rng)
+        g = sample_channels(links.beta, links.los_frac, links.steering, rng)
         pilots = np.array([0, 1, 0])
         eta = np.array([1.0, 2.0, 3.0])
         y, Y = simulate_training(g, pilots, eta, 0.2, 4, rng)
@@ -314,7 +314,7 @@ class TestGammaCoeff:
         n_draws = 200000
         acc = np.zeros((3, 2))
         for _ in range(10):
-            g = sample_channels(links.beta, links.rice_k, links.steering,
+            g = sample_channels(links.beta, links.los_frac, links.steering,
                                 rng, n_draws=n_draws // 10)
             y, _ = simulate_training(g, pilots, eta, sw2, 2, rng)
             ghat = np.einsum("kanm,tkam->tkan", est.D, y)

@@ -48,8 +48,6 @@ class TestSimulateDrop:
         for arr in (rep.se_lb_dl, rep.se_ub_dl, rep.se_lb_ul, rep.se_ub_ul):
             assert arr.shape == (5,)
             assert np.all(np.isfinite(arr)) and np.all(arr >= 0)
-        # rates are SE times bandwidth
-        assert np.allclose(rep.rate_lb_dl, rep.se_lb_dl * cfg.bandwidth)
 
     def test_uc_cluster_of_every_ap_is_cell_free(self):
         # A user-centric cluster of all APs is the cell-free serving set, so
@@ -107,6 +105,19 @@ class TestRunExperiment:
         r1 = run_experiment(tiny_cfg(), 2, 4)
         r2 = run_experiment(tiny_cfg(rng_seed=4), 2, 4)
         assert not np.array_equal(r1.rate_lb_dl, r2.rate_lb_dl)
+
+    def test_rates_are_se_times_bandwidth(self):
+        # A one-drop campaign runs its drop on the first stream spawned
+        # from the config's seed.
+        cfg = tiny_cfg()
+        res = run_experiment(cfg, 1, 4)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
+        rep = simulate_drop(cfg, rng, 4)
+        for name in ("lb_dl", "ub_dl", "lb_ul", "ub_ul"):
+            np.testing.assert_array_equal(
+                getattr(res, f"rate_{name}"),
+                [getattr(rep, f"se_{name}") * cfg.bandwidth])
 
     def test_invalid_counts(self):
         with pytest.raises(CfmimoError):
@@ -211,6 +222,16 @@ class TestCli:
         r = run_cli("summarize", "--in", str(tmp_path / "nope"))
         assert r.returncode == 3
         assert r.stderr.startswith("ERROR IOError:")
+
+    def test_nan_scenario_value_exits_2(self, tmp_path, capsys):
+        # json.load accepts NaN; the config boundary must reject it.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"noise_figure": NaN}')
+        code = cli.main(["run", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR ConfigurationError: noise_figure must be finite"]
 
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
