@@ -141,16 +141,16 @@ def dl_power_allocation(policy, gamma, assoc: AssociationMap, sigma_z2, budget):
     return P, eta_dl
 
 
-def fpc(trace_G, serving_mask, p0_mw, alpha, p_max):
+def fpc(channel_gain, serving_mask, p0_mw, alpha, p_max):
     """Fractional uplink power control for every user:
 
         zeta_k = sqrt(sum_{a in A_k} tr^2(G_{k,a}))
         eta_k  = min(P_max, P0 * zeta_k^{-alpha})
 
-    trace_G : (K, A) real traces of the channel covariances.
+    channel_gain : (K, A) tr(G_{k,a}) = N beta_{k,a} (unit-modulus steering).
     """
     zeta = np.sqrt(np.einsum("ka,ka->k", serving_mask,
-                             np.asarray(trace_G, dtype=float) ** 2))
+                             np.asarray(channel_gain, dtype=float) ** 2))
     eta = np.full_like(zeta, float(p_max))
     ok = zeta > 0
     eta[ok] = np.minimum(p_max, p0_mw * zeta[ok] ** (-alpha))

@@ -1,7 +1,8 @@
 """Spectral-efficiency bounds.
 
 Closed-form lower bounds come from hardening ("use-and-then-forget") SINR
-expressions evaluated from the estimation statistics (G, D, gamma) only;
+expressions evaluated from the estimation statistics (D, gamma) and the
+link covariances G = c_los a a^H + c_eye I, read as (c_los, c_eye, a);
 upper bounds are Monte-Carlo averages of log2(1 + instantaneous SINR) with
 true channels and actual LMMSE estimates/beamformers.
 
@@ -100,49 +101,55 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     links : the drop's link state; est : its estimators, which carry the
         serving mask (est.served) and the pilot assignment.
 
-    Each AP's slots take one real product with the slots' D G against the
-    G_{k,a} of every user k at that AP, for cross. t and delta need no
-    product against G: with G_k = c_los a_k a_k^H + c_eye I and
-    x = c_eye tr(D), t = c_los a_k^H D a_k + x and
-    delta = x (x + 2 c_los Re(a_k^H D a_k)), so each pair gathers only its
-    owner's filters and its user's steering vectors.
+    Every term comes from the form G_k = c_los a_k a_k^H + c_eye I: cross
+    from each slot's X = D_j G_j, with one real product per AP for the users
+    with a LOS component; t = c_los a_k^H D a_k + x and
+    delta = x (x + 2 c_los Re(a_k^H D a_k)) with x = c_eye tr(D), so each
+    pair gathers only its owner's filters and its user's steering vectors.
     """
     serving = est.served
-    K, A = serving.shape
-    N = links.steering.shape[-1]
+    K, A, N = links.steering.shape
     C = int(serving.sum(axis=1).max())
     # Served APs first, each group in ascending order.
     ap = np.argsort(~serving, axis=1, kind="stable")[:, :C]
 
-    # Slots in AP-major order, so that each AP's slots form one block.
-    order = np.argsort(ap, axis=None, kind="stable")
-    a_s = ap.ravel()[order]
-    j_s = order // C
-    edges = np.searchsorted(a_s, np.arange(A + 1))
-    S = len(order)
-
-    # For Hermitian G_k, Re tr(X G_k) is the real dot product of the
-    # (re, im) entries of X and G_k. cross is real and equals
-    # Re tr(D_j G_j G_k), the conjugate of tr(G_j D_j^H G_k).
-    DG = (est.D[j_s, a_s] @ est.G[j_s, a_s]).reshape(S, N * N).view(float)
-    G_ap = np.swapaxes(est.G, 0, 1).reshape(A, K, N * N)
-    G_real = np.swapaxes(G_ap.view(float), 1, 2)                # (A, 2N^2, K)
-    # Each AP's block is computed in cache and scattered to its slots.
-    cross = np.empty((K * C, K))
-    for a in range(A):
-        lo, hi = edges[a], edges[a + 1]
-        cross[order[lo:hi]] = DG[lo:hi] @ G_real[a]
-
+    cl, ce = covariance_coeffs(links.beta, links.los_frac)
     pj, pk = np.nonzero(est.pilot_index[:, None] == est.pilot_index)
     link = (pk[:, None], ap[pj])                                # (P, C)
     D = est.D[pj[:, None], ap[pj]]                              # (P, C, N, N)
     steer = links.steering[link]
     aDa = np.einsum("pcn,pcn->pc", np.conj(steer),
                     np.einsum("pcnm,pcm->pcn", D, steer))
-    c_los, c_eye = covariance_coeffs(links.beta[link], links.los_frac[link])
-    x = c_eye * _real_guard(np.einsum("pcnn->pc", D), "tr(D)")
+    c_los = cl[link]
+    x = ce[link] * _real_guard(np.einsum("pcnn->pc", D), "tr(D)")
 
-    return UatfTerms(ap=ap, serving=serving, cross=cross.reshape(K, C, K),
+    # cross = Re tr(X G_k), the conjugate of tr(G_j D_j^H G_k), with
+    # X = D_j G_j = c_eye,j D_j + c_los,j (D_j a_j) a_j^H: c_eye,k Re tr X
+    # plus, for the users with a LOS component, c_los,k Re(a_k^H X a_k), one
+    # real product of X and a_k a_k^H per AP block. Slots in AP-major order
+    # make each AP's block contiguous.
+    order = np.argsort(ap, axis=None, kind="stable")
+    edges = np.searchsorted(ap.ravel()[order], np.arange(A + 1))
+    owner = np.arange(K)[:, None]
+    D = est.D[owner, ap]                                        # (J, C, N, N)
+    steer = links.steering[owner, ap]
+    X = (ce[owner, ap, None, None] * D + cl[owner, ap, None, None]
+         * np.einsum("jcnm,jcm->jcn", D, steer)[..., None]
+         * np.conj(steer)[..., None, :])
+    cross = ce.T[ap] * np.einsum("jcnn->jc", X).real[..., None]  # (J, C, K)
+    los = np.flatnonzero(np.any(cl > 0, axis=1))
+    a_l = np.swapaxes(links.steering[los], 0, 1)                # (A, L, N)
+    W = (cl[los].T[..., None, None] * a_l[..., :, None]
+         * np.conj(a_l)[..., None, :]).reshape(A, len(los), N * N)
+    W = np.swapaxes(W.view(float), 1, 2)                        # (A, 2N^2, L)
+    X = X.reshape(-1, N * N).view(float)[order]
+    los_part = np.empty((len(order), len(los)))
+    for a in range(A):
+        lo, hi = edges[a], edges[a + 1]
+        np.matmul(X[lo:hi], W[a], out=los_part[lo:hi])
+    cross.reshape(-1)[order[:, None] * K + los] += los_part
+
+    return UatfTerms(ap=ap, serving=serving, cross=cross,
                      pj=pj, pk=pk, t=c_los * aDa + x,
                      delta=x * (x + 2.0 * c_los * aDa.real),
                      gamma=est.gamma, eta_train=est.train_powers)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .deployment import Drop, GUE, UAV, toroidal_distance, wrapped_delta
-from .errors import GeometryError, OutOfModelError
+from .errors import ConfigurationError, GeometryError, OutOfModelError
 
 # ---------------------------------------------------------------------------
 # Steering vectors
@@ -78,12 +78,17 @@ def three_slope_path_loss_db(distance_3d, cfg: SystemConfig):
 
 def _correlated_field(positions, area_side, decorr, rng):
     """Sample a zero-mean unit-variance Gaussian field over the given nodes
-    with covariance exp(-d/decorr) (toroidal horizontal distance)."""
+    with covariance exp(-d/decorr) (toroidal horizontal distance), which
+    need not be positive definite for long decorr on the torus."""
     n = positions.shape[0]
     p = np.column_stack([positions[:, :2], np.zeros(n)])
     dist = toroidal_distance(p[:, None, :], p[None, :, :], area_side)
     cov = np.exp(-dist / decorr)
-    chol = np.linalg.cholesky(cov + 1e-10 * np.eye(n))
+    try:
+        chol = np.linalg.cholesky(cov + 1e-10 * np.eye(n))
+    except np.linalg.LinAlgError:
+        raise ConfigurationError(f"shadow_decorr = {decorr:g} m is too long "
+                                 "for this drop's positions") from None
     return chol @ rng.standard_normal(n)
 
 

@@ -122,6 +122,14 @@ class SystemConfig:
         for name in ("noise_figure", "fpc_p0", "fpc_alpha", "shadowing_std"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
+        for name, mw in (("noise_figure", "noise_power_mw"),
+                         ("fpc_p0", "fpc_p0_mw")):
+            try:
+                getattr(self, mw)
+            except OverflowError:
+                raise ConfigurationError(f"{name} overflows in mW") from None
+        if self.noise_power_mw == 0:
+            raise ConfigurationError("noise_figure underflows the noise power")
         if not 0 <= self.shadow_delta <= 1:
             raise ConfigurationError("shadow_delta must be in [0, 1]")
         if self.association_mode not in ("CF", "UC"):
@@ -158,15 +166,13 @@ class SystemConfig:
     @property
     def noise_power_mw(self):
         """Thermal noise power over the system bandwidth, incl. noise figure."""
-        import numpy as np
-        noise_dbm = (THERMAL_NOISE_DBM_PER_HZ
-                     + 10.0 * np.log10(self.bandwidth)
-                     + self.noise_figure)
-        return float(dbm_to_mw(noise_dbm))
+        return dbm_to_mw(THERMAL_NOISE_DBM_PER_HZ
+                         + 10.0 * math.log10(self.bandwidth)
+                         + self.noise_figure)
 
     @property
     def fpc_p0_mw(self):
-        return float(dbm_to_mw(self.fpc_p0))
+        return dbm_to_mw(self.fpc_p0)
 
     # -- serialization ------------------------------------------------------
 

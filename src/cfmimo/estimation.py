@@ -1,13 +1,14 @@
 """Uplink training and LMMSE channel estimation.
 
-Per (user k, AP a) the estimator is characterized by two matrices and one
-scalar:
+A link's covariance G = E[g g^H] = c_los a a^H + c_eye I is held as
+(c_los, c_eye) = covariance_coeffs(beta, kappa) and its steering vector a,
+never as a matrix. Per link the estimator is characterized by
 
-    G = channel covariance  E[g g^H]
-    D = LMMSE filter, g_hat = D y_hat, with y_hat the de-spread training
-        observation, whose covariance (the pilot gram) is
-        B = sum_i eta_i G_i |phi_i^H phi_k|^2 + sigma_w^2 I
-    gamma = E[||g_hat||^2]
+    D = sqrt(eta) G B^{-1}, the LMMSE filter: g_hat = D y_hat, with y_hat the
+        de-spread training observation, whose covariance (the pilot gram)
+        B = (sigma_w^2 + sum_i eta_i c_eye,i) I + sum_i eta_i c_los,i a_i a_i^H
+        the users i on the pilot share at the AP
+    gamma = E[||g_hat||^2] = sqrt(eta) (c_los a^H D a + c_eye tr D)
 """
 
 from __future__ import annotations
@@ -22,32 +23,21 @@ from .errors import NumericalError
 COND_LIMIT = 1e12
 
 
-def covariance_G(beta, los_frac, steering):
-    """Channel covariance G = beta (kappa a a^H + (1 - kappa) I), kappa the
-    LOS power fraction; pure LOS (kappa = 1) gives beta a a^H exactly.
-
-    beta, los_frac : (...,)   steering : (..., N)   ->   (..., N, N)
-    """
-    a = np.asarray(steering)
-    n = a.shape[-1]
-    c_los, c_eye = covariance_coeffs(beta, los_frac)
-    outer = a[..., :, None] * np.conj(a)[..., None, :]
-    return (c_los[..., None, None] * outer
-            + c_eye[..., None, None] * np.eye(n))
-
-
-def _pilot_grams(G, pilot_index, train_powers, sigma_w2):
+def _pilot_grams(links: LinkSet, pilot_index, train_powers, sigma_w2):
     """One gram per pilot in use: (grams (P', A, N, N), row (K,)), where
-    user k's gram is grams[row[k]]."""
-    G = np.asarray(G)
-    eta = np.asarray(train_powers, dtype=float)
-    n = G.shape[-1]
+    user k's gram is grams[row[k]]; only users with a LOS component add a
+    rank-one term."""
+    c_los, c_eye = covariance_coeffs(links.beta, links.los_frac)
+    eta = np.asarray(train_powers, dtype=float)[:, None]
     pilots, row = np.unique(np.asarray(pilot_index), return_inverse=True)
-    grams = np.empty((len(pilots),) + G.shape[1:], dtype=G.dtype)
-    for i in range(len(pilots)):
-        users = np.nonzero(row == i)[0]
-        acc = np.einsum("u,uanm->anm", eta[users], G[users])
-        grams[i] = acc + sigma_w2 * np.eye(n)
+    alpha = np.full((len(pilots), c_eye.shape[1]), float(sigma_w2))
+    np.add.at(alpha, row, eta * c_eye)
+    grams = alpha[..., None, None] * np.eye(links.steering.shape[-1],
+                                            dtype=complex)
+    los = np.flatnonzero(np.any(c_los > 0, axis=1))
+    a = links.steering[los]
+    np.add.at(grams, row[los], (eta[los] * c_los[los])[..., None, None]
+              * a[..., :, None] * np.conj(a)[..., None, :])
     return grams, row
 
 
@@ -74,38 +64,15 @@ def _check_grams(grams, sigma_w2):
     _check_conditioned(grams)
 
 
-def _solve_filter(G, B, train_powers):
-    """D = sqrt(eta) G B^{-1} for Hermitian B, without a conditioning check."""
-    eta = np.asarray(train_powers, dtype=float)
-    # G B^{-1} = (B^{-1} G^H)^H for Hermitian B.
-    GH = np.conj(np.swapaxes(G, -1, -2))
-    D = np.conj(np.swapaxes(np.linalg.solve(B, GH), -1, -2))
-    return np.sqrt(eta)[..., None, None] * D
-
-
-def gamma_coeff(G, D, train_powers):
-    """gamma = sqrt(eta) tr(G D) = E[||g_hat||^2], real and non-negative."""
-    G = np.asarray(G)
-    D = np.asarray(D)
-    eta = np.asarray(train_powers, dtype=float)
-    tr = np.einsum("...nm,...mn->...", G, D)
-    gamma = np.sqrt(eta) * tr
-    scale = np.maximum(np.abs(gamma), 1e-300)
-    if np.any(np.abs(gamma.imag) > 1e-8 * scale) or np.any(gamma.real < -1e-8 * scale):
-        raise NumericalError("gamma is not real non-negative; inconsistent inputs")
-    return np.maximum(gamma.real, 0.0)
-
-
 @dataclass
 class EstimatorSet:
     """Estimation statistics for the (user, AP) links of a drop.
 
-    G : (K, A, N, N) for every link. D : (K, A, N, N) and gamma : (K, A)
-    are solved only on the links in `served` and are exactly 0 elsewhere.
+    D : (K, A, N, N) and gamma : (K, A) are solved only on the links in
+    `served` and are exactly 0 elsewhere.
     served : (K, A) bool, the drop's serving mask; pilot_index : (K,);
     train_powers : (K,)
     """
-    G: np.ndarray
     D: np.ndarray
     gamma: np.ndarray
     served: np.ndarray
@@ -116,14 +83,12 @@ class EstimatorSet:
 
 def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
                      serving=None) -> EstimatorSet:
-    """Assemble G for every (user, AP) link of a drop and D/gamma for the
-    links in `serving` (K, A) bool; None, as in cell-free mode, serves
-    every link. The set carries the serving mask and the pilot assignment
-    to every later stage of the drop."""
-    K, A = links.beta.shape
+    """Solve D and gamma on the links in `serving` (K, A) bool; None, as in
+    cell-free mode, serves every link. The set carries the serving mask and
+    the pilot assignment to every later stage of the drop."""
+    K, A, N = links.steering.shape
     eta = np.broadcast_to(np.asarray(train_powers, dtype=float), (K,)).copy()
-    G = covariance_G(links.beta, links.los_frac, links.steering)
-    grams, row = _pilot_grams(G, pilot_index, eta, sigma_w2)
+    grams, row = _pilot_grams(links, pilot_index, eta, sigma_w2)
     # Users on one pilot share its gram: check each distinct gram once.
     _check_grams(grams, sigma_w2)
     if serving is None:
@@ -131,12 +96,30 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
     else:
         served = np.array(serving, dtype=bool)
     k, a = np.nonzero(served)
-    G_s = G[k, a]
-    D_s = _solve_filter(G_s, grams[row[k], a], eta[k])
-    D = np.zeros_like(G)
+    c_los, c_eye = covariance_coeffs(links.beta[k, a], links.los_frac[k, a])
+    steer = links.steering[k, a]                                # (S, N)
+    root_eta = np.sqrt(eta[k])
+    # D = sqrt(eta) (B^{-1} G)^H = sqrt(eta) (c_eye B^{-H} + c_los a z^H).
+    # Links on one pilot at one AP share B: invert it once. z = B^{-1} a is
+    # solved: the product with B^{-1} loses digits on ill-conditioned grams.
+    used, link_gram = np.unique(row[k] * A + a, return_inverse=True)
+    B_inv = np.linalg.inv(grams.reshape(-1, N, N)[used])
+    D_s = np.conj(np.swapaxes(B_inv, 1, 2))[link_gram]
+    D_s *= (root_eta * c_eye)[:, None, None]
+    los = np.flatnonzero(c_los > 0)
+    z = np.linalg.solve(grams[row[k[los]], a[los]], steer[los, :, None])
+    D_s[los] += ((root_eta * c_los)[los, None, None] * steer[los, :, None]
+                 * np.conj(np.swapaxes(z, 1, 2)))
+    gamma_s = root_eta * (
+        c_los * np.einsum("sn,snm,sm->s", np.conj(steer), D_s, steer)
+        + c_eye * np.einsum("snn->s", D_s))
+    scale = np.maximum(np.abs(gamma_s), 1e-300)
+    if np.any(np.abs(gamma_s.imag) > 1e-8 * scale) or np.any(gamma_s.real < -1e-8 * scale):
+        raise NumericalError("gamma is not real non-negative; inconsistent inputs")
+    D = np.zeros((K, A, N, N), dtype=complex)
     D[k, a] = D_s
     gamma = np.zeros((K, A))
-    gamma[k, a] = gamma_coeff(G_s, D_s, eta[k])
-    return EstimatorSet(G=G, D=D, gamma=gamma, served=served,
+    gamma[k, a] = np.maximum(gamma_s.real, 0.0)
+    return EstimatorSet(D=D, gamma=gamma, served=served,
                         pilot_index=np.asarray(pilot_index), train_powers=eta,
                         sigma_w2=float(sigma_w2))

@@ -35,13 +35,11 @@ def simulate_drop(cfg: SystemConfig, rng: np.random.Generator,
 
     assoc = associate(cfg.association_mode, links.beta,
                       cfg.uc_cluster_size)
-    est = build_estimators(links, drop.pilot_index,
-                           np.full(cfg.n_users, cfg.train_power), sigma2,
+    est = build_estimators(links, drop.pilot_index, cfg.train_power, sigma2,
                            serving=assoc.serving)
 
     _, eta_dl = dl_power_allocation(cfg.dl_policy, est.gamma, assoc,
                                     sigma2, cfg.dl_power_budget)
-    # tr G = N beta: the steering entries have unit modulus.
     eta_ul = fpc(cfg.n_ap_antennas * links.beta, assoc.serving,
                  cfg.fpc_p0_mw, cfg.fpc_alpha, cfg.ul_max_power)
 

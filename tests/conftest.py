@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfmimo.channel import LinkSet
+from cfmimo.channel import LinkSet, covariance_coeffs
 from cfmimo.estimation import build_estimators
 
 
@@ -15,6 +15,21 @@ def random_links(rng, n_users, n_aps, n_ant, rice_max=3.0):
     phase[..., 0] = 0.0
     steer = np.exp(1j * phase)
     return LinkSet(beta=beta, los_frac=rice / (rice + 1.0), steering=steer)
+
+
+def covariance_G(beta, los_frac, steering):
+    """Oracle: the dense channel covariance G = beta (kappa a a^H +
+    (1 - kappa) I), kappa the LOS power fraction; pure LOS (kappa = 1)
+    gives beta a a^H exactly.
+
+    beta, los_frac : (...,)   steering : (..., N)   ->   (..., N, N)
+    """
+    a = np.asarray(steering)
+    n = a.shape[-1]
+    c_los, c_eye = covariance_coeffs(beta, los_frac)
+    outer = a[..., :, None] * np.conj(a)[..., None, :]
+    return (c_los[..., None, None] * outer
+            + c_eye[..., None, None] * np.eye(n))
 
 
 def lmmse_filter_D(G, B, train_powers):

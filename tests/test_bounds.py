@@ -11,9 +11,9 @@ from cfmimo.allocation import (AssociationMap, associate,
 from cfmimo.bounds import se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb, uatf_terms
 from cfmimo.channel import LinkSet, covariance_coeffs
 from cfmimo.config import SystemConfig
-from cfmimo.estimation import EstimatorSet, build_estimators, covariance_G
+from cfmimo.estimation import EstimatorSet, build_estimators
 
-from conftest import random_links
+from conftest import covariance_G, random_links
 
 
 def unit_steer(rng, n):
@@ -44,9 +44,7 @@ def uatf_delta(beta, kappa, a, D):
     shape = (1, 1)
     links = LinkSet(beta=np.full(shape, beta),
                     los_frac=np.full(shape, kappa), steering=a[None, None])
-    est = EstimatorSet(G=covariance_G(links.beta, links.los_frac,
-                                      a[None, None]),
-                       D=np.asarray(D, complex)[None, None],
+    est = EstimatorSet(D=np.asarray(D, complex)[None, None],
                        gamma=np.zeros(shape), served=np.ones(shape, bool),
                        pilot_index=np.zeros(1, int), train_powers=np.ones(1),
                        sigma_w2=1.0)
@@ -147,6 +145,45 @@ class TestLosEndpoints:
                         sinr_ul_lb(terms, eta_ul, 0.3)))
         for want, got in zip(*out):
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
+
+
+class TestRelabelling:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 6),
+           A=st.integers(1, 4), N=st.integers(1, 3))
+    def test_sinrs_follow_ap_and_user_permutations(self, seed, K, A, N):
+        # Relabelling the APs leaves every closed-form SINR unchanged;
+        # relabelling the users permutes them, with pilots, training and
+        # DL/UL powers and the serving mask moving with the users. The drop
+        # mixes Rayleigh, Ricean and pure-LOS links under a random mask.
+        rng = np.random.default_rng(seed)
+        links = random_links(rng, K, A, N)
+        kind = rng.integers(0, 3, (K, A))
+        links.los_frac[kind == 0] = 0.0
+        links.los_frac[kind == 2] = 1.0
+        pilots = rng.integers(0, max(K - 1, 1), K)
+        eta_tr = rng.uniform(0.5, 2.0, K)
+        eta_dl = rng.uniform(0.1, 1.0, (K, A))
+        eta_ul = rng.uniform(0.1, 1.0, K)
+        mask = rng.random((K, A)) < 0.6
+        mask[np.arange(K), rng.integers(0, A, K)] = True
+        users, aps = rng.permutation(K), rng.permutation(A)
+
+        def sinrs(users, aps):
+            at = np.ix_(users, aps)
+            moved = LinkSet(beta=links.beta[at], los_frac=links.los_frac[at],
+                            steering=links.steering[at])
+            est = build_estimators(moved, pilots[users], eta_tr[users], 0.3,
+                                   serving=mask[at])
+            terms = uatf_terms(moved, est)
+            return (sinr_dl_lb(terms, eta_dl[at], 0.3),
+                    sinr_ul_lb(terms, eta_ul[users], 0.3))
+
+        want = sinrs(np.arange(K), np.arange(A))
+        for got, w in zip(sinrs(np.arange(K), aps), want):
+            np.testing.assert_allclose(got, w, rtol=1e-12, atol=0)
+        for got, w in zip(sinrs(users, np.arange(A)), want):
+            np.testing.assert_allclose(got, w[users], rtol=1e-12, atol=0)
 
 
 def _dl_setup(small_instance, rng):
@@ -348,14 +385,22 @@ def _sharing_pairs(pilots):
 
 
 class TestUatfTerms:
-    def test_matches_per_link_traces(self):
+    @pytest.mark.parametrize("kappa", [None, 0.0, 1.0],
+                             ids=["mixed", "rayleigh", "pure_los"])
+    def test_matches_per_link_traces(self, kappa):
         # Every pairwise trace against its definition, link by link, on an
-        # instance with Rayleigh, Ricean and pure-LOS links.
+        # instance with Rayleigh, Ricean and pure-LOS links, and on the same
+        # drop with every link Rayleigh (no user with a LOS component) or
+        # every link pure LOS.
         rng = np.random.default_rng(27)
         links, pilots, est = _mixed_instance(rng)
+        if kappa is not None:
+            links.los_frac[:] = kappa
+            est = build_estimators(links, pilots, est.train_powers, 0.3)
         K, A = links.beta.shape
         terms = uatf_terms(links, est)
-        G, D = est.G, est.D
+        G = covariance_G(links.beta, links.los_frac, links.steering)
+        D = est.D
         np.testing.assert_array_equal(terms.ap, np.tile(np.arange(A), (K, 1)))
         t = np.empty((K, A, K), complex)
         cross = np.empty((K, A, K))
@@ -383,7 +428,8 @@ def _dense_terms(links, est):
     """Oracle: the dense (J, K, A) closed-form terms over every (filter
     owner, user, AP) triple, as uatf_terms built them before the
     serving-set slots."""
-    G, D = est.G, est.D
+    G = covariance_G(links.beta, links.los_frac, links.steering)
+    D = est.D
     beta, kappa = links.beta, links.los_frac
     c = beta * (1.0 - kappa)
     c2, c2k = c * c, c * beta * kappa

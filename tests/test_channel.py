@@ -8,7 +8,8 @@ from cfmimo.channel import (build_links, cost231_constant, gue_large_scale,
 from cfmimo.config import SystemConfig
 from cfmimo.deployment import UAV, sample_drop, wrapped_delta
 from cfmimo.errors import GeometryError, OutOfModelError
-from cfmimo.estimation import covariance_G
+
+from conftest import covariance_G
 
 CFG = SystemConfig()
 LAM = CFG.wavelength

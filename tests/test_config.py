@@ -108,12 +108,14 @@ class TestValidation:
 
     # Each of these used to reach the drop loop: a LinAlgError from the
     # shadowing or estimation stages, a NumericalError at drop 0, or a
-    # silent run on an inverted or negative breakpoint.
+    # silent run on an inverted or negative breakpoint. The +-4000 dB values
+    # overflow or underflow once converted to mW.
     @pytest.mark.parametrize("field, value", [
         ("noise_figure", float("nan")), ("noise_figure", float("inf")),
         ("noise_figure", float("-inf")),
+        ("noise_figure", 4000.0), ("noise_figure", -4000.0),
         ("fpc_p0", float("nan")), ("fpc_p0", float("inf")),
-        ("fpc_p0", float("-inf")),
+        ("fpc_p0", float("-inf")), ("fpc_p0", 4000.0),
         ("shadowing_std", float("nan")), ("shadowing_std", float("inf")),
         ("shadow_decorr", float("nan")), ("shadow_decorr", 0.0),
         ("shadow_decorr", -5.0), ("shadow_decorr", float("inf")),

@@ -4,10 +4,10 @@ import pytest
 from cfmimo.channel import sample_channels
 from cfmimo import estimation
 from cfmimo.errors import NumericalError
-from cfmimo.estimation import (COND_LIMIT, build_estimators, covariance_G,
-                               gamma_coeff)
+from cfmimo.estimation import COND_LIMIT, build_estimators
 
-from conftest import lmmse_filter_D, random_links, simulate_training
+from conftest import (covariance_G, lmmse_filter_D, random_links,
+                      simulate_training)
 
 
 def unit_steer(rng, n):
@@ -45,9 +45,9 @@ class TestCovarianceG:
                            2.0 * np.outer(a, np.conj(a)))
 
 
-def pilot_gram_B(G, pilot_index, train_powers, sigma_w2):
+def pilot_gram_B(links, pilot_index, train_powers, sigma_w2):
     """Each user's pilot gram (K, A, N, N), as build_estimators forms it."""
-    grams, row = estimation._pilot_grams(G, pilot_index, train_powers,
+    grams, row = estimation._pilot_grams(links, pilot_index, train_powers,
                                          sigma_w2)
     return grams[row]
 
@@ -57,7 +57,7 @@ class TestPilotGramB:
         rng = np.random.default_rng(4)
         links = random_links(rng, 1, 2, 3)
         G = covariance_G(links.beta, links.los_frac, links.steering)
-        B = pilot_gram_B(G, [0], [2.0], 0.5)
+        B = pilot_gram_B(links, [0], [2.0], 0.5)
         assert np.allclose(B[0], 2.0 * G[0] + 0.5 * np.eye(3))
 
     def test_shared_pilot_two_term_sum(self):
@@ -65,14 +65,14 @@ class TestPilotGramB:
         links = random_links(rng, 3, 1, 2)
         G = covariance_G(links.beta, links.los_frac, links.steering)
         eta = np.array([1.0, 2.0, 3.0])
-        B = pilot_gram_B(G, [0, 0, 1], eta, 0.5)
+        B = pilot_gram_B(links, [0, 0, 1], eta, 0.5)
         assert np.allclose(B[0], 1.0 * G[0] + 2.0 * G[1] + 0.5 * np.eye(2))
         assert np.allclose(B[0], B[1])
         assert np.allclose(B[2], 3.0 * G[2] + 0.5 * np.eye(2))
 
     def test_matches_sample_covariance_of_despread_observation(self):
         links, pilots, eta, sw2, est = _small(seed=7)
-        B = pilot_gram_B(est.G, pilots, eta, sw2)
+        B = pilot_gram_B(links, pilots, eta, sw2)
         rng = np.random.default_rng(8)
         n_draws, acc = 200000, 0
         cov = np.zeros((3, 2, 2, 2), dtype=complex)  # (K, A, N, N)
@@ -124,6 +124,25 @@ class TestLmmseFilter:
         with pytest.raises(NumericalError, match="pilot gram"):
             build_estimators(_one_link(1.0, 1.0, 2), [0], [1.0], 1e-15)
 
+    def test_matches_dense_oracle(self):
+        # D and gamma on Rayleigh, Ricean and pure-LOS links, users 0, 1
+        # and 3 on one pilot, against the dense sqrt(eta) G B^{-1}.
+        rng = np.random.default_rng(38)
+        links = random_links(rng, 4, 3, 3)
+        links.los_frac[1, :2] = 1.0
+        links.los_frac[2] = 0.0
+        links.beta[1] *= 30.0
+        pilots, eta, sw2 = np.array([0, 0, 1, 0]), rng.uniform(0.5, 2, 4), 0.2
+        est = build_estimators(links, pilots, eta, sw2)
+        G = covariance_G(links.beta, links.los_frac, links.steering)
+        same = (pilots[:, None] == pilots).astype(float)
+        B = np.einsum("ku,u,uanm->kanm", same, eta, G) + sw2 * np.eye(3)
+        D = lmmse_filter_D(G, B, eta[:, None])
+        np.testing.assert_allclose(est.D, D, rtol=0,
+                                   atol=1e-12 * np.abs(D).max())
+        gamma = np.sqrt(eta)[:, None] * np.einsum("kanm,kamn->ka", G, D)
+        np.testing.assert_allclose(est.gamma, gamma.real, rtol=1e-12)
+
     def test_orthogonality_principle(self):
         # E[(g - g_hat) y_hat^H] -> 0
         links, pilots, eta, sw2, est = _small(seed=9)
@@ -171,7 +190,7 @@ class TestBuildEstimators:
         part = build_estimators(links, pilots, eta, 0.3, serving=mask)
         assert full.served.all()
         np.testing.assert_array_equal(part.served, mask)
-        for name in ("G", "pilot_index", "train_powers"):
+        for name in ("pilot_index", "train_powers"):
             np.testing.assert_array_equal(getattr(part, name),
                                           getattr(full, name))
         for name in ("D", "gamma"):
@@ -294,19 +313,22 @@ class TestSimulateTraining:
 
 
 class TestGammaCoeff:
+    """gamma = sqrt(eta) tr(G D) = E[||g_hat||^2] from build_estimators."""
+
     def test_rayleigh_single_user_closed_form(self):
         beta, eta, sw2, n = 1.3, 2.5, 0.7, 4
-        G = beta * np.eye(n)
-        B = eta * G + sw2 * np.eye(n)
-        D = lmmse_filter_D(G, B, eta)
-        gamma = gamma_coeff(G, D, eta)
-        assert gamma == pytest.approx(n * eta * beta ** 2 / (eta * beta + sw2),
-                                      rel=1e-12)
+        links = _one_link(beta, 0.0, n)
+        G = covariance_G(links.beta, links.los_frac, links.steering)[0, 0]
+        D = lmmse_filter_D(G, eta * G + sw2 * np.eye(n), eta)
+        want = n * eta * beta ** 2 / (eta * beta + sw2)
+        assert np.sqrt(eta) * np.trace(G @ D).real == pytest.approx(
+            want, rel=1e-12)
+        gamma = build_estimators(links, [0], [eta], sw2).gamma[0, 0]
+        assert gamma == pytest.approx(want, rel=1e-12)
 
     def test_vanishes_with_noise(self):
-        G = np.eye(3)
-        D = lmmse_filter_D(G, G + 1e12 * np.eye(3), 1.0)
-        assert gamma_coeff(G, D, 1.0) < 1e-10
+        est = build_estimators(_one_link(1.0, 0.0, 3), [0], [1.0], 1e12)
+        assert est.gamma[0, 0] < 1e-10
 
     def test_matches_mean_estimate_norm(self):
         links, pilots, eta, sw2, est = _small(seed=15)

@@ -8,7 +8,7 @@ import pytest
 import cfmimo
 from cfmimo import cli, harness
 from cfmimo.config import SystemConfig
-from cfmimo.errors import CfmimoError, NumericalError
+from cfmimo.errors import CfmimoError, ConfigurationError, NumericalError
 from cfmimo.harness import (emit_cdf, percentile, run_experiment,
                             simulate_drop, summarize)
 
@@ -118,6 +118,14 @@ class TestRunExperiment:
             np.testing.assert_array_equal(
                 getattr(res, f"rate_{name}"),
                 [getattr(rep, f"se_{name}") * cfg.bandwidth])
+
+    def test_long_shadow_decorr_is_a_config_error(self):
+        # exp(-d/decorr) over toroidal distances is not positive definite
+        # here; which values fail depends on the drawn positions.
+        cfg = SystemConfig(n_aps=20, n_gues=10, n_uavs=4, shadow_decorr=1e6)
+        with pytest.raises(ConfigurationError,
+                           match="drop 0: shadow_decorr = 1e\\+06 m"):
+            run_experiment(cfg, 1, 1)
 
     def test_invalid_counts(self):
         with pytest.raises(CfmimoError):
@@ -232,6 +240,27 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             "ERROR ConfigurationError: noise_figure must be finite"]
+
+    def test_overflowing_db_value_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"fpc_p0": 4000}')
+        code = cli.main(["run", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR ConfigurationError: fpc_p0 overflows in mW"]
+
+    def test_long_shadow_decorr_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        SystemConfig(n_aps=20, n_gues=10, n_uavs=4,
+                     shadow_decorr=1e6).to_json(cfg_path)
+        code = cli.main(["run", "--config", str(cfg_path), "--drops", "1",
+                         "--fading-trials", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "ERROR ConfigurationError: drop 0: shadow_decorr = 1e+06 m")
 
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
