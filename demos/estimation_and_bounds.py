@@ -11,7 +11,7 @@ from cfmimo.bounds import se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb, uatf_terms
 from cfmimo.channel import build_links, sample_channels
 from cfmimo.config import SystemConfig
 from cfmimo.deployment import UAV, sample_drop
-from cfmimo.estimation import build_estimators
+from cfmimo.estimation import build_estimators, lmmse_estimate
 
 cfg = SystemConfig(area_side=400.0, n_aps=12, n_gues=6, n_uavs=2,
                    n_ap_antennas=2, tau_p=4, tau_c=20, rng_seed=1)
@@ -37,7 +37,7 @@ spread[drop.pilot_index, np.arange(cfg.n_users)] = np.sqrt(eta_tr)
 y = np.einsum("pk,tkan->tpan", spread, g)
 y += (rng.standard_normal(y.shape)
       + 1j * rng.standard_normal(y.shape)) * np.sqrt(sigma2 / 2)
-ghat = np.einsum("kanm,tkam->tkan", est.D, y[:, drop.pilot_index])
+ghat = lmmse_estimate(links, est, y)
 mc_gamma = np.einsum("tkan->ka", np.abs(ghat) ** 2) / n_mc
 rel = np.abs(mc_gamma - est.gamma) / est.gamma
 print(f"gamma vs simulated estimate energy ({n_mc} blocks): "

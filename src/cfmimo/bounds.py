@@ -1,10 +1,12 @@
 """Spectral-efficiency bounds.
 
 Closed-form lower bounds come from hardening ("use-and-then-forget") SINR
-expressions evaluated from the estimation statistics (D, gamma) and the
-link covariances G = c_los a a^H + c_eye I, read as (c_los, c_eye, a);
-upper bounds are Monte-Carlo averages of log2(1 + instantaneous SINR) with
-true channels and actual LMMSE estimates/beamformers.
+expressions evaluated from the estimators' per-gram state (alpha, tr E, E
+on the grams with a LOS user, z = B^{-1} a on the LOS links), gamma and
+the link covariances G = c_los a a^H + c_eye I, read as (c_los, c_eye, a);
+no filter is formed as a matrix. Upper bounds are Monte-Carlo averages of
+log2(1 + instantaneous SINR) with true channels and actual LMMSE
+estimates/beamformers.
 
 All SINR denominators decompose into: beamforming-gain-uncertainty term,
 cross-interference trace term, noise term, and a pilot-contamination term
@@ -20,19 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkSet, covariance_coeffs, sample_channels
-from .estimation import EstimatorSet
+from .estimation import EstimatorSet, lmmse_estimate
 from .errors import NumericalError
-
-_IMAG_TOL = 1e-9
-
-
-def _real_guard(x, what):
-    x = np.asarray(x)
-    scale = np.maximum(np.abs(x), 1e-300)
-    if np.any(np.abs(x.imag) > _IMAG_TOL * scale):
-        raise NumericalError(f"{what} has non-negligible imaginary part")
-    return x.real
-
 
 @dataclass
 class RateReport:
@@ -65,7 +56,7 @@ class UatfTerms:
     |A_j| slots. C is the largest serving-set size; an owner served by
     fewer APs has its remaining slots pointing at APs that do not serve it,
     and the SINRs give those slots weight 0 (their filters, and so their
-    terms, are 0: the estimators are solved on the serving set only).
+    terms, are 0: the owner's side of a slot is masked by the serving set).
     In cell-free mode C = A and ap[j, c] = c.
 
     cross is read for every (owner, user) pair. t and delta are read only
@@ -79,6 +70,9 @@ class UatfTerms:
     t       : (P, C) complex      tr(D_{j,a} G_{k,a})
     delta   : (P, C) real         delta of link (k, a) against D_{j,a}
     gamma   : (K, A); eta_train : (K,)
+
+    D_{j,a} = sqrt(eta_j) G_{j,a} B^{-1} is owner j's LMMSE filter at AP
+    a, never formed: every entry comes from scalars of its pilot gram B.
     """
     ap: np.ndarray
     serving: np.ndarray
@@ -101,53 +95,84 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     links : the drop's link state; est : its estimators, which carry the
         serving mask (est.served) and the pilot assignment.
 
-    Every term comes from the form G_k = c_los a_k a_k^H + c_eye I: cross
-    from each slot's X = D_j G_j, with one real product per AP for the users
-    with a LOS component; t = c_los a_k^H D a_k + x and
-    delta = x (x + 2 c_los Re(a_k^H D a_k)) with x = c_eye tr(D), so each
-    pair gathers only its owner's filters and its user's steering vectors.
+    Every term comes from G = c_los a a^H + c_eye I and the owner's filter
+    D_j = sqrt(eta_j) (c_eye,j B^{-1} + c_los,j a_j z_j^H), read through
+    scalars of its gram: tr B^{-1} = N / alpha + tr E and q = a^H B^{-1} a.
+    With x = c_eye,k tr D_j and
+    a_k^H D_j a_k = sqrt(eta_j) (c_eye,j q_k + c_los,j (a_k^H a_j)(z_j^H a_k)),
+    t = c_los,k a_k^H D_j a_k + x and
+    delta = x (x + 2 c_los,k Re(a_k^H D_j a_k)); the steering products are
+    formed only on the pairs whose users both have a LOS component.
+    cross = c_eye,k tr X + c_los,k Re(a_k^H X a_k) with X = D_j G_j, whose
+    B^{-1} part a_k^H E a_k comes from one product per LOS gram.
     """
     serving = est.served
     K, A, N = links.steering.shape
     C = int(serving.sum(axis=1).max())
     # Served APs first, each group in ascending order.
     ap = np.argsort(~serving, axis=1, kind="stable")[:, :C]
+    owner = np.arange(K)[:, None]
+    steer = links.steering
 
     cl, ce = covariance_coeffs(links.beta, links.los_frac)
+    has_los = np.any(cl > 0, axis=1)
+    los = np.flatnonzero(has_los)
+    q = np.zeros((K, A))                        # a^H B^{-1} a, 0 off LOS
+    q[los] = np.einsum("kan,kan->ka", np.conj(steer[los]), est.z[los]).real
+    # The owner's side of each slot, 0 on pad slots, and its gram.
+    root = np.sqrt(est.train_powers)[:, None] * serving[owner, ap]
+    ce_j, cl_j, q_j = ce[owner, ap], cl[owner, ap], q[owner, ap]
+    gram = est.pilot_index[:, None] * A + ap                    # (J, C)
+    n_alpha = N / est.alpha.ravel()[gram]
+    tr_inv = n_alpha + est.tr_E.ravel()[gram]
+
     pj, pk = np.nonzero(est.pilot_index[:, None] == est.pilot_index)
     link = (pk[:, None], ap[pj])                                # (P, C)
-    D = est.D[pj[:, None], ap[pj]]                              # (P, C, N, N)
-    steer = links.steering[link]
-    aDa = np.einsum("pcn,pcn->pc", np.conj(steer),
-                    np.einsum("pcnm,pcm->pcn", D, steer))
+    sb = np.zeros(link[1].shape, dtype=complex)       # (a_k^H a_j)(z_j^H a_k)
+    ll = np.flatnonzero(has_los[pj] & has_los[pk])
+    jl, kl = (pj[ll, None], ap[pj[ll]]), (pk[ll, None], ap[pj[ll]])
+    sb[ll] = (np.einsum("pcn,pcn->pc", np.conj(steer[kl]), steer[jl])
+              * np.einsum("pcn,pcn->pc", np.conj(est.z[jl]), steer[kl]))
+    aDa = root[pj] * (ce_j[pj] * q[link] + cl_j[pj] * sb)
+    x = ce[link] * root[pj] * (ce_j[pj] * tr_inv[pj] + cl_j[pj] * q_j[pj])
     c_los = cl[link]
-    x = ce[link] * _real_guard(np.einsum("pcnn->pc", D), "tr(D)")
 
     # cross = Re tr(X G_k), the conjugate of tr(G_j D_j^H G_k), with
-    # X = D_j G_j = c_eye,j D_j + c_los,j (D_j a_j) a_j^H: c_eye,k Re tr X
-    # plus, for the users with a LOS component, c_los,k Re(a_k^H X a_k), one
-    # real product of X and a_k a_k^H per AP block. Slots in AP-major order
-    # make each AP's block contiguous.
-    order = np.argsort(ap, axis=None, kind="stable")
-    edges = np.searchsorted(ap.ravel()[order], np.arange(A + 1))
-    owner = np.arange(K)[:, None]
-    D = est.D[owner, ap]                                        # (J, C, N, N)
-    steer = links.steering[owner, ap]
-    X = (ce[owner, ap, None, None] * D + cl[owner, ap, None, None]
-         * np.einsum("jcnm,jcm->jcn", D, steer)[..., None]
-         * np.conj(steer)[..., None, :])
-    cross = ce.T[ap] * np.einsum("jcnn->jc", X).real[..., None]  # (J, C, K)
-    los = np.flatnonzero(np.any(cl > 0, axis=1))
-    a_l = np.swapaxes(links.steering[los], 0, 1)                # (A, L, N)
-    W = (cl[los].T[..., None, None] * a_l[..., :, None]
-         * np.conj(a_l)[..., None, :]).reshape(A, len(los), N * N)
+    # X = sqrt(eta_j) (c_eye,j^2 B^{-1} + c_eye,j c_los,j (z_j a_j^H + a_j z_j^H)
+    #                  + c_los,j^2 q_j a_j a_j^H).
+    tr_X = root * (ce_j * ce_j * tr_inv + (2.0 * ce_j + N * cl_j) * cl_j * q_j)
+    cross = np.ascontiguousarray(ce.T)[ap]                      # (J, C, K)
+    cross *= tr_X[..., None]
+    # For the users l with a LOS component, Re(a_l^H X a_l): the B^{-1}
+    # part is N / alpha + Re(a_l^H E a_l), one real product of the LOS
+    # grams' E and a_l a_l^H per AP block (grams in AP-major order), ...
+    L, G = len(los), len(est.los_gram)
+    a_l = np.swapaxes(steer[los], 0, 1)                         # (A, L, N)
+    W = (a_l[..., :, None] * np.conj(a_l)[..., None, :]).reshape(A, L, N * N)
     W = np.swapaxes(W.view(float), 1, 2)                        # (A, 2N^2, L)
-    X = X.reshape(-1, N * N).view(float)[order]
-    los_part = np.empty((len(order), len(los)))
+    g_ap = est.los_gram % A
+    order = np.argsort(g_ap, kind="stable")
+    edges = np.searchsorted(g_ap[order], np.arange(A + 1))
+    E = est.E.reshape(G, N * N)[order].view(float)
+    ea_ap = np.empty((G, L))
     for a in range(A):
         lo, hi = edges[a], edges[a + 1]
-        np.matmul(X[lo:hi], W[a], out=los_part[lo:hi])
-    cross.reshape(-1)[order[:, None] * K + los] += los_part
+        np.matmul(E[lo:hi], W[a], out=ea_ap[lo:hi])
+    ea = np.zeros((G + 1, L))                   # row G: grams without E
+    ea[order] = ea_ap
+    row = np.full(est.alpha.size, G)
+    row[est.los_gram] = np.arange(G)
+    aXa = (root * ce_j * ce_j)[..., None] * (n_alpha[..., None] + ea[row[gram]])
+    # ... and the rest from a_l^H z_j and a_l^H a_j, one product per AP for
+    # the owners j with a LOS component, read at their slots.
+    prod = np.conj(a_l) @ np.concatenate([est.z[los],
+                                          steer[los]]).transpose(1, 2, 0)
+    j = np.arange(L)[:, None]
+    za, aa = prod[ap[los], :, j], prod[ap[los], :, L + j]     # (J', C, L)
+    aXa[los] += (root * cl_j)[los, :, None] * (
+        2.0 * ce_j[los, :, None] * (za * np.conj(aa)).real
+        + (cl_j * q_j)[los, :, None] * (aa.real ** 2 + aa.imag ** 2))
+    cross[..., los] += np.ascontiguousarray(cl[los].T)[ap] * aXa
 
     return UatfTerms(ap=ap, serving=serving, cross=cross,
                      pj=pj, pk=pk, t=c_los * aDa + x,
@@ -278,24 +303,24 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     - training: one (P, K) @ (T, K, AN) product, on real views of the
       complex arrays, spreads the users' channels onto their pilots; the
       training noise is added in place;
-    - LMMSE: the filters are applied on the S served links only, as a
-      stack of S (T, N) @ (N, N) products. They act on the conjugated
-      observation with D^H, so out comes conj(g_hat), which one take along
-      the link axis spreads to the (T, K, A, N) layout the GEMMs read,
-      zero off the serving set;
-    - DL: the received amplitudes M[t, k, j] = sum_a sqrt(eta_dl[j, a])
-      g_{t,k,a}^H g_hat_{t,j,a} enter the SINR only through |M|^2, so the
-      kernel computes conj(M) = g @ conj(w g_hat)^T instead: T products of
-      (K, AN) by (AN, K), with no conjugate of g ever formed;
-    - UL: M = conj(m g_hat) @ g^T (m the 0/1 serving mask), and
-      conj(m g_hat) is the spread estimate itself. The squares of its real
-      and imaginary parts sum to the combining noise
-      sum_a m_{k,a} ||g_hat_{t,k,a}||^2.
+    - LMMSE: lmmse_estimate forms B^{-1} y once per (pilot, AP) gram, with
+      a dense product only on the grams with a LOS user, and spreads it to
+      the (T, K, A, N) layout the GEMMs read, zero off the serving set;
+      the channel is then conjugated in place;
+    - UL: M = (m g_hat)^H g enters the SINR only through |M|^2, so the
+      kernel computes conj(M) = g_hat @ conj(g)^T (m the 0/1 serving mask;
+      the estimate is already zero off it). The squares of its real and
+      imaginary parts sum to the combining noise
+      sum_a m_{k,a} ||g_hat_{t,k,a}||^2;
+    - DL: the estimate is then weighted in place by sqrt(eta_dl), and the
+      received amplitudes M[t, k, j] = sum_a sqrt(eta_dl[j, a])
+      g_{t,k,a}^H g_hat_{t,j,a} are T products of conj(g) (K, AN) by
+      (w g_hat)^T (AN, K).
 
     The draws are those of one sample_channels call and the real, then the
     imaginary, training noise per batch. The training arrays are freed
-    before the GEMMs, and no more than three arrays the size of one channel
-    draw (T, K, A, N) are live at once.
+    before the GEMMs, and no more than two arrays the size of one channel
+    draw (T, K, A, N) and the training observation are live at once.
 
     Returns (se_dl, stderr_dl, se_ul, stderr_ul), each (K,), where se is
     frac * mean log2(1 + sinr) and stderr is the standard error of se.
@@ -313,16 +338,8 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     # spread[p, k]: user k's training amplitude on pilot p.
     spread = np.zeros((P, K))
     spread[pilot_index, np.arange(K)] = np.sqrt(est.train_powers)
-    wdl = np.sqrt(eta_dl)
-    # Served links (k, a): the observation row each one reads, its filter,
-    # and for every (k, a) its row in the estimate, S (a zero row) if
-    # unserved.
-    k_s, a_s = np.nonzero(serving_mask)
-    S = len(k_s)
-    y_row = pilot_index[k_s] * A + a_s
-    DH = np.conj(np.swapaxes(est.D[k_s, a_s], -1, -2))         # (S, N, N)
-    est_row = np.full(K * A, S)
-    est_row[k_s * A + a_s] = np.arange(S)
+    # sqrt(eta_dl) on the real view of the estimate: contiguous along 2N.
+    wdl = np.repeat(np.sqrt(eta_dl)[:, :, None], 2 * N, axis=2)
     diag = np.arange(K)
 
     sums = np.zeros((2, K))
@@ -344,36 +361,30 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
         wn *= np.sqrt(sigma_w2 / 2)
         y.imag += wn
         del wn
-        np.conjugate(y, out=y)
-        y = np.take(y.reshape(T, P * A, N), y_row, axis=1)       # (T, S, N)
-        ghat_s = np.empty((T, S + 1, N), dtype=complex)         # conj(g_hat)
-        ghat_s[:, S] = 0.0
-        np.matmul(y.transpose(1, 0, 2), DH,
-                  out=ghat_s[:, :S].transpose(1, 0, 2))
+        ghat = lmmse_estimate(links, est, y)                    # (T, K, A, N)
         del y
-        ghat_c = np.take(ghat_s, est_row, axis=1).reshape(T, K, A, N)
-        del ghat_s
+        np.conjugate(g, out=g)
 
-        # Downlink: received amplitude of user j's beam at user k.
-        buf = ghat_c * wdl[:, :, None]                          # conj(w g_hat)
-        Mdl = g_flat @ buf.reshape(T, K, A * N).transpose(0, 2, 1)  # conj(M)
-        del buf
+        # Uplink: matched-filter combining over the serving set; the
+        # estimate is already zero off it.
+        Mul = ghat.reshape(T, K, A * N) @ g_flat.transpose(0, 2, 1)
+        p_ul = Mul.real ** 2 + Mul.imag ** 2
+        sig = eta_ul * p_ul[:, diag, diag]
+        interf = p_ul @ eta_ul - sig
+        re_im = ghat.view(float).reshape(T, K, 2 * A * N)
+        noise = sigma_w2 * np.einsum("tki,tki->tk", re_im, re_im)
+        sinr_ul = sig / (interf + noise)
+
+        # Downlink: received amplitude of user j's beam at user k, with the
+        # estimate weighted in place.
+        re_im *= wdl.reshape(K, 2 * A * N)                      # w g_hat
+        Mdl = g_flat @ ghat.reshape(T, K, A * N).transpose(0, 2, 1)
         p_dl = Mdl.real ** 2 + Mdl.imag ** 2                    # (T, K, K)
         sig = p_dl[:, diag, diag]
         interf = p_dl.sum(axis=2) - sig
         sinr_dl = sig / (interf + sigma_z2)
-
-        # Uplink: matched-filter combining over the serving set; the
-        # estimate is already zero off it, so it is conj(m g_hat).
-        Mul = ghat_c.reshape(T, K, A * N) @ g_flat.transpose(0, 2, 1)
-        p_ul = Mul.real ** 2 + Mul.imag ** 2
-        sig = eta_ul * p_ul[:, diag, diag]
-        interf = p_ul @ eta_ul - sig
-        re_im = ghat_c.view(float).reshape(T, K, 2 * A * N)
-        noise = sigma_w2 * np.einsum("tki,tki->tk", re_im, re_im)
-        sinr_ul = sig / (interf + noise)
         # Free the batch (and the views that hold it) before the next draw.
-        del g, g_flat, ghat_c, re_im
+        del g, g_flat, ghat, re_im
 
         for i, sinr in enumerate((sinr_dl, sinr_ul)):
             se = se_lb(sinr, frac)

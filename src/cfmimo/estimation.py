@@ -2,13 +2,23 @@
 
 A link's covariance G = E[g g^H] = c_los a a^H + c_eye I is held as
 (c_los, c_eye) = covariance_coeffs(beta, kappa) and its steering vector a,
-never as a matrix. Per link the estimator is characterized by
+never as a matrix. The users on one pilot share, at each AP, the covariance
+of their de-spread training observation y, the pilot gram
 
-    D = sqrt(eta) G B^{-1}, the LMMSE filter: g_hat = D y_hat, with y_hat the
-        de-spread training observation, whose covariance (the pilot gram)
-        B = (sigma_w^2 + sum_i eta_i c_eye,i) I + sum_i eta_i c_los,i a_i a_i^H
-        the users i on the pilot share at the AP
-    gamma = E[||g_hat||^2] = sqrt(eta) (c_los a^H D a + c_eye tr D)
+    B = alpha I + sum_i eta_i c_los,i a_i a_i^H,
+    alpha = sigma_w^2 + sum_i eta_i c_eye,i,
+
+over the users i on the pilot. Only users with a LOS component add a
+rank-one term, so B^{-1} = I / alpha + E with E = 0 on every gram without
+one. The LMMSE estimate of a link is
+
+    g_hat = sqrt(eta) G B^{-1} y = sqrt(eta) (c_eye v + c_los a (z^H y)),
+    v = B^{-1} y,  z = B^{-1} a,
+
+with v shared by every user on the gram, and its mean energy is
+
+    gamma = E[||g_hat||^2] = eta (c_eye^2 tr B^{-1} + 2 c_eye c_los q
+                                  + N c_los^2 q),  q = a^H B^{-1} a.
 """
 
 from __future__ import annotations
@@ -21,24 +31,6 @@ from .channel import LinkSet, covariance_coeffs
 from .errors import NumericalError
 
 COND_LIMIT = 1e12
-
-
-def _pilot_grams(links: LinkSet, pilot_index, train_powers, sigma_w2):
-    """One gram per pilot in use: (grams (P', A, N, N), row (K,)), where
-    user k's gram is grams[row[k]]; only users with a LOS component add a
-    rank-one term."""
-    c_los, c_eye = covariance_coeffs(links.beta, links.los_frac)
-    eta = np.asarray(train_powers, dtype=float)[:, None]
-    pilots, row = np.unique(np.asarray(pilot_index), return_inverse=True)
-    alpha = np.full((len(pilots), c_eye.shape[1]), float(sigma_w2))
-    np.add.at(alpha, row, eta * c_eye)
-    grams = alpha[..., None, None] * np.eye(links.steering.shape[-1],
-                                            dtype=complex)
-    los = np.flatnonzero(np.any(c_los > 0, axis=1))
-    a = links.steering[los]
-    np.add.at(grams, row[los], (eta[los] * c_los[los])[..., None, None]
-              * a[..., :, None] * np.conj(a)[..., None, :])
-    return grams, row
 
 
 def _check_conditioned(B):
@@ -66,60 +58,134 @@ def _check_grams(grams, sigma_w2):
 
 @dataclass
 class EstimatorSet:
-    """Estimation statistics for the (user, AP) links of a drop.
+    """Estimation statistics for the (user, AP) links of a drop, held per
+    pilot gram; lmmse_estimate applies them to training observations.
 
-    D : (K, A, N, N) and gamma : (K, A) are solved only on the links in
-    `served` and are exactly 0 elsewhere.
+    The gram of link (k, a) is (pilot_index[k], a), flat index
+    pilot_index[k] * A + a, with P = pilot_index.max() + 1 pilot rows.
+
+    gamma : (K, A), solved on the links in `served` and exactly 0 elsewhere
     served : (K, A) bool, the drop's serving mask; pilot_index : (K,);
     train_powers : (K,)
+    alpha : (P, A) the scalar part of every gram
+    tr_E : (P, A) tr E, 0 on the grams without a LOS user
+    los_gram : (G,) ascending flat indices of the grams a served link reads
+        that have a user with a LOS component
+    E : (G, N, N) B^{-1} - I / alpha on those grams
+    z : (K, A, N) B^{-1} a on the LOS links of those grams, 0 elsewhere
     """
-    D: np.ndarray
     gamma: np.ndarray
     served: np.ndarray
     pilot_index: np.ndarray
     train_powers: np.ndarray
     sigma_w2: float
+    alpha: np.ndarray
+    tr_E: np.ndarray
+    los_gram: np.ndarray
+    E: np.ndarray
+    z: np.ndarray
 
 
 def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
                      serving=None) -> EstimatorSet:
-    """Solve D and gamma on the links in `serving` (K, A) bool; None, as in
-    cell-free mode, serves every link. The set carries the serving mask and
-    the pilot assignment to every later stage of the drop."""
+    """Solve the grams read by the links in `serving` (K, A) bool and gamma
+    on those links; None, as in cell-free mode, serves every link. The set
+    carries the serving mask and the pilot assignment to every later stage
+    of the drop."""
     K, A, N = links.steering.shape
     eta = np.broadcast_to(np.asarray(train_powers, dtype=float), (K,)).copy()
-    grams, row = _pilot_grams(links, pilot_index, eta, sigma_w2)
-    # Users on one pilot share its gram: check each distinct gram once.
-    _check_grams(grams, sigma_w2)
+    pilot = np.asarray(pilot_index)
     if serving is None:
         served = np.ones((K, A), dtype=bool)
     else:
         served = np.array(serving, dtype=bool)
-    k, a = np.nonzero(served)
-    c_los, c_eye = covariance_coeffs(links.beta[k, a], links.los_frac[k, a])
-    steer = links.steering[k, a]                                # (S, N)
-    root_eta = np.sqrt(eta[k])
-    # D = sqrt(eta) (B^{-1} G)^H = sqrt(eta) (c_eye B^{-H} + c_los a z^H).
-    # Links on one pilot at one AP share B: invert it once. z = B^{-1} a is
-    # solved: the product with B^{-1} loses digits on ill-conditioned grams.
-    used, link_gram = np.unique(row[k] * A + a, return_inverse=True)
-    B_inv = np.linalg.inv(grams.reshape(-1, N, N)[used])
-    D_s = np.conj(np.swapaxes(B_inv, 1, 2))[link_gram]
-    D_s *= (root_eta * c_eye)[:, None, None]
-    los = np.flatnonzero(c_los > 0)
-    z = np.linalg.solve(grams[row[k[los]], a[los]], steer[los, :, None])
-    D_s[los] += ((root_eta * c_los)[los, None, None] * steer[los, :, None]
-                 * np.conj(np.swapaxes(z, 1, 2)))
-    gamma_s = root_eta * (
-        c_los * np.einsum("sn,snm,sm->s", np.conj(steer), D_s, steer)
-        + c_eye * np.einsum("snn->s", D_s))
+    c_los, c_eye = covariance_coeffs(links.beta, links.los_frac)
+    alpha = np.full((pilot.max() + 1, A), float(sigma_w2))
+    np.add.at(alpha, pilot, eta[:, None] * c_eye)
+    gram = pilot[:, None] * A + np.arange(A)                    # (K, A)
+    used = np.zeros(alpha.size, dtype=bool)
+    used[gram[served]] = True
+    if np.any(alpha.ravel()[used] <= 0):
+        raise NumericalError("pilot gram is numerically singular")
+
+    # The used grams with a LOS user: slot s of gram g holds its s-th LOS
+    # user (k, a) in U[g, :, s] with weight eta c_los, zero-padded to r.
+    k, a = np.nonzero((c_los > 0) & used[gram])
+    los_gram, pos = np.unique(gram[k, a], return_inverse=True)
+    order = np.argsort(pos, kind="stable")
+    slot = np.empty_like(pos)
+    slot[order] = np.arange(len(pos)) - np.searchsorted(pos[order], pos[order])
+    G, r = len(los_gram), int(slot.max(initial=-1)) + 1
+    U = np.zeros((G, N, r), dtype=complex)
+    U[pos, :, slot] = links.steering[k, a]
+    w = np.zeros((G, r))
+    w[pos, slot] = eta[k] * c_los[k, a]
+    alpha_g = alpha.ravel()[los_gram][:, None, None]
+    eye = np.eye(N)
+    B = (U * w[:, None, :]) @ np.conj(np.swapaxes(U, 1, 2)) + alpha_g * eye
+    _check_grams(B, sigma_w2)
+    # One factorization per gram gives B^{-1} and z = B^{-1} a. z and
+    # q = a^H z are solved: the product with B^{-1} loses digits on
+    # ill-conditioned grams.
+    X = np.linalg.solve(B, np.concatenate(
+        [np.broadcast_to(eye, (G, N, N)), U], axis=2))
+    E = X[..., :N] - eye / alpha_g
+    z = np.zeros((K, A, N), dtype=complex)
+    z[k, a] = X[pos, :, N + slot]
+    q = np.einsum("kan,kan->ka", np.conj(links.steering), z)
+    # tr E = tr(-B^{-1} (B - alpha I)) / alpha = -sum_i w_i q_i / alpha.
+    tr_E = np.zeros(alpha.shape)
+    tr_E.ravel()[los_gram] = -np.bincount(
+        pos, w[pos, slot] * q[k, a].real, minlength=G) / alpha_g[:, 0, 0]
+
+    ks, as_ = np.nonzero(served)
+    tr_inv = N / alpha[pilot[ks], as_] + tr_E[pilot[ks], as_]
+    cl, ce, qs = c_los[ks, as_], c_eye[ks, as_], q[ks, as_]
+    gamma_s = eta[ks] * (ce * ce * tr_inv + (2.0 * ce + N * cl) * cl * qs)
     scale = np.maximum(np.abs(gamma_s), 1e-300)
     if np.any(np.abs(gamma_s.imag) > 1e-8 * scale) or np.any(gamma_s.real < -1e-8 * scale):
         raise NumericalError("gamma is not real non-negative; inconsistent inputs")
-    D = np.zeros((K, A, N, N), dtype=complex)
-    D[k, a] = D_s
     gamma = np.zeros((K, A))
-    gamma[k, a] = np.maximum(gamma_s.real, 0.0)
-    return EstimatorSet(D=D, gamma=gamma, served=served,
-                        pilot_index=np.asarray(pilot_index), train_powers=eta,
-                        sigma_w2=float(sigma_w2))
+    gamma[ks, as_] = np.maximum(gamma_s.real, 0.0)
+    return EstimatorSet(gamma=gamma, served=served, pilot_index=pilot,
+                        train_powers=eta, sigma_w2=float(sigma_w2),
+                        alpha=alpha, tr_E=tr_E, los_gram=los_gram, E=E, z=z)
+
+
+def lmmse_estimate(links: LinkSet, est: EstimatorSet, y):
+    """LMMSE estimates g_hat (T, K, A, N) of every link, 0 off the serving
+    set, from de-spread training observations y (T, P, A, N), one row per
+    pilot with P > every pilot index.
+
+    y is used as workspace: its rows on the LOS grams are overwritten when
+    y is C-contiguous. Each gram's alpha B^{-1} y = y + alpha E y is formed
+    in place, then spread to the users along the pilot axis and scaled by
+    sqrt(eta) c_eye / alpha per link; users with a LOS component add
+    sqrt(eta) c_los a (z^H y) on their own links.
+    """
+    K, A, N = links.steering.shape
+    T = y.shape[0]
+    pilot = est.pilot_index
+    c_los, c_eye = covariance_coeffs(links.beta, links.los_frac)
+    root = np.sqrt(est.train_powers)[:, None] * est.served
+    # z^H y from the observation as drawn, before the grams overwrite it.
+    los = np.flatnonzero(np.any(root * c_los > 0, axis=1))
+    zy = [np.einsum("tan,an->ta", y[:, pilot[k]], np.conj(est.z[k]))
+          for k in los]
+
+    flat = y.reshape(T, -1, N)
+    y_g = flat[:, est.los_gram]                                 # (T, G, N)
+    aE = est.alpha.ravel()[est.los_gram][:, None, None] * est.E
+    y_g += np.matmul(y_g.transpose(1, 0, 2),
+                     np.swapaxes(aE, 1, 2)).transpose(1, 0, 2)
+    flat[:, est.los_gram] = y_g
+    del y_g
+    ghat = np.take(flat.reshape(T, -1, A, N), pilot, axis=1)    # (T, K, A, N)
+    # Scale the real view, whose scale array is contiguous along 2N.
+    scale = root * c_eye / est.alpha[pilot]
+    re_im = ghat.view(float)
+    re_im *= np.repeat(scale[..., None], 2 * N, axis=-1)
+    for k, zy_k in zip(los, zy):
+        ghat[:, k] += zy_k[..., None] * ((root[k] * c_los[k])[:, None]
+                                         * links.steering[k])
+    return ghat

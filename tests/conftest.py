@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfmimo.channel import LinkSet, covariance_coeffs
-from cfmimo.estimation import build_estimators
+from cfmimo.estimation import build_estimators, lmmse_estimate
 
 
 def random_links(rng, n_users, n_aps, n_ant, rice_max=3.0):
@@ -39,6 +39,30 @@ def lmmse_filter_D(G, B, train_powers):
     """
     eta = np.asarray(train_powers, dtype=float)
     return np.sqrt(eta)[..., None, None] * (G @ np.linalg.inv(B))
+
+
+def lmmse_filters(links, est):
+    """Oracle: the dense LMMSE filter D = sqrt(eta) G B^{-1} (K, A, N, N) of
+    every link, with each pilot gram summed from the dense covariances of the
+    users on the pilot; 0 off the serving set.
+    """
+    G = covariance_G(links.beta, links.los_frac, links.steering)
+    p = est.pilot_index
+    same = (p[:, None] == p).astype(float)
+    B = (np.einsum("ku,u,uanm->kanm", same, est.train_powers, G)
+         + est.sigma_w2 * np.eye(G.shape[-1]))
+    D = lmmse_filter_D(G, B, est.train_powers[:, None])
+    return D * est.served[..., None, None]
+
+
+def applied_filters(links, est):
+    """The filters lmmse_estimate applies (K, A, N, N): its estimates from
+    the unit observations e_m, on every pilot and AP, are the columns D e_m.
+    """
+    A, N = links.steering.shape[1:]
+    P = est.pilot_index.max() + 1
+    y = np.tile(np.eye(N, dtype=complex)[:, None, None, :], (1, P, A, 1))
+    return np.moveaxis(lmmse_estimate(links, est, y), 0, -1)
 
 
 def simulate_training(g, pilot_index, train_powers, sigma_w2, tau_p, rng):

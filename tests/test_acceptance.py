@@ -14,7 +14,7 @@ from cfmimo import harness
 from cfmimo.channel import sample_channels
 from cfmimo.config import SystemConfig
 from cfmimo.deployment import UAV
-from cfmimo.estimation import build_estimators
+from cfmimo.estimation import build_estimators, lmmse_estimate
 from cfmimo.harness import run_experiment, simulate_drop, emit_cdf
 from cfmimo.allocation import (waterfill_level, wfpc, ppa,
                                dl_power_allocation)
@@ -41,8 +41,9 @@ def _draw_estimates(links, est, pilots, rng, n_draws):
         ysig[:, p] = np.einsum("u,tuan->tan", amp[users], g[:, users])
     wn = (rng.standard_normal(ysig.shape)
           + 1j * rng.standard_normal(ysig.shape)) * np.sqrt(est.sigma_w2 / 2)
-    y_hat = (ysig + wn)[:, pilots]
-    ghat = np.einsum("kanm,tkam->tkan", est.D, y_hat)
+    y = ysig + wn
+    y_hat = y[:, pilots]
+    ghat = lmmse_estimate(links, est, y)
     return g, ghat, y_hat
 
 

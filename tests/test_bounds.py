@@ -9,11 +9,12 @@ from cfmimo import harness
 from cfmimo.allocation import (AssociationMap, associate,
                                dl_power_allocation)
 from cfmimo.bounds import se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb, uatf_terms
-from cfmimo.channel import LinkSet, covariance_coeffs
+from cfmimo.channel import LinkSet, build_links, covariance_coeffs
 from cfmimo.config import SystemConfig
-from cfmimo.estimation import EstimatorSet, build_estimators
+from cfmimo.deployment import sample_drop
+from cfmimo.estimation import build_estimators, lmmse_estimate
 
-from conftest import covariance_G, random_links
+from conftest import covariance_G, lmmse_filters, random_links
 
 
 def unit_steer(rng, n):
@@ -37,25 +38,16 @@ def delta_oracle(beta, kappa, a, D):
     return term1 + term2
 
 
-def uatf_delta(beta, kappa, a, D):
+def uatf_delta(beta, kappa, a, eta, sigma_w2):
     """delta of one link (gain beta, LOS power fraction kappa, steering a)
-    against the filter D, as uatf_terms forms it on a one-user, one-AP
-    drop."""
+    against its own LMMSE filter, as uatf_terms forms it on a one-user,
+    one-AP drop with training power eta and noise sigma_w2, and that
+    filter D from the dense oracle."""
     shape = (1, 1)
     links = LinkSet(beta=np.full(shape, beta),
                     los_frac=np.full(shape, kappa), steering=a[None, None])
-    est = EstimatorSet(D=np.asarray(D, complex)[None, None],
-                       gamma=np.zeros(shape), served=np.ones(shape, bool),
-                       pilot_index=np.zeros(1, int), train_powers=np.ones(1),
-                       sigma_w2=1.0)
-    return uatf_terms(links, est).delta[0, 0]
-
-
-def real_trace_filter(rng, n):
-    """A random complex filter with a real trace, as every LMMSE filter
-    D = sqrt(eta) G B^{-1} has (uatf_terms rejects any other)."""
-    D = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return D - 1j * np.trace(D).imag / n * np.eye(n)
+    est = build_estimators(links, [0], [eta], sigma_w2)
+    return uatf_terms(links, est).delta[0, 0], lmmse_filters(links, est)[0, 0]
 
 
 class TestDelta:
@@ -64,42 +56,48 @@ class TestDelta:
     def test_rayleigh_reduces_to_trace_squared(self):
         rng = np.random.default_rng(0)
         a = unit_steer(rng, 3)
-        D = real_trace_filter(rng, 3)
         beta = 1.7
+        delta, D = uatf_delta(beta, 0.0, a, 1.3, 0.4)
         expected = beta ** 2 * np.abs(np.trace(D)) ** 2
-        assert uatf_delta(beta, 0.0, a, D) == pytest.approx(expected)
+        assert delta == pytest.approx(expected)
 
     def test_identity_filter(self):
+        # Without training noise and at unit training power a lone user's
+        # filter is G G^{-1} = I.
         rng = np.random.default_rng(1)
         n = 4
         a = unit_steer(rng, n)
         beta, k = 2.0, 1.5
         c = beta / (k + 1)
         expected = c ** 2 * (n ** 2 + 2 * k * n ** 2)
-        assert uatf_delta(beta, k / (k + 1), a, np.eye(n)) \
-            == pytest.approx(expected)
+        delta, D = uatf_delta(beta, k / (k + 1), a, 1.0, 0.0)
+        np.testing.assert_allclose(D, np.eye(n), rtol=0, atol=1e-12)
+        assert delta == pytest.approx(expected)
 
     def test_zero_filter(self):
+        # Zero training power gives the zero filter.
         rng = np.random.default_rng(2)
         a = unit_steer(rng, 3)
-        assert uatf_delta(1.0, 2.0 / 3.0, a, np.zeros((3, 3))) == 0.0
+        delta, D = uatf_delta(1.0, 2.0 / 3.0, a, 0.0, 0.5)
+        assert np.all(D == 0)
+        assert delta == 0.0
 
     def test_pure_los_vanishes(self):
         rng = np.random.default_rng(3)
         a = unit_steer(rng, 3)
-        D = real_trace_filter(rng, 3)
-        assert uatf_delta(1.5, 1.0, a, D) == 0.0
+        assert uatf_delta(1.5, 1.0, a, 1.2, 0.3)[0] == 0.0
 
     def test_random_instances_match_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             n = rng.integers(2, 5)
             a = unit_steer(rng, n)
-            D = real_trace_filter(rng, n)
             beta = rng.uniform(0.1, 3.0)
             k = rng.uniform(0.0, 5.0)
             kappa = k / (k + 1.0)
-            assert uatf_delta(beta, kappa, a, D) == pytest.approx(
+            delta, D = uatf_delta(beta, kappa, a, rng.uniform(0.5, 2.0),
+                                  rng.uniform(0.1, 1.0))
+            assert delta == pytest.approx(
                 delta_oracle(beta, kappa, a, D), rel=1e-10)
 
 
@@ -184,6 +182,41 @@ class TestRelabelling:
             np.testing.assert_allclose(got, w, rtol=1e-12, atol=0)
         for got, w in zip(sinrs(users, np.arange(A)), want):
             np.testing.assert_allclose(got, w[users], rtol=1e-12, atol=0)
+
+
+class TestScaleInvariance:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 6),
+           A=st.integers(1, 4), N=st.integers(1, 3),
+           log_s=st.floats(-3.0, 3.0))
+    def test_sinrs_unchanged_when_powers_and_noise_scale(self, seed, K, A,
+                                                         N, log_s):
+        # Scaling the training, DL and UL powers and both noise powers by
+        # one factor s leaves both closed-form SINRs unchanged: gamma is
+        # invariant, the filters scale as 1 / sqrt(s) and every numerator
+        # and denominator term as s. The drop mixes Rayleigh, Ricean and
+        # pure-LOS links under a random mask.
+        rng = np.random.default_rng(seed)
+        links = random_links(rng, K, A, N)
+        kind = rng.integers(0, 3, (K, A))
+        links.los_frac[kind == 0] = 0.0
+        links.los_frac[kind == 2] = 1.0
+        pilots = rng.integers(0, max(K - 1, 1), K)
+        eta_tr = rng.uniform(0.5, 2.0, K)
+        eta_dl = rng.uniform(0.1, 1.0, (K, A))
+        eta_ul = rng.uniform(0.1, 1.0, K)
+        mask = rng.random((K, A)) < 0.6
+        mask[np.arange(K), rng.integers(0, A, K)] = True
+
+        def sinrs(s):
+            est = build_estimators(links, pilots, s * eta_tr, s * 0.3,
+                                   serving=mask)
+            terms = uatf_terms(links, est)
+            return (sinr_dl_lb(terms, s * eta_dl, s * 0.25),
+                    sinr_ul_lb(terms, s * eta_ul, s * 0.3))
+
+        for got, want in zip(sinrs(10.0 ** log_s), sinrs(1.0)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 def _dl_setup(small_instance, rng):
@@ -334,8 +367,7 @@ def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac, n_trials,
             ysig[:, p] = np.einsum("u,tuan->tan", amp[users], g[:, users])
         wn = (rng.standard_normal(ysig.shape)
               + 1j * rng.standard_normal(ysig.shape)) * np.sqrt(sigma_w2 / 2)
-        y_hat = (ysig + wn)[:, pilot_index]
-        ghat = np.einsum("kanm,tkam->tkan", est.D, y_hat)
+        ghat = lmmse_estimate(links, est, ysig + wn)
 
         Mdl = np.einsum("tkan,ja,tjan->tkj", np.conj(g), wdl, ghat)
         p_dl = np.abs(Mdl) ** 2
@@ -400,7 +432,7 @@ class TestUatfTerms:
         K, A = links.beta.shape
         terms = uatf_terms(links, est)
         G = covariance_G(links.beta, links.los_frac, links.steering)
-        D = est.D
+        D = lmmse_filters(links, est)
         np.testing.assert_array_equal(terms.ap, np.tile(np.arange(A), (K, 1)))
         t = np.empty((K, A, K), complex)
         cross = np.empty((K, A, K))
@@ -424,12 +456,35 @@ class TestUatfTerms:
                                        atol=1e-12 * np.abs(want).max())
 
 
+    def test_peak_memory_of_a_100_antenna_drop(self):
+        # 4 APs x 100 antennas, each user served by its strongest AP: the
+        # estimators and the closed-form terms together peak at 14-17 MB
+        # over seeds 0-7, and the bound leaves ~1.5x headroom over the
+        # largest (seed 3). The dense per-link filters this form replaced
+        # peaked at 75-81 MB on the same drops.
+        cfg = SystemConfig(n_aps=4, n_ap_antennas=100,
+                           association_mode="UC", uc_cluster_size=1)
+        rng = np.random.default_rng(3)
+        drop = sample_drop(cfg, rng)
+        links = build_links(drop, cfg, rng)
+        serving = associate("UC", links.beta, 1).serving
+        tracemalloc.start()
+        try:
+            est = build_estimators(links, drop.pilot_index, cfg.train_power,
+                                   cfg.noise_power_mw, serving=serving)
+            uatf_terms(links, est)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25e6, peak / 1e6
+
+
 def _dense_terms(links, est):
     """Oracle: the dense (J, K, A) closed-form terms over every (filter
     owner, user, AP) triple, as uatf_terms built them before the
     serving-set slots."""
     G = covariance_G(links.beta, links.los_frac, links.steering)
-    D = est.D
+    D = lmmse_filters(links, est)
     beta, kappa = links.beta, links.los_frac
     c = beta * (1.0 - kappa)
     c2, c2k = c * c, c * beta * kappa
@@ -572,7 +627,7 @@ class TestServingSlots:
         # serving set bit for bit, so no unserved filter is read.
         links, pilots, est, mask, eta_dl, eta_ul = self._instance()
         full = build_estimators(links, pilots, est.train_powers, 0.3)
-        assert np.any(full.D[~mask] != 0)
+        assert np.any(full.gamma[~mask] != 0)
         for e in (dataclasses.replace(full, served=mask), est):
             terms = uatf_terms(links, e)
             got = (sinr_dl_lb(terms, eta_dl, 0.25),

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from cfmimo.channel import sample_channels
+from cfmimo.channel import covariance_coeffs, sample_channels
 from cfmimo import estimation
 from cfmimo.errors import NumericalError
-from cfmimo.estimation import COND_LIMIT, build_estimators
+from cfmimo.estimation import COND_LIMIT, build_estimators, lmmse_estimate
 
-from conftest import (covariance_G, lmmse_filter_D, random_links,
-                      simulate_training)
+from conftest import (applied_filters, covariance_G, lmmse_filter_D,
+                      lmmse_filters, random_links, simulate_training)
 
 
 def unit_steer(rng, n):
@@ -46,10 +46,13 @@ class TestCovarianceG:
 
 
 def pilot_gram_B(links, pilot_index, train_powers, sigma_w2):
-    """Each user's pilot gram (K, A, N, N), as build_estimators forms it."""
-    grams, row = estimation._pilot_grams(links, pilot_index, train_powers,
-                                         sigma_w2)
-    return grams[row]
+    """Each user's pilot gram (K, A, N, N), inverted back from the
+    B^{-1} = I / alpha + E that build_estimators holds per gram."""
+    est = build_estimators(links, pilot_index, train_powers, sigma_w2)
+    A, N = links.steering.shape[1:]
+    inv = np.eye(N) / est.alpha.reshape(-1, 1, 1) + 0j
+    inv[est.los_gram] += est.E
+    return np.linalg.inv(inv[est.pilot_index[:, None] * A + np.arange(A)])
 
 
 class TestPilotGramB:
@@ -104,17 +107,30 @@ def _one_link(beta, los_frac, n, seed=0):
     return links
 
 
+def _filters(links, pilots, eta, sw2, serving=None):
+    """The filters lmmse_estimate applies for the estimators of a drop."""
+    est = build_estimators(links, pilots, eta, sw2, serving=serving)
+    return applied_filters(links, est)
+
+
+def _per_pilot(Y):
+    """The de-spread observation of every pilot (..., tau_p, A, N) from the
+    received matrices Y (..., A, N, tau_p) of simulate_training."""
+    return np.ascontiguousarray(np.moveaxis(Y, -1, -3))
+
+
 class TestLmmseFilter:
-    """The filters build_estimators solves."""
+    """The filters that lmmse_estimate applies with the estimators
+    build_estimators solves."""
 
     def test_rayleigh_single_user_scalar_form(self):
         beta, eta, sw2, n = 1.7, 2.0, 0.4, 3
-        D = build_estimators(_one_link(beta, 0.0, n), [0], [eta], sw2).D
+        D = _filters(_one_link(beta, 0.0, n), [0], [eta], sw2)
         expected = np.sqrt(eta) * beta / (eta * beta + sw2) * np.eye(n)
         assert np.allclose(D[0, 0], expected)
 
     def test_vanishes_with_noise(self):
-        D = build_estimators(_one_link(1.5, 0.0, 2), [0], [1.0], 1e12).D
+        D = _filters(_one_link(1.5, 0.0, 2), [0], [1.0], 1e12)
         assert np.linalg.norm(D) < 1e-10
 
     def test_singular_gram_rejected(self):
@@ -138,7 +154,7 @@ class TestLmmseFilter:
         same = (pilots[:, None] == pilots).astype(float)
         B = np.einsum("ku,u,uanm->kanm", same, eta, G) + sw2 * np.eye(3)
         D = lmmse_filter_D(G, B, eta[:, None])
-        np.testing.assert_allclose(est.D, D, rtol=0,
+        np.testing.assert_allclose(applied_filters(links, est), D, rtol=0,
                                    atol=1e-12 * np.abs(D).max())
         gamma = np.sqrt(eta)[:, None] * np.einsum("kanm,kamn->ka", G, D)
         np.testing.assert_allclose(est.gamma, gamma.real, rtol=1e-12)
@@ -152,8 +168,8 @@ class TestLmmseFilter:
         for _ in range(10):
             g = sample_channels(links.beta, links.los_frac, links.steering,
                                 rng, n_draws=n_draws // 10)
-            y, _ = simulate_training(g, pilots, eta, sw2, 2, rng)
-            ghat = np.einsum("kanm,tkam->tkan", est.D, y)
+            y, Y = simulate_training(g, pilots, eta, sw2, 2, rng)
+            ghat = lmmse_estimate(links, est, _per_pilot(Y))
             acc += np.einsum("tkan,tkam->kanm", g - ghat, np.conj(y))
         resid = np.linalg.norm(acc / n_draws)
         assert resid < 0.02
@@ -193,14 +209,16 @@ class TestBuildEstimators:
         for name in ("pilot_index", "train_powers"):
             np.testing.assert_array_equal(getattr(part, name),
                                           getattr(full, name))
-        for name in ("D", "gamma"):
-            got, want = getattr(part, name), getattr(full, name)
+        for got, want in ((applied_filters(links, part),
+                           applied_filters(links, full)),
+                          (part.gamma, full.gamma)):
             np.testing.assert_array_equal(got[mask], want[mask])
             assert np.all(got[~mask] == 0)
         # An all-ones mask is the same build as serving=None.
         every = build_estimators(links, pilots, eta, 0.3,
                                  serving=np.ones((6, 5), bool))
-        np.testing.assert_array_equal(every.D, full.D)
+        np.testing.assert_array_equal(applied_filters(links, every),
+                                      applied_filters(links, full))
         np.testing.assert_array_equal(every.gamma, full.gamma)
 
 
@@ -338,8 +356,8 @@ class TestGammaCoeff:
         for _ in range(10):
             g = sample_channels(links.beta, links.los_frac, links.steering,
                                 rng, n_draws=n_draws // 10)
-            y, _ = simulate_training(g, pilots, eta, sw2, 2, rng)
-            ghat = np.einsum("kanm,tkam->tkan", est.D, y)
+            _, Y = simulate_training(g, pilots, eta, sw2, 2, rng)
+            ghat = lmmse_estimate(links, est, _per_pilot(Y))
             acc += np.einsum("tkan->ka", np.abs(ghat) ** 2)
         assert np.allclose(acc / n_draws, est.gamma, rtol=0.01)
 
@@ -352,3 +370,73 @@ class TestGammaCoeff:
             g = float(est.gamma[0, 0])
             assert g >= prev
             prev = g
+
+
+class TestLmmseEstimate:
+    def test_matches_dense_filters_on_observations(self):
+        # Rayleigh, Ricean and pure-LOS links, three users on one pilot, a
+        # pilot row that no user takes and a ragged mask: the estimates
+        # equal the dense oracle filters applied to the same observations.
+        rng = np.random.default_rng(39)
+        links = random_links(rng, 6, 4, 3)
+        links.los_frac[0] = 0.0
+        links.los_frac[1, :2] = 1.0
+        links.los_frac[4] = 0.0
+        links.beta[1] *= 30.0
+        pilots = np.array([0, 0, 2, 3, 0, 2])
+        mask = rng.random((6, 4)) < 0.6
+        mask[:, 1] = True
+        est = build_estimators(links, pilots, rng.uniform(0.5, 2, 6), 0.2,
+                               serving=mask)
+        y = (rng.standard_normal((5, 4, 4, 3))
+             + 1j * rng.standard_normal((5, 4, 4, 3)))
+        want = np.einsum("kanm,tkam->tkan", lmmse_filters(links, est),
+                         y[:, pilots])
+        got = lmmse_estimate(links, est, y.copy())
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+        assert np.all(got[:, ~mask] == 0)
+
+
+def _gamma_one_pilot(n, cond, ground, rng):
+    """gamma of the users on one pilot at one AP against its closed form.
+
+    A LOS user (pure LOS alone, Ricean when `ground`) shares the pilot
+    with a Rayleigh user when `ground`. Its LOS weight w = eta c_los sets
+    cond(B) = (alpha + w n) / alpha, where tr B^{-1} = (n - 1) / alpha
+    + 1 / (alpha + w n) and q = a^H B^{-1} a = n / (alpha + w n) hold
+    exactly; the oracle reads (c_los, c_eye) as the estimators do.
+    """
+    users = 2 if ground else 1
+    links = random_links(rng, users, 1, n)
+    sw2, eta = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0, users)
+    scatter = rng.uniform(0.5, 2.0, users) if ground else np.zeros(1)
+    alpha = sw2 + eta @ scatter
+    c_los = (cond - 1.0) * alpha / (n * eta[0])
+    links.beta[:, 0] = scatter
+    links.beta[0] += c_los
+    links.los_frac[:] = 0.0
+    links.los_frac[0] = c_los / links.beta[0]
+    est = build_estimators(links, [0] * users, eta, sw2)
+    cl, ce = covariance_coeffs(links.beta[:, 0], links.los_frac[:, 0])
+    alpha = sw2 + eta @ ce
+    w = eta[0] * cl[0]
+    tr_inv = (n - 1) / alpha + 1.0 / (alpha + w * n)
+    q = n / (alpha + w * n)
+    want = eta * ce ** 2 * tr_inv
+    want[0] += eta[0] * (2 * ce[0] + n * cl[0]) * cl[0] * q
+    return est.gamma[:, 0], want
+
+
+class TestGammaPrecision:
+    """gamma against the exact values of grams with one LOS user, for
+    condition numbers from 10 to 1e11."""
+
+    @pytest.mark.parametrize("ground", [False, True],
+                             ids=["pure_los_alone", "ricean_with_ground"])
+    def test_one_los_user_closed_form(self, ground):
+        rng = np.random.default_rng(40)
+        for cond in np.logspace(1, 11, 41):
+            for n in (2, 4, 16):
+                got, want = _gamma_one_pilot(n, cond, ground, rng)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
