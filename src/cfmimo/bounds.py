@@ -280,6 +280,14 @@ def sinr_ul_lb(terms: UatfTerms, eta_ul, sigma_w2, return_parts=False):
 # Monte-Carlo upper bounds
 # ---------------------------------------------------------------------------
 
+def _power(M, out=None):
+    """|M|^2 of the complex array M, as M.real ** 2 + M.imag ** 2, squared
+    in place on M's real view (M is overwritten)."""
+    v = M.view(float)
+    np.square(v, out=v)
+    return np.add(v[..., 0::2], v[..., 1::2], out=out)
+
+
 def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
              frac, n_trials, rng: np.random.Generator, batch=64):
     """Monte-Carlo SE upper bounds for all users, both directions.
@@ -315,7 +323,9 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     - DL: the estimate is then weighted in place by sqrt(eta_dl), and the
       received amplitudes M[t, k, j] = sum_a sqrt(eta_dl[j, a])
       g_{t,k,a}^H g_hat_{t,j,a} are T products of conj(g) (K, AN) by
-      (w g_hat)^T (AN, K).
+      (w g_hat)^T (AN, K), written over the UL amplitudes; the powers
+      |M|^2 are squared in place and overwrite the UL's, so the DL
+      allocates no (T, K, K) array.
 
     The draws are those of one sample_channels call and the real, then the
     imaginary, training noise per batch. The training arrays are freed
@@ -366,11 +376,12 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
         np.conjugate(g, out=g)
 
         # Uplink: matched-filter combining over the serving set; the
-        # estimate is already zero off it.
-        Mul = ghat.reshape(T, K, A * N) @ g_flat.transpose(0, 2, 1)
-        p_ul = Mul.real ** 2 + Mul.imag ** 2
-        sig = eta_ul * p_ul[:, diag, diag]
-        interf = p_ul @ eta_ul - sig
+        # estimate is already zero off it. The UL amplitudes and powers
+        # are overwritten by the DL's.
+        M = ghat.reshape(T, K, A * N) @ g_flat.transpose(0, 2, 1)
+        p = _power(M)                                           # (T, K, K)
+        sig = eta_ul * p[:, diag, diag]
+        interf = p @ eta_ul - sig
         re_im = ghat.view(float).reshape(T, K, 2 * A * N)
         noise = sigma_w2 * np.einsum("tki,tki->tk", re_im, re_im)
         sinr_ul = sig / (interf + noise)
@@ -378,13 +389,14 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
         # Downlink: received amplitude of user j's beam at user k, with the
         # estimate weighted in place.
         re_im *= wdl.reshape(K, 2 * A * N)                      # w g_hat
-        Mdl = g_flat @ ghat.reshape(T, K, A * N).transpose(0, 2, 1)
-        p_dl = Mdl.real ** 2 + Mdl.imag ** 2                    # (T, K, K)
-        sig = p_dl[:, diag, diag]
-        interf = p_dl.sum(axis=2) - sig
+        np.matmul(g_flat, ghat.reshape(T, K, A * N).transpose(0, 2, 1),
+                  out=M)
+        _power(M, out=p)
+        sig = p[:, diag, diag]
+        interf = p.sum(axis=2) - sig
         sinr_dl = sig / (interf + sigma_z2)
         # Free the batch (and the views that hold it) before the next draw.
-        del g, g_flat, ghat, re_im
+        del g, g_flat, ghat, re_im, M, p
 
         for i, sinr in enumerate((sinr_dl, sinr_ul)):
             se = se_lb(sinr, frac)
