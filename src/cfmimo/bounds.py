@@ -1,12 +1,11 @@
 """Spectral-efficiency bounds.
 
 Closed-form lower bounds come from hardening ("use-and-then-forget") SINR
-expressions evaluated from the estimators' per-gram state (alpha, tr E, E
-on the grams with a LOS user, z = B^{-1} a on the LOS links), gamma and
-the link covariances G = c_los a a^H + c_eye I, read as (c_los, c_eye, a);
-no filter is formed as a matrix. Upper bounds are Monte-Carlo averages of
-log2(1 + instantaneous SINR) with true channels and actual LMMSE
-estimates/beamformers.
+expressions evaluated from the estimators' per-gram state (alpha, tr B^{-1},
+z = B^{-1} a on the LOS links), gamma and the link covariances
+G = c_los a a^H + c_eye I, read as (c_los, c_eye, a); no filter is formed as
+a matrix. Upper bounds are Monte-Carlo averages of log2(1 + instantaneous
+SINR) with true channels and actual LMMSE estimates/beamformers.
 
 All SINR denominators decompose into: beamforming-gain-uncertainty term,
 cross-interference trace term, noise term, and a pilot-contamination term
@@ -24,6 +23,9 @@ import numpy as np
 from .channel import LinkSet, covariance_coeffs, sample_channels
 from .estimation import EstimatorSet, lmmse_estimate
 from .errors import NumericalError
+
+UB_BATCH = 64          # trials per batch of the Monte-Carlo upper bound
+
 
 @dataclass
 class RateReport:
@@ -97,14 +99,15 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
 
     Every term comes from G = c_los a a^H + c_eye I and the owner's filter
     D_j = sqrt(eta_j) (c_eye,j B^{-1} + c_los,j a_j z_j^H), read through
-    scalars of its gram: tr B^{-1} = N / alpha + tr E and q = a^H B^{-1} a.
+    scalars of its gram: tr B^{-1} and q = a^H B^{-1} a.
     With x = c_eye,k tr D_j and
     a_k^H D_j a_k = sqrt(eta_j) (c_eye,j q_k + c_los,j (a_k^H a_j)(z_j^H a_k)),
     t = c_los,k a_k^H D_j a_k + x and
     delta = x (x + 2 c_los,k Re(a_k^H D_j a_k)); the steering products are
     formed only on the pairs whose users both have a LOS component.
     cross = c_eye,k tr X + c_los,k Re(a_k^H X a_k) with X = D_j G_j, whose
-    B^{-1} part a_k^H E a_k comes from one product per LOS gram.
+    B^{-1} part a_k^H B^{-1} a_k = (N - a_k^H U M U^H a_k) / alpha comes
+    from z and the steering products.
     """
     serving = est.served
     K, A, N = links.steering.shape
@@ -123,8 +126,7 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     root = np.sqrt(est.train_powers)[:, None] * serving[owner, ap]
     ce_j, cl_j, q_j = ce[owner, ap], cl[owner, ap], q[owner, ap]
     gram = est.pilot_index[:, None] * A + ap                    # (J, C)
-    n_alpha = N / est.alpha.ravel()[gram]
-    tr_inv = n_alpha + est.tr_E.ravel()[gram]
+    tr_inv = est.tr_inv.ravel()[gram]
 
     pj, pk = np.nonzero(est.pilot_index[:, None] == est.pilot_index)
     link = (pk[:, None], ap[pj])                                # (P, C)
@@ -143,30 +145,21 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     tr_X = root * (ce_j * ce_j * tr_inv + (2.0 * ce_j + N * cl_j) * cl_j * q_j)
     cross = np.ascontiguousarray(ce.T)[ap]                      # (J, C, K)
     cross *= tr_X[..., None]
-    # For the users l with a LOS component, Re(a_l^H X a_l): the B^{-1}
-    # part is N / alpha + Re(a_l^H E a_l), one real product of the LOS
-    # grams' E and a_l a_l^H per AP block (grams in AP-major order), ...
-    L, G = len(los), len(est.los_gram)
+    # For the users l with a LOS component, Re(a_l^H X a_l) from a_l^H z_i
+    # and a_l^H a_i per AP: as U M U^H = sum_i w_i z_i a_i^H over the LOS
+    # users i on a gram (w = eta c_los), its B^{-1} part is (N - ea) / alpha
+    # with ea = Re sum_i w_i (a_l^H z_i)(a_i^H a_l), summed per pilot, ...
+    L, P = len(los), est.alpha.shape[0]
     a_l = np.swapaxes(steer[los], 0, 1)                         # (A, L, N)
-    W = (a_l[..., :, None] * np.conj(a_l)[..., None, :]).reshape(A, L, N * N)
-    W = np.swapaxes(W.view(float), 1, 2)                        # (A, 2N^2, L)
-    g_ap = est.los_gram % A
-    order = np.argsort(g_ap, kind="stable")
-    edges = np.searchsorted(g_ap[order], np.arange(A + 1))
-    E = est.E.reshape(G, N * N)[order].view(float)
-    ea_ap = np.empty((G, L))
-    for a in range(A):
-        lo, hi = edges[a], edges[a + 1]
-        np.matmul(E[lo:hi], W[a], out=ea_ap[lo:hi])
-    ea = np.zeros((G + 1, L))                   # row G: grams without E
-    ea[order] = ea_ap
-    row = np.full(est.alpha.size, G)
-    row[est.los_gram] = np.arange(G)
-    aXa = (root * ce_j * ce_j)[..., None] * (n_alpha[..., None] + ea[row[gram]])
-    # ... and the rest from a_l^H z_j and a_l^H a_j, one product per AP for
-    # the owners j with a LOS component, read at their slots.
     prod = np.conj(a_l) @ np.concatenate([est.z[los],
                                           steer[los]]).transpose(1, 2, 0)
+    w = (est.train_powers[los, None] * cl[los]).T[:, None, :]   # (A, 1, L)
+    ea = ((prod[..., :L] * np.conj(prod[..., L:])).real * w
+          @ (est.pilot_index[los, None] == np.arange(P)))       # (A, L, P)
+    aXa = (root * ce_j * ce_j / est.alpha.ravel()[gram])[..., None] * (
+        N - ea.transpose(2, 0, 1)[est.pilot_index[:, None], ap])
+    # ... and the rest from a_l^H z_j and a_l^H a_j for the owners j with a
+    # LOS component, read at their slots.
     j = np.arange(L)[:, None]
     za, aa = prod[ap[los], :, j], prod[ap[los], :, L + j]     # (J', C, L)
     aXa[los] += (root * cl_j)[los, :, None] * (
@@ -289,7 +282,7 @@ def _power(M, out=None):
 
 
 def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
-             frac, n_trials, rng: np.random.Generator, batch=64):
+             frac, n_trials, rng: np.random.Generator):
     """Monte-Carlo SE upper bounds for all users, both directions.
 
     links, est : the drop's link state and estimators; est carries the
@@ -298,7 +291,7 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     eta_ul : (K,) uplink transmit powers
     sigma_z2 : noise power at the users (the APs' is est.sigma_w2)
     frac : fraction of the coherence block each direction's data phase takes
-    n_trials : coherence blocks drawn; batch : trials per batch
+    n_trials : coherence blocks drawn, UB_BATCH per batch
 
     Each trial draws one coherence block (channels + training noise), runs
     the actual LMMSE estimation, and evaluates the instantaneous SINR with
@@ -312,9 +305,9 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
       complex arrays, spreads the users' channels onto their pilots; the
       training noise is added in place;
     - LMMSE: lmmse_estimate forms B^{-1} y once per (pilot, AP) gram, with
-      a dense product only on the grams with a LOS user, and spreads it to
-      the (T, K, A, N) layout the GEMMs read, zero off the serving set;
-      the channel is then conjugated in place;
+      two thin products through the factors U, U M only on the grams with
+      a LOS user, and spreads it to the (T, K, A, N) layout the GEMMs read,
+      zero off the serving set; the channel is then conjugated in place;
     - UL: M = (m g_hat)^H g enters the SINR only through |M|^2, so the
       kernel computes conj(M) = g_hat @ conj(g)^T (m the 0/1 serving mask;
       the estimate is already zero off it). The squares of its real and
@@ -333,7 +326,8 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     draw (T, K, A, N) and the training observation are live at once.
 
     Returns (se_dl, stderr_dl, se_ul, stderr_ul), each (K,), where se is
-    frac * mean log2(1 + sinr) and stderr is the standard error of se.
+    frac * mean log2(1 + sinr) and stderr is the standard error of se, from
+    per-batch M2 merged in batch order (Chan et al.'s pairwise update).
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -353,10 +347,10 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     diag = np.arange(K)
 
     sums = np.zeros((2, K))
-    sq = np.zeros((2, K))
+    m2 = np.zeros((2, K))
     done = 0
     while done < n_trials:
-        T = min(batch, n_trials - done)
+        T = min(UB_BATCH, n_trials - done)
         g = sample_channels(links.beta, links.los_frac, links.steering,
                             rng, n_draws=T)                     # (T, K, A, N)
         g_flat = g.reshape(T, K, A * N)
@@ -400,11 +394,13 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
 
         for i, sinr in enumerate((sinr_dl, sinr_ul)):
             se = se_lb(sinr, frac)
+            batch_mean = se.mean(axis=0)
+            shift = batch_mean - sums[i] / max(done, 1)
+            m2[i] += (np.sum((se - batch_mean) ** 2, axis=0)
+                      + shift ** 2 * (done * T / (done + T)))
             sums[i] += se.sum(axis=0)
-            sq[i] += (se ** 2).sum(axis=0)
         done += T
 
     mean = sums / n_trials
-    var = np.maximum(sq / n_trials - mean ** 2, 0.0)
-    stderr = np.sqrt(var / n_trials)
+    stderr = np.sqrt(m2 / n_trials / n_trials)
     return mean[0], stderr[0], mean[1], stderr[1]

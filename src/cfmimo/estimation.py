@@ -5,17 +5,19 @@ A link's covariance G = E[g g^H] = c_los a a^H + c_eye I is held as
 never as a matrix. The users on one pilot share, at each AP, the covariance
 of their de-spread training observation y, the pilot gram
 
-    B = alpha I + sum_i eta_i c_los,i a_i a_i^H,
-    alpha = sigma_w^2 + sum_i eta_i c_eye,i,
+    B = alpha I + U W U^H,  alpha = sigma_w^2 + sum_i eta_i c_eye,i,
 
-over the users i on the pilot. Only users with a LOS component add a
-rank-one term, so B^{-1} = I / alpha + E with E = 0 on every gram without
-one. The LMMSE estimate of a link is
+with U (N, r) the steering vectors of the r users on the pilot that have a
+LOS component and W = diag(eta_i c_los,i). B is held as thin factors,
+
+    B^{-1} = (I - U M U^H) / alpha,  M = (alpha I_r + W U^H U)^{-1} W,
+
+and the LMMSE estimate of a link, with s its user's slot in U, is
 
     g_hat = sqrt(eta) G B^{-1} y = sqrt(eta) (c_eye v + c_los a (z^H y)),
-    v = B^{-1} y,  z = B^{-1} a,
+    v = B^{-1} y,  z = B^{-1} a = U (alpha I_r + W U^H U)^{-1} e_s,
 
-with v shared by every user on the gram, and its mean energy is
+with v shared by every user on the gram; its mean energy is
 
     gamma = E[||g_hat||^2] = eta (c_eye^2 tr B^{-1} + 2 c_eye c_los q
                                   + N c_los^2 q),  q = a^H B^{-1} a.
@@ -33,27 +35,26 @@ from .errors import NumericalError
 COND_LIMIT = 1e12
 
 
-def _check_conditioned(B):
-    """Raise NumericalError unless every Hermitian gram in B (..., N, N) is
-    positive definite with condition number at most COND_LIMIT."""
-    ew = np.linalg.eigvalsh(B)
-    if np.any(ew[..., 0] <= 0) or np.any(ew[..., -1] / ew[..., 0] > COND_LIMIT):
-        raise NumericalError("pilot gram is numerically singular")
-
-
-def _check_grams(grams, sigma_w2):
-    """_check_conditioned on the pilot grams, skipping those that cannot fail.
-
-    Each gram is sigma_w^2 I plus a sum of PSD covariances weighted by
-    non-negative training powers, so its eigenvalues lie in
-    [sigma_w^2, tr(B)] and cond(B) <= tr(B) / sigma_w^2. Only grams
-    whose bound exceeds COND_LIMIT / 2 (the factor absorbs rounding in the
-    eigenvalues) go to eigvalsh; with sigma_w^2 <= 0 every gram does.
-    """
+def _check_grams(alpha, uu, w, n, sigma_w2):
+    """Raise NumericalError unless every gram B = alpha I_n + U W U^H, from
+    alpha (G,), uu = U^H U (G, r, r) and w (G, r) >= 0, is positive definite
+    with cond(B) <= COND_LIMIT. B's eigenvalues are the n largest of those
+    of S = alpha I_r + W^1/2 U^H U W^1/2 together with n copies of alpha.
+    As B - sigma_w^2 I is PSD, cond(B) <= tr(B) / sigma_w^2; grams where
+    that bound is at most COND_LIMIT / 2 (the factor absorbs rounding) skip
+    eigvalsh; with sigma_w^2 <= 0 none do."""
     if sigma_w2 > 0:
-        bound = np.einsum("...nn->...", grams).real / sigma_w2
-        grams = grams[~(bound <= COND_LIMIT / 2)]
-    _check_conditioned(grams)
+        trace = n * alpha + np.einsum("gs,gss->g", w, uu).real
+        keep = ~(trace / sigma_w2 <= COND_LIMIT / 2)
+        alpha, uu, w = alpha[keep], uu[keep], w[keep]
+    root = np.sqrt(w)[:, :, None]
+    S = root * uu * np.swapaxes(root, 1, 2)
+    S += alpha[:, None, None] * np.eye(uu.shape[-1])
+    ew = np.concatenate([np.linalg.eigvalsh(S),
+                         np.repeat(alpha[:, None], n, axis=1)], axis=1)
+    ew = np.sort(ew, axis=1)[:, -n:]
+    if np.any(ew[:, 0] <= 0) or np.any(ew[:, -1] / ew[:, 0] > COND_LIMIT):
+        raise NumericalError("pilot gram is numerically singular")
 
 
 @dataclass
@@ -68,10 +69,12 @@ class EstimatorSet:
     served : (K, A) bool, the drop's serving mask; pilot_index : (K,);
     train_powers : (K,)
     alpha : (P, A) the scalar part of every gram
-    tr_E : (P, A) tr E, 0 on the grams without a LOS user
+    tr_inv : (P, A) tr B^{-1}, N / alpha on the grams without a LOS user
     los_gram : (G,) ascending flat indices of the grams a served link reads
         that have a user with a LOS component
-    E : (G, N, N) B^{-1} - I / alpha on those grams
+    U : (G, N, r) the steering vectors of each such gram's LOS users, with
+        r the most on any gram and zero columns past a gram's own count
+    UM : (G, N, r) the product U M, so B^{-1} = (I - UM U^H) / alpha there
     z : (K, A, N) B^{-1} a on the LOS links of those grams, 0 elsewhere
     """
     gamma: np.ndarray
@@ -80,9 +83,10 @@ class EstimatorSet:
     train_powers: np.ndarray
     sigma_w2: float
     alpha: np.ndarray
-    tr_E: np.ndarray
+    tr_inv: np.ndarray
     los_gram: np.ndarray
-    E: np.ndarray
+    U: np.ndarray
+    UM: np.ndarray
     z: np.ndarray
 
 
@@ -120,28 +124,28 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
     U[pos, :, slot] = links.steering[k, a]
     w = np.zeros((G, r))
     w[pos, slot] = eta[k] * c_los[k, a]
-    alpha_g = alpha.ravel()[los_gram][:, None, None]
-    eye = np.eye(N)
-    B = (U * w[:, None, :]) @ np.conj(np.swapaxes(U, 1, 2)) + alpha_g * eye
-    _check_grams(B, sigma_w2)
-    # One factorization per gram gives B^{-1} and z = B^{-1} a. z and
-    # q = a^H z are solved: the product with B^{-1} loses digits on
-    # ill-conditioned grams.
-    X = np.linalg.solve(B, np.concatenate(
-        [np.broadcast_to(eye, (G, N, N)), U], axis=2))
-    E = X[..., :N] - eye / alpha_g
+    alpha_g = alpha.ravel()[los_gram]
+    uu = np.conj(np.swapaxes(U, 1, 2)) @ U                      # (G, r, r)
+    _check_grams(alpha_g, uu, w, N, sigma_w2)
+    # One inverse of S = alpha I + W U^H U (r x r) per gram gives U M =
+    # U S^{-1} W and the solved z = U S^{-1} e_s; (a - U M U^H a) / alpha
+    # would cancel on ill-conditioned grams.
+    S_inv = np.linalg.inv(w[:, :, None] * uu
+                          + alpha_g[:, None, None] * np.eye(r))
+    US = U @ S_inv
     z = np.zeros((K, A, N), dtype=complex)
-    z[k, a] = X[pos, :, N + slot]
+    z[k, a] = US[pos, :, slot]
     q = np.einsum("kan,kan->ka", np.conj(links.steering), z)
-    # tr E = tr(-B^{-1} (B - alpha I)) / alpha = -sum_i w_i q_i / alpha.
-    tr_E = np.zeros(alpha.shape)
-    tr_E.ravel()[los_gram] = -np.bincount(
-        pos, w[pos, slot] * q[k, a].real, minlength=G) / alpha_g[:, 0, 0]
+    # tr B^{-1} = (N - r) / alpha + tr S^{-1} sums positive terms for
+    # r <= N, where N / alpha + tr(B^{-1} - I / alpha) would cancel.
+    tr_inv = N / alpha
+    tr_inv.ravel()[los_gram] = ((N - r) / alpha_g
+                                + np.trace(S_inv, axis1=1, axis2=2).real)
 
     ks, as_ = np.nonzero(served)
-    tr_inv = N / alpha[pilot[ks], as_] + tr_E[pilot[ks], as_]
     cl, ce, qs = c_los[ks, as_], c_eye[ks, as_], q[ks, as_]
-    gamma_s = eta[ks] * (ce * ce * tr_inv + (2.0 * ce + N * cl) * cl * qs)
+    gamma_s = eta[ks] * (ce * ce * tr_inv[pilot[ks], as_]
+                         + (2.0 * ce + N * cl) * cl * qs)
     scale = np.maximum(np.abs(gamma_s), 1e-300)
     if np.any(np.abs(gamma_s.imag) > 1e-8 * scale) or np.any(gamma_s.real < -1e-8 * scale):
         raise NumericalError("gamma is not real non-negative; inconsistent inputs")
@@ -149,7 +153,8 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
     gamma[ks, as_] = np.maximum(gamma_s.real, 0.0)
     return EstimatorSet(gamma=gamma, served=served, pilot_index=pilot,
                         train_powers=eta, sigma_w2=float(sigma_w2),
-                        alpha=alpha, tr_E=tr_E, los_gram=los_gram, E=E, z=z)
+                        alpha=alpha, tr_inv=tr_inv, los_gram=los_gram, U=U,
+                        UM=US * w[:, None, :], z=z)
 
 
 def lmmse_estimate(links: LinkSet, est: EstimatorSet, y):
@@ -158,10 +163,10 @@ def lmmse_estimate(links: LinkSet, est: EstimatorSet, y):
     pilot with P > every pilot index.
 
     y is used as workspace: its rows on the LOS grams are overwritten when
-    y is C-contiguous. Each gram's alpha B^{-1} y = y + alpha E y is formed
-    in place, then spread to the users along the pilot axis and scaled by
-    sqrt(eta) c_eye / alpha per link; users with a LOS component add
-    sqrt(eta) c_los a (z^H y) on their own links.
+    y is C-contiguous. Each gram's alpha B^{-1} y = y - UM (U^H y) is
+    formed in place with two thin products, then spread to the users along
+    the pilot axis and scaled by sqrt(eta) c_eye / alpha per link; users
+    with a LOS component add sqrt(eta) c_los a (z^H y) on their own links.
     """
     K, A, N = links.steering.shape
     T = y.shape[0]
@@ -174,11 +179,9 @@ def lmmse_estimate(links: LinkSet, est: EstimatorSet, y):
           for k in los]
 
     flat = y.reshape(T, -1, N)
-    y_g = flat[:, est.los_gram]                                 # (T, G, N)
-    aE = est.alpha.ravel()[est.los_gram][:, None, None] * est.E
-    y_g += np.matmul(y_g.transpose(1, 0, 2),
-                     np.swapaxes(aE, 1, 2)).transpose(1, 0, 2)
-    flat[:, est.los_gram] = y_g
+    y_g = flat.transpose(1, 0, 2)[est.los_gram]                 # (G, T, N)
+    y_g -= (y_g @ np.conj(est.U)) @ np.swapaxes(est.UM, 1, 2)
+    flat.transpose(1, 0, 2)[est.los_gram] = y_g
     del y_g
     ghat = np.take(flat.reshape(T, -1, A, N), pilot, axis=1)    # (T, K, A, N)
     # Scale the real view, whose scale array is contiguous along 2N.

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfmimo import harness
+from cfmimo import bounds, harness
 from cfmimo.allocation import (AssociationMap, associate,
                                dl_power_allocation)
-from cfmimo.bounds import se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb, uatf_terms
+from cfmimo.bounds import (UB_BATCH, se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb,
+                           uatf_terms)
 from cfmimo.channel import LinkSet, build_links, covariance_coeffs
 from cfmimo.config import SystemConfig
 from cfmimo.deployment import sample_drop
@@ -219,6 +220,41 @@ class TestScaleInvariance:
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
+class TestUcOfEveryApIsCellFree:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 6),
+           A=st.integers(1, 4), N=st.integers(1, 3),
+           policy=st.sampled_from(["PPA", "WFPC"]))
+    def test_same_rates_as_cell_free(self, seed, K, A, N, policy):
+        # A user-centric cluster of every AP serves every link, so gamma,
+        # both closed-form SINRs and the UB on one fixed stream equal the
+        # cell-free ones exactly. The drop mixes Rayleigh, Ricean and
+        # pure-LOS links.
+        rng = np.random.default_rng(seed)
+        links = random_links(rng, K, A, N)
+        kind = rng.integers(0, 3, (K, A))
+        links.los_frac[kind == 0] = 0.0
+        links.los_frac[kind == 2] = 1.0
+        pilots = rng.integers(0, max(K - 1, 1), K)
+        eta_tr = rng.uniform(0.5, 2.0, K)
+        eta_ul = rng.uniform(0.1, 1.0, K)
+
+        def rates(assoc):
+            est = build_estimators(links, pilots, eta_tr, 0.3,
+                                   serving=assoc.serving)
+            _, eta_dl = dl_power_allocation(policy, est.gamma, assoc, 0.25,
+                                            1.0)
+            terms = uatf_terms(links, est)
+            return (est.gamma, sinr_dl_lb(terms, eta_dl, 0.25),
+                    sinr_ul_lb(terms, eta_ul, 0.3),
+                    *se_ub_mc(links, est, eta_dl, eta_ul, 0.25, 0.42, 8,
+                              np.random.default_rng(seed)))
+
+        for got, want in zip(rates(associate("UC", links.beta, A)),
+                             rates(associate("CF", links.beta))):
+            np.testing.assert_array_equal(got, want)
+
+
 def _dl_setup(small_instance, rng):
     links, pilots, eta_tr, sw2, est = small_instance
     eta_dl = rng.uniform(0.1, 1.0, links.beta.shape)
@@ -336,9 +372,10 @@ class TestUpperBound:
 
 
 def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac, n_trials,
-                     rng, batch=64):
+                     rng, batch=UB_BATCH):
     """Oracle: the per-pilot-loop, 3-operand-einsum formulation of se_ub_mc,
-    with the channel draw written out, on the same draw sequence."""
+    with the channel draw written out, on the same draw sequence; the
+    standard error is np.std of every trial's SE over sqrt(n_trials)."""
     K, A = links.beta.shape
     N = links.steering.shape[-1]
     eta_dl = np.asarray(eta_dl, dtype=float) * est.served
@@ -351,8 +388,7 @@ def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac, n_trials,
     los_amp, scatter_amp = map(np.sqrt, covariance_coeffs(links.beta,
                                                           links.los_frac))
 
-    sums = np.zeros((2, K))
-    sq = np.zeros((2, K))
+    per_trial = [[], []]
     done = 0
     while done < n_trials:
         T = min(batch, n_trials - done)
@@ -382,15 +418,12 @@ def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac, n_trials,
         sinr_ul = sig / (interf + noise)
 
         for i, sinr in enumerate((sinr_dl, sinr_ul)):
-            se = se_lb(sinr, frac)
-            sums[i] += se.sum(axis=0)
-            sq[i] += (se ** 2).sum(axis=0)
+            per_trial[i].append(se_lb(sinr, frac))
         done += T
 
-    mean = sums / n_trials
-    var = np.maximum(sq / n_trials - mean ** 2, 0.0)
-    stderr = np.sqrt(var / n_trials)
-    return mean[0], stderr[0], mean[1], stderr[1]
+    se = [np.concatenate(x) for x in per_trial]
+    stderr = [np.std(x, axis=0) / np.sqrt(n_trials) for x in se]
+    return se[0].mean(axis=0), stderr[0], se[1].mean(axis=0), stderr[1]
 
 
 def _mixed_instance(rng, n_ant=3):
@@ -456,15 +489,13 @@ class TestUatfTerms:
                                        atol=1e-12 * np.abs(want).max())
 
 
-    def test_peak_memory_of_a_100_antenna_drop(self):
-        # 4 APs x 100 antennas, each user served by its strongest AP: the
-        # estimators and the closed-form terms together peak at 14-17 MB
-        # over seeds 0-7, and the bound leaves ~1.5x headroom over the
-        # largest (seed 3). The dense per-link filters this form replaced
-        # peaked at 75-81 MB on the same drops.
-        cfg = SystemConfig(n_aps=4, n_ap_antennas=100,
+    @staticmethod
+    def _traced_peak(n_ant, seed):
+        """Traced peak of build_estimators + uatf_terms on a drop of 4 APs
+        x n_ant antennas, each user served by its strongest AP."""
+        cfg = SystemConfig(n_aps=4, n_ap_antennas=n_ant,
                            association_mode="UC", uc_cluster_size=1)
-        rng = np.random.default_rng(3)
+        rng = np.random.default_rng(seed)
         drop = sample_drop(cfg, rng)
         links = build_links(drop, cfg, rng)
         serving = associate("UC", links.beta, 1).serving
@@ -473,9 +504,23 @@ class TestUatfTerms:
             est = build_estimators(links, drop.pilot_index, cfg.train_power,
                                    cfg.noise_power_mw, serving=serving)
             uatf_terms(links, est)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_peak_memory_of_a_100_antenna_drop(self):
+        # The estimators and the closed-form terms together peak at
+        # 1.0-1.1 MB over seeds 3-5. The dense LOS grams and their
+        # (A, 2N^2, L) outer products peaked at 15-17 MB, and the dense
+        # per-link filters before them at 75-81 MB, on the same drops.
+        peak = self._traced_peak(100, 3)
+        assert peak <= 25e6, peak / 1e6
+
+    def test_peak_memory_of_a_256_antenna_drop(self):
+        # 2.4-2.7 MB over seeds 3-5 with the thin factors of the LOS
+        # grams; the dense (G, N, N) grams and (A, 2N^2, L) outer products
+        # peaked at 97-107 MB on the same drops.
+        peak = self._traced_peak(256, 3)
         assert peak <= 25e6, peak / 1e6
 
 
@@ -674,6 +719,7 @@ class TestUpperBoundKernel:
 
     def test_tail_batch(self):
         # 70 trials: one full batch of 64 and a tail of 6
+        assert UB_BATCH == 64
         rng = np.random.default_rng(24)
         links, pilots, est = _mixed_instance(rng)
         mask = rng.random(links.beta.shape) < 0.7
@@ -683,6 +729,27 @@ class TestUpperBoundKernel:
         args = (links, est, rng.uniform(0.1, 1.0, links.beta.shape),
                 rng.uniform(0.2, 1.0, 8), 0.25, 0.42)
         self._check(args, 70, 25)
+
+    def test_stderr_of_a_barely_varying_user(self, monkeypatch):
+        # One pure-LOS user on 2 APs x 2 antennas, trained 1e6 above the
+        # noise: its per-trial UL SE varies by ~1e-7 of its mean, where a
+        # one-pass sq / n - mean^2 variance cancels to rounding noise. The
+        # 70 trials are a batch of 64 and a tail of 6; the kernel's own
+        # per-trial SEs are read from its calls to se_lb.
+        links = random_links(np.random.default_rng(44), 1, 2, 2)
+        links.los_frac[:] = 1.0
+        est = build_estimators(links, [0], [1e6], 1.0)
+        per_trial = []
+        monkeypatch.setattr(bounds, "se_lb", lambda *args: (
+            per_trial.append(se_lb(*args)) or per_trial[-1]))
+        _, _, se_ul, err_ul = se_ub_mc(
+            links, est, np.full((1, 2), 0.5), np.ones(1), 1.0, 0.42, 70,
+            np.random.default_rng(45))
+        ul = np.concatenate(per_trial[1::2])            # DL, UL per batch
+        assert ul.shape == (70, 1)
+        np.testing.assert_allclose(se_ul, ul.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(err_ul, np.std(ul, axis=0) / np.sqrt(70),
+                                   rtol=1e-6)
 
     def test_peak_memory_of_one_default_batch(self, monkeypatch):
         # One 64-trial call at the default scale may peak at 4.5 channel

@@ -47,11 +47,13 @@ class TestCovarianceG:
 
 def pilot_gram_B(links, pilot_index, train_powers, sigma_w2):
     """Each user's pilot gram (K, A, N, N), inverted back from the
-    B^{-1} = I / alpha + E that build_estimators holds per gram."""
+    B^{-1} = (I - U M U^H) / alpha that build_estimators holds per gram as
+    its thin factors (alpha, U, U M)."""
     est = build_estimators(links, pilot_index, train_powers, sigma_w2)
     A, N = links.steering.shape[1:]
-    inv = np.eye(N) / est.alpha.reshape(-1, 1, 1) + 0j
-    inv[est.los_gram] += est.E
+    inv = np.tile(np.eye(N, dtype=complex), (est.alpha.size, 1, 1))
+    inv[est.los_gram] -= est.UM @ np.conj(np.swapaxes(est.U, 1, 2))
+    inv /= est.alpha.reshape(-1, 1, 1)
     return np.linalg.inv(inv[est.pilot_index[:, None] * A + np.arange(A)])
 
 
@@ -134,8 +136,12 @@ class TestLmmseFilter:
         assert np.linalg.norm(D) < 1e-10
 
     def test_singular_gram_rejected(self):
+        # B = diag(1 + 1e-15, 1e-15): alpha = 1e-15 and one LOS user on
+        # the first antenna.
         with pytest.raises(NumericalError):
-            estimation._check_conditioned(np.diag([1.0, 1e-15]))
+            estimation._check_grams(*_factors(
+                np.array([1e-15]), np.array([[[1.0], [0.0]]]),
+                np.array([[1.0]])), 0.0)
         # A pure-LOS link 1e15 above the noise: cond(B) = 1 + 2e15.
         with pytest.raises(NumericalError, match="pilot gram"):
             build_estimators(_one_link(1.0, 1.0, 2), [0], [1.0], 1e-15)
@@ -222,22 +228,42 @@ class TestBuildEstimators:
         np.testing.assert_array_equal(every.gamma, full.gamma)
 
 
+def _factors(alpha, U, w):
+    """_check_grams' arguments (alpha, U^H U, w, N) for the grams
+    B = alpha I + U diag(w) U^H, alpha (G,), U (G, N, r), w (G, r)."""
+    return alpha, np.conj(np.swapaxes(U, 1, 2)) @ U, w, U.shape[1]
+
+
+def _dense_grams(alpha, U, w):
+    """Oracle: the grams alpha I + U diag(w) U^H as (G, N, N) matrices."""
+    return (alpha[:, None, None] * np.eye(U.shape[1])
+            + (U * w[:, None, :]) @ np.conj(np.swapaxes(U, 1, 2)))
+
+
+def _eigvalsh_rejects(alpha, U, w):
+    """Oracle: whether the dense check rejects any of the grams."""
+    ew = np.linalg.eigvalsh(_dense_grams(alpha, U, w))
+    return bool(np.any(ew[:, 0] <= 0)
+                or np.any(ew[:, -1] / ew[:, 0] > COND_LIMIT))
+
+
 def _grams_of_condition(rng, ratios, n=4, sigma_w2=0.7):
-    """Hermitian grams sigma_w^2 I + c u u^H (a pure-LOS pilot gram), one
-    per ratio, with condition number ratio * COND_LIMIT, so that their
-    bound tr(B)/sigma_w^2 sits just above it."""
-    grams = []
+    """Pure-LOS pilot grams sigma_w^2 I + c u u^H with unit u, one per
+    ratio, as factors (alpha, U, w), with condition number
+    ratio * COND_LIMIT, so that their bound tr(B)/sigma_w^2 sits just
+    above it."""
+    U, w = [], []
     for r in ratios:
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         u /= np.linalg.norm(u)
-        c = (r * COND_LIMIT - 1.0) * sigma_w2
-        grams.append(sigma_w2 * np.eye(n) + c * np.outer(u, u.conj()))
-    return np.array(grams)
+        U.append(u[:, None])
+        w.append([(r * COND_LIMIT - 1.0) * sigma_w2])
+    return np.full(len(ratios), sigma_w2), np.array(U), np.array(w)
 
 
 class TestGramBound:
     """_check_grams screens grams with cond <= tr(B)/sigma_w^2 and must raise
-    exactly when the full eigvalsh check does."""
+    exactly when the full eigvalsh check of the dense gram does."""
 
     @staticmethod
     def _raises(check, *args):
@@ -251,16 +277,20 @@ class TestGramBound:
     def test_same_verdict_as_eigvalsh(self, ratio, monkeypatch):
         rng = np.random.default_rng(35)
         grams = _grams_of_condition(rng, [ratio])
-        ew = np.linalg.eigvalsh(grams)
+        ew = np.linalg.eigvalsh(_dense_grams(*grams))
         assert ew[0, -1] / ew[0, 0] == pytest.approx(ratio * COND_LIMIT,
                                                      rel=1e-3)
-        checked = []
-        full = estimation._check_conditioned
-        monkeypatch.setattr(estimation, "_check_conditioned",
-                            lambda B: (checked.append(len(B)), full(B)))
-        want = self._raises(full, grams)
+        want = _eigvalsh_rejects(*grams)
         assert want == (ratio > 1)
-        assert self._raises(estimation._check_grams, grams, 0.7) == want
+        checked = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda S: (checked.append(len(S)), eigvalsh(S))[1])
+        # sigma_w^2 = 0 voids the bound: the full check.
+        assert self._raises(estimation._check_grams, *_factors(*grams),
+                            0.0) == want
+        assert self._raises(estimation._check_grams, *_factors(*grams),
+                            0.7) == want
         # Only the 0.4x gram is cleared by its bound, without eigvalsh.
         assert checked[-1] == (0 if ratio < 0.5 else 1)
 
@@ -268,15 +298,56 @@ class TestGramBound:
         rng = np.random.default_rng(36)
         ok = _grams_of_condition(rng, [0.4, 0.6, 1e-9])
         bad = _grams_of_condition(rng, [0.4, 2.0, 0.6])
-        estimation._check_grams(ok, 0.7)
+        estimation._check_grams(*_factors(*ok), 0.7)
         with pytest.raises(NumericalError):
-            estimation._check_grams(bad, 0.7)
+            estimation._check_grams(*_factors(*bad), 0.7)
         # With sigma_w^2 = 0 the bound is void and every gram is checked:
         # a singular PSD sum must still raise.
-        singular = ok - 0.7 * np.eye(4)
-        assert self._raises(estimation._check_conditioned, singular)
+        singular = (ok[0] - 0.7,) + ok[1:]
+        assert _eigvalsh_rejects(*singular)
         with pytest.raises(NumericalError):
-            estimation._check_grams(singular, 0.0)
+            estimation._check_grams(*_factors(*singular), 0.0)
+
+    @pytest.mark.parametrize("ratio", [0.4, 0.6, 2.0])
+    def test_more_los_users_than_antennas(self, ratio):
+        # 6 LOS users and a zero-weight slot at N = 4 (r > N): one user
+        # sets cond(B) near ratio * COND_LIMIT, five weak ones fill the
+        # other directions of B.
+        rng = np.random.default_rng(41)
+        n, sigma_w2 = 4, 0.7
+        U = (rng.standard_normal((1, n, 7))
+             + 1j * rng.standard_normal((1, n, 7)))
+        U[..., 6] = 0.0
+        w = np.zeros((1, 7))
+        w[0, 0] = (ratio * COND_LIMIT - 1.0) * sigma_w2 / np.sum(
+            np.abs(U[0, :, 0]) ** 2)
+        w[0, 1:6] = 1e-6 * sigma_w2
+        grams = (np.array([sigma_w2]), U, w)
+        want = _eigvalsh_rejects(*grams)
+        assert want == (ratio > 1)
+        assert self._raises(estimation._check_grams, *_factors(*grams),
+                            sigma_w2) == want
+
+    def test_random_factors_match_eigvalsh(self):
+        # Grams with N <= 4 and up to 6 LOS users, zero-weight slots among
+        # them, and conditions spread around COND_LIMIT: the factor check
+        # gives each the dense eigvalsh verdict.
+        rng = np.random.default_rng(43)
+        verdicts = []
+        for _ in range(300):
+            n, r = rng.integers(1, 5), rng.integers(1, 7)
+            U = rng.standard_normal((1, n, r)) + 1j * rng.standard_normal(
+                (1, n, r))
+            alpha = rng.uniform(0.5, 2.0, 1)
+            w = alpha * 10.0 ** rng.uniform(-3.0, 14.0, (1, r))
+            pad = rng.random(r) < 0.3
+            U[..., pad], w[:, pad] = 0.0, 0.0
+            want = _eigvalsh_rejects(alpha, U, w)
+            got = self._raises(estimation._check_grams,
+                               *_factors(alpha, U, w), 0.0)
+            assert got == want
+            verdicts.append(want)
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_through_build_estimators_at_zero_noise(self):
         # Pure-LOS links with sigma_w^2 = 0 leave every gram singular.
@@ -285,8 +356,6 @@ class TestGramBound:
         links.los_frac[:] = 1.0
         with pytest.raises(NumericalError, match="pilot gram"):
             build_estimators(links, [0, 1], np.ones(2), 0.0)
-
-
 class TestSimulateTraining:
     """The training oracle the Monte-Carlo checks above draw from."""
 
@@ -398,45 +467,69 @@ class TestLmmseEstimate:
         assert np.all(got[:, ~mask] == 0)
 
 
-def _gamma_one_pilot(n, cond, ground, rng):
+def _dft(n, r):
+    """r orthogonal steering vectors of n antennas, the first r DFT columns,
+    as rows (r, n)."""
+    return np.exp(2j * np.pi * np.outer(np.arange(r), np.arange(n)) / n)
+
+
+def _gamma_one_pilot(n, cond, ground, rng, r=1):
     """gamma of the users on one pilot at one AP against its closed form.
 
-    A LOS user (pure LOS alone, Ricean when `ground`) shares the pilot
-    with a Rayleigh user when `ground`. Its LOS weight w = eta c_los sets
-    cond(B) = (alpha + w n) / alpha, where tr B^{-1} = (n - 1) / alpha
-    + 1 / (alpha + w n) and q = a^H B^{-1} a = n / (alpha + w n) hold
-    exactly; the oracle reads (c_los, c_eye) as the estimators do.
+    r LOS users (pure LOS alone, Ricean when `ground`) share the pilot with a
+    Rayleigh user when `ground`; with r > 1 their steering vectors are
+    orthogonal DFT columns. LOS user i has weight w_i = eta_i c_los,i with
+    (alpha + w_i n) / alpha = cond^((i + 1) / r), so B has the eigenvalues
+    alpha + w_i n and n - r copies of alpha, and tr B^{-1} = (n - r) / alpha
+    + sum_i 1 / (alpha + w_i n) and q_i = a_i^H B^{-1} a_i = n / (alpha +
+    w_i n) hold exactly; the oracle reads (c_los, c_eye) as the estimators
+    do.
     """
-    users = 2 if ground else 1
+    users = r + 1 if ground else r
     links = random_links(rng, users, 1, n)
+    if r > 1:
+        links.steering[:r, 0] = _dft(n, r)
     sw2, eta = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0, users)
-    scatter = rng.uniform(0.5, 2.0, users) if ground else np.zeros(1)
+    scatter = rng.uniform(0.5, 2.0, users) if ground else np.zeros(users)
     alpha = sw2 + eta @ scatter
-    c_los = (cond - 1.0) * alpha / (n * eta[0])
+    c_los = (cond ** ((np.arange(r) + 1) / r) - 1.0) * alpha / (n * eta[:r])
     links.beta[:, 0] = scatter
-    links.beta[0] += c_los
+    links.beta[:r, 0] += c_los
     links.los_frac[:] = 0.0
-    links.los_frac[0] = c_los / links.beta[0]
+    links.los_frac[:r, 0] = c_los / links.beta[:r, 0]
     est = build_estimators(links, [0] * users, eta, sw2)
     cl, ce = covariance_coeffs(links.beta[:, 0], links.los_frac[:, 0])
     alpha = sw2 + eta @ ce
-    w = eta[0] * cl[0]
-    tr_inv = (n - 1) / alpha + 1.0 / (alpha + w * n)
+    w = eta[:r] * cl[:r]
+    tr_inv = (n - r) / alpha + np.sum(1.0 / (alpha + w * n))
     q = n / (alpha + w * n)
     want = eta * ce ** 2 * tr_inv
-    want[0] += eta[0] * (2 * ce[0] + n * cl[0]) * cl[0] * q
+    want[:r] += eta[:r] * (2 * ce[:r] + n * cl[:r]) * cl[:r] * q
     return est.gamma[:, 0], want
 
 
-class TestGammaPrecision:
-    """gamma against the exact values of grams with one LOS user, for
-    condition numbers from 10 to 1e11."""
+GROUND = pytest.mark.parametrize("ground", [False, True],
+                                 ids=["pure_los_alone", "ricean_with_ground"])
 
-    @pytest.mark.parametrize("ground", [False, True],
-                             ids=["pure_los_alone", "ricean_with_ground"])
+
+class TestGammaPrecision:
+    """gamma against the exact values of grams with one, two or n LOS
+    users, for condition numbers from 10 to 1e11."""
+
+    @GROUND
     def test_one_los_user_closed_form(self, ground):
         rng = np.random.default_rng(40)
         for cond in np.logspace(1, 11, 41):
             for n in (2, 4, 16):
                 got, want = _gamma_one_pilot(n, cond, ground, rng)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @GROUND
+    @pytest.mark.parametrize("los_users", ["two", "every_antenna"])
+    def test_orthogonal_los_users_closed_form(self, ground, los_users):
+        rng = np.random.default_rng(42)
+        for cond in np.logspace(1, 11, 41):
+            for n in (2, 4, 16):
+                r = 2 if los_users == "two" else n
+                got, want = _gamma_one_pilot(n, cond, ground, rng, r)
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
