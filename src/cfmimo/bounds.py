@@ -16,6 +16,10 @@ pilot.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +28,7 @@ from .channel import LinkSet, covariance_coeffs, sample_channels
 from .estimation import EstimatorSet, lmmse_estimate
 from .errors import NumericalError
 
-UB_BATCH = 64          # trials per batch of the Monte-Carlo upper bound
+UB_BATCH = 32          # most trials in one batch of the Monte-Carlo upper bound
 
 
 @dataclass
@@ -120,8 +124,7 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     cl, ce = covariance_coeffs(links.beta, links.los_frac)
     has_los = np.any(cl > 0, axis=1)
     los = np.flatnonzero(has_los)
-    q = np.zeros((K, A))                        # a^H B^{-1} a, 0 off LOS
-    q[los] = np.einsum("kan,kan->ka", np.conj(steer[los]), est.z[los]).real
+    q = est.q                                   # a^H B^{-1} a, 0 off LOS
     # The owner's side of each slot, 0 on pad slots, and its gram.
     root = np.sqrt(est.train_powers)[:, None] * serving[owner, ap]
     ce_j, cl_j, q_j = ce[owner, ap], cl[owner, ap], q[owner, ap]
@@ -281,6 +284,62 @@ def _power(M, out=None):
     return np.add(v[..., 0::2], v[..., 1::2], out=out)
 
 
+def _ub_batches(n_trials):
+    """Trial counts of the upper bound's batches: the fewest of at most
+    UB_BATCH trials, at least two when n_trials >= 2, as equal as possible
+    (np.array_split's sizes), e.g. 100 -> 4 x 25, 70 -> 24 + 23 + 23."""
+    n = max(-(-n_trials // UB_BATCH), min(n_trials, 2))
+    size, extra = divmod(n_trials, n)
+    return [size + 1] * extra + [size] * (n - extra)
+
+
+def _cpus():
+    """CPUs this process may run on: the most threads se_ub_mc uses. One
+    where the platform has no affinity mask."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
+    None when none is loaded or it exports neither naming."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f
+                            if "openblas" in line and ".so" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread(get, put):
+    """OpenBLAS pinned to one thread while the block runs, and its previous
+    count restored after, also when the block raises. The count is
+    process-wide."""
+    saved = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(saved)
+
+
 def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
              frac, n_trials, rng: np.random.Generator):
     """Monte-Carlo SE upper bounds for all users, both directions.
@@ -291,12 +350,30 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     eta_ul : (K,) uplink transmit powers
     sigma_z2 : noise power at the users (the APs' is est.sigma_w2)
     frac : fraction of the coherence block each direction's data phase takes
-    n_trials : coherence blocks drawn, UB_BATCH per batch
+    n_trials : coherence blocks drawn
+    rng : the drop's stream; only its spawned children are drawn from
 
     Each trial draws one coherence block (channels + training noise), runs
     the actual LMMSE estimation, and evaluates the instantaneous SINR with
     conjugate beamforming (DL) and matched-filter combining at the CPU (UL).
     The same draws serve every user (common random numbers).
+
+    Batches: n_trials is split into the fewest batches of at most UB_BATCH
+    trials, at least two when n_trials >= 2, with sizes as equal as
+    possible (_ub_batches: 100 -> 4 x 25, 10 -> 2 x 5, 1 -> 1). Batch b
+    draws from rng.spawn(n_batches)[b]: one sample_channels call, then the
+    training noise as one standard_normal call over the observation's real
+    view. The layout depends only on n_trials, and a batch's draws only on
+    its own stream.
+
+    Threads: the batches run on min(CPUs in the process's affinity mask,
+    n_batches) threads. While more than one runs, numpy's OpenBLAS is
+    pinned to one thread (through ctypes; its idle threads would otherwise
+    spin on the other core) and its previous count is restored after the
+    last batch, also when one raises. Without that OpenBLAS symbol the
+    batches run serially, on the same batches and streams. Each batch
+    returns its (T, K) DL and UL SINRs; the caller's thread merges them in
+    batch order, so the output is bit-identical for any thread count.
 
     A batch of T trials is evaluated with BLAS products, with AN = A*N the
     flattened (AP, antenna) axis:
@@ -320,10 +397,9 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
       |M|^2 are squared in place and overwrite the UL's, so the DL
       allocates no (T, K, K) array.
 
-    The draws are those of one sample_channels call and the real, then the
-    imaginary, training noise per batch. The training arrays are freed
-    before the GEMMs, and no more than two arrays the size of one channel
-    draw (T, K, A, N) and the training observation are live at once.
+    The training arrays are freed before the GEMMs, and no more than two
+    arrays the size of one channel draw (T, K, A, N) and the training
+    observation are live at once per batch.
 
     Returns (se_dl, stderr_dl, se_ul, stderr_ul), each (K,), where se is
     frac * mean log2(1 + sinr) and stderr is the standard error of se, from
@@ -346,25 +422,20 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     wdl = np.repeat(np.sqrt(eta_dl)[:, :, None], 2 * N, axis=2)
     diag = np.arange(K)
 
-    sums = np.zeros((2, K))
-    m2 = np.zeros((2, K))
-    done = 0
-    while done < n_trials:
-        T = min(UB_BATCH, n_trials - done)
+    def batch(rng, T):
+        """(sinr_dl, sinr_ul), each (T, K), of T trials drawn from rng."""
         g = sample_channels(links.beta, links.los_frac, links.steering,
                             rng, n_draws=T)                     # (T, K, A, N)
         g_flat = g.reshape(T, K, A * N)
 
         # De-spread training observation per pilot, noise added in place.
         y = (spread @ g.view(float).reshape(T, K, 2 * A * N)).view(complex)
-        y = y.reshape(T, -1, A, N)                              # (T, P, A, N)
-        wn = rng.standard_normal(y.shape)
+        y = y.reshape(T, P, A, N)
+        re_im = y.view(float)
+        wn = rng.standard_normal(re_im.shape)
         wn *= np.sqrt(sigma_w2 / 2)
-        y.real += wn
-        rng.standard_normal(out=wn)
-        wn *= np.sqrt(sigma_w2 / 2)
-        y.imag += wn
-        del wn
+        re_im += wn
+        del wn, re_im
         ghat = lmmse_estimate(links, est, y)                    # (T, K, A, N)
         del y
         np.conjugate(g, out=g)
@@ -388,18 +459,34 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
         _power(M, out=p)
         sig = p[:, diag, diag]
         interf = p.sum(axis=2) - sig
-        sinr_dl = sig / (interf + sigma_z2)
-        # Free the batch (and the views that hold it) before the next draw.
-        del g, g_flat, ghat, re_im, M, p
+        return sig / (interf + sigma_z2), sinr_ul
 
-        for i, sinr in enumerate((sinr_dl, sinr_ul)):
-            se = se_lb(sinr, frac)
-            batch_mean = se.mean(axis=0)
-            shift = batch_mean - sums[i] / max(done, 1)
-            m2[i] += (np.sum((se - batch_mean) ** 2, axis=0)
-                      + shift ** 2 * (done * T / (done + T)))
-            sums[i] += se.sum(axis=0)
-        done += T
+    sizes = _ub_batches(n_trials)
+    streams = rng.spawn(len(sizes))
+    workers = min(_cpus(), len(sizes))
+    blas = _openblas_threads() if workers > 1 else None
+    sums = np.zeros((2, K))
+    m2 = np.zeros((2, K))
+    done = 0
+    with ExitStack() as stack:
+        if blas is None:
+            batches = map(batch, streams, sizes)
+        else:
+            # Imported here: it pulls in logging, ~4% of `import cfmimo`.
+            from concurrent.futures import ThreadPoolExecutor
+            stack.enter_context(_one_blas_thread(*blas))
+            pool = stack.enter_context(ThreadPoolExecutor(
+                workers, thread_name_prefix="cfmimo-ub"))
+            batches = pool.map(batch, streams, sizes)
+        for T, sinrs in zip(sizes, batches):
+            for i, sinr in enumerate(sinrs):
+                se = se_lb(sinr, frac)
+                batch_mean = se.mean(axis=0)
+                shift = batch_mean - sums[i] / max(done, 1)
+                m2[i] += (np.sum((se - batch_mean) ** 2, axis=0)
+                          + shift ** 2 * (done * T / (done + T)))
+                sums[i] += se.sum(axis=0)
+            done += T
 
     mean = sums / n_trials
     stderr = np.sqrt(m2 / n_trials / n_trials)

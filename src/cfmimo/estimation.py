@@ -76,6 +76,7 @@ class EstimatorSet:
         r the most on any gram and zero columns past a gram's own count
     UM : (G, N, r) the product U M, so B^{-1} = (I - UM U^H) / alpha there
     z : (K, A, N) B^{-1} a on the LOS links of those grams, 0 elsewhere
+    q : (K, A) a^H B^{-1} a = a^H z, 0 where z is
     """
     gamma: np.ndarray
     served: np.ndarray
@@ -88,6 +89,7 @@ class EstimatorSet:
     U: np.ndarray
     UM: np.ndarray
     z: np.ndarray
+    q: np.ndarray
 
 
 def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
@@ -154,7 +156,7 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
     return EstimatorSet(gamma=gamma, served=served, pilot_index=pilot,
                         train_powers=eta, sigma_w2=float(sigma_w2),
                         alpha=alpha, tr_inv=tr_inv, los_gram=los_gram, U=U,
-                        UM=US * w[:, None, :], z=z)
+                        UM=US * w[:, None, :], z=z, q=q.real.copy())
 
 
 def lmmse_estimate(links: LinkSet, est: EstimatorSet, y):

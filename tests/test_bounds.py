@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -372,10 +373,14 @@ class TestUpperBound:
 
 
 def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac, n_trials,
-                     rng, batch=UB_BATCH):
+                     rng):
     """Oracle: the per-pilot-loop, 3-operand-einsum formulation of se_ub_mc,
-    with the channel draw written out, on the same draw sequence; the
-    standard error is np.std of every trial's SE over sqrt(n_trials)."""
+    with the channel draw written out, on the same draws: the fewest
+    batches of at most UB_BATCH trials (at least two from 2 trials on),
+    sizes as np.array_split makes them, batch b drawn from
+    rng.spawn(n_batches)[b], its training noise one standard_normal call
+    with real and imaginary parts interleaved. The standard error is np.std
+    of every trial's SE over sqrt(n_trials)."""
     K, A = links.beta.shape
     N = links.steering.shape[-1]
     eta_dl = np.asarray(eta_dl, dtype=float) * est.served
@@ -389,9 +394,9 @@ def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac, n_trials,
                                                           links.los_frac))
 
     per_trial = [[], []]
-    done = 0
-    while done < n_trials:
-        T = min(batch, n_trials - done)
+    n_batches = max(int(np.ceil(n_trials / UB_BATCH)), min(n_trials, 2))
+    sizes = [len(b) for b in np.array_split(np.arange(n_trials), n_batches)]
+    for rng, T in zip(rng.spawn(n_batches), sizes):
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(T, K, A))
         h = (rng.standard_normal((T, K, A, N))
              + 1j * rng.standard_normal((T, K, A, N))) / np.sqrt(2.0)
@@ -401,8 +406,8 @@ def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac, n_trials,
         for p in np.unique(pilot_index):
             users = np.nonzero(pilot_index == p)[0]
             ysig[:, p] = np.einsum("u,tuan->tan", amp[users], g[:, users])
-        wn = (rng.standard_normal(ysig.shape)
-              + 1j * rng.standard_normal(ysig.shape)) * np.sqrt(sigma_w2 / 2)
+        wn = (rng.standard_normal(ysig.shape + (2,)).view(complex)[..., 0]
+              * np.sqrt(sigma_w2 / 2))
         ghat = lmmse_estimate(links, est, ysig + wn)
 
         Mdl = np.einsum("tkan,ja,tjan->tkj", np.conj(g), wdl, ghat)
@@ -419,7 +424,6 @@ def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac, n_trials,
 
         for i, sinr in enumerate((sinr_dl, sinr_ul)):
             per_trial[i].append(se_lb(sinr, frac))
-        done += T
 
     se = [np.concatenate(x) for x in per_trial]
     stderr = [np.std(x, axis=0) / np.sqrt(n_trials) for x in se]
@@ -718,8 +722,8 @@ class TestUpperBoundKernel:
         assert np.all(se_dl[eta_dl.sum(axis=1) == 0] == 0.0)
 
     def test_tail_batch(self):
-        # 70 trials: one full batch of 64 and a tail of 6
-        assert UB_BATCH == 64
+        # 70 trials: an uneven split into three batches of 24, 23 and 23
+        assert bounds._ub_batches(70) == [24, 23, 23]
         rng = np.random.default_rng(24)
         links, pilots, est = _mixed_instance(rng)
         mask = rng.random(links.beta.shape) < 0.7
@@ -734,8 +738,9 @@ class TestUpperBoundKernel:
         # One pure-LOS user on 2 APs x 2 antennas, trained 1e6 above the
         # noise: its per-trial UL SE varies by ~1e-7 of its mean, where a
         # one-pass sq / n - mean^2 variance cancels to rounding noise. The
-        # 70 trials are a batch of 64 and a tail of 6; the kernel's own
-        # per-trial SEs are read from its calls to se_lb.
+        # 70 trials are batches of 24, 23 and 23; the kernel's own per-trial
+        # SEs are read from its calls to se_lb, which the merge makes on
+        # the caller's thread in batch order.
         links = random_links(np.random.default_rng(44), 1, 2, 2)
         links.los_frac[:] = 1.0
         est = build_estimators(links, [0], [1e6], 1.0)
@@ -772,3 +777,127 @@ class TestUpperBoundKernel:
         draw = 64 * cfg.n_users * cfg.n_aps * cfg.n_ap_antennas * 16
         assert len(peaks) == 1
         assert peaks[0] <= 4.5 * draw, peaks[0] / draw
+
+
+class TestUpperBoundThreads:
+    """se_ub_mc's batches on a pool of threads, with OpenBLAS pinned to one
+    thread while more than one runs; the thread count is set through the
+    kernel's CPU count."""
+
+    CONFIGS = {
+        "default_cf": SystemConfig(rng_seed=5),
+        "uc_wfpc_dense": SystemConfig(association_mode="UC",
+                                      uc_cluster_size=10, dl_policy="WFPC",
+                                      n_gues=96, n_uavs=24, rng_seed=5),
+        "4x100_uc1": SystemConfig(n_aps=4, n_ap_antennas=100,
+                                  association_mode="UC", uc_cluster_size=1,
+                                  dl_power_budget=5000.0, rng_seed=5),
+    }
+
+    @staticmethod
+    def _campaign(monkeypatch, cfg, cpus, threads=None):
+        """Rates of a 2-drop x 20-trial campaign on `cpus` CPUs; the names
+        of the threads that ran UB batches are added to `threads`."""
+        monkeypatch.setattr(bounds, "_cpus", lambda: cpus)
+        if threads is not None:
+            def spy(*args):
+                threads.add(threading.current_thread().name)
+                return lmmse_estimate(*args)
+            monkeypatch.setattr(bounds, "lmmse_estimate", spy)
+        res = harness.run_experiment(cfg, 2, 20)
+        monkeypatch.undo()
+        return [getattr(res, f) for f in ("rate_lb_dl", "rate_ub_dl",
+                                          "rate_lb_ul", "rate_ub_ul")]
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_same_bits_on_one_and_two_workers(self, monkeypatch, name):
+        cfg = self.CONFIGS[name]
+        threads = set()
+        pooled = self._campaign(monkeypatch, cfg, 2, threads)
+        serial = self._campaign(monkeypatch, cfg, 1)
+        for got, want in zip(pooled, serial):
+            np.testing.assert_array_equal(got, want)
+        if bounds._openblas_threads() is not None:
+            assert threads and all(t.startswith("cfmimo-ub") for t in threads)
+
+    def test_blas_count_restored(self, monkeypatch):
+        blas = bounds._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy did not load an OpenBLAS with a thread setter")
+        get, put = blas
+        before = get()
+        rng = np.random.default_rng(30)
+        links, pilots, est = _mixed_instance(rng)
+        args = (links, est, rng.uniform(0.1, 1.0, links.beta.shape),
+                rng.uniform(0.2, 1.0, 8), 0.25, 0.42, 100)
+        monkeypatch.setattr(bounds, "_cpus", lambda: 2)
+        seen, fail_at = [], None            # BLAS count inside each batch
+
+        def spy(*a):
+            seen.append(get())
+            if len(seen) == fail_at:
+                raise RuntimeError("batch failed")
+            return lmmse_estimate(*a)
+
+        monkeypatch.setattr(bounds, "lmmse_estimate", spy)
+        put(2)
+        try:
+            se_ub_mc(*args, np.random.default_rng(31))
+            assert seen == [1] * 4 and get() == 2
+            seen, fail_at = [], 2
+            with pytest.raises(RuntimeError, match="batch failed"):
+                se_ub_mc(*args, np.random.default_rng(31))
+            assert get() == 2
+        finally:
+            put(before)
+
+    def test_serial_without_blas_symbol(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        links, pilots, est = _mixed_instance(rng)
+        args = (links, est, rng.uniform(0.1, 1.0, links.beta.shape),
+                rng.uniform(0.2, 1.0, 8), 0.25, 0.42, 70)
+        monkeypatch.setattr(bounds, "_cpus", lambda: 2)
+        pooled = se_ub_mc(*args, np.random.default_rng(33))
+        monkeypatch.setattr(bounds, "_openblas_threads", lambda: None)
+        threads = set()
+
+        def spy(*a):
+            threads.add(threading.current_thread())
+            return lmmse_estimate(*a)
+
+        monkeypatch.setattr(bounds, "lmmse_estimate", spy)
+        serial = se_ub_mc(*args, np.random.default_rng(33))
+        assert threads == {threading.current_thread()}
+        for got, want in zip(serial, pooled):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestLbBelowUb:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 6),
+           A=st.integers(1, 4), N=st.integers(1, 3),
+           mode=st.sampled_from(["CF", "UC"]),
+           policy=st.sampled_from(["PPA", "WFPC"]))
+    def test_lb_within_three_stderr_of_ub(self, seed, K, A, N, mode, policy):
+        # The closed-form lower bound never exceeds the Monte-Carlo upper
+        # bound by more than 3 standard errors, in either direction, on a
+        # drop of Rayleigh, Ricean and pure-LOS links with shared pilots.
+        rng = np.random.default_rng(seed)
+        links = random_links(rng, K, A, N)
+        kind = rng.integers(0, 3, (K, A))
+        links.los_frac[kind == 0] = 0.0
+        links.los_frac[kind == 2] = 1.0
+        pilots = rng.integers(0, max(K - 1, 1), K)
+        assoc = associate(mode, links.beta, int(rng.integers(1, A + 1)))
+        est = build_estimators(links, pilots, rng.uniform(0.5, 2.0, K), 0.3,
+                               serving=assoc.serving)
+        _, eta_dl = dl_power_allocation(policy, est.gamma, assoc, 0.25, 1.0)
+        eta_ul = rng.uniform(0.1, 1.0, K)
+        terms = uatf_terms(links, est)
+        lb_dl = se_lb(sinr_dl_lb(terms, eta_dl, 0.25), 0.42)
+        lb_ul = se_lb(sinr_ul_lb(terms, eta_ul, 0.3), 0.42)
+        ub_dl, err_dl, ub_ul, err_ul = se_ub_mc(
+            links, est, eta_dl, eta_ul, 0.25, 0.42, 200,
+            np.random.default_rng(seed + 1))
+        assert np.all(lb_dl <= ub_dl + 3 * err_dl)
+        assert np.all(lb_ul <= ub_ul + 3 * err_ul)
