@@ -19,6 +19,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import threading
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ from .channel import LinkSet, covariance_coeffs, sample_channels
 from .estimation import EstimatorSet, lmmse_estimate
 from .errors import NumericalError
 
-UB_BATCH = 32          # most trials in one batch of the Monte-Carlo upper bound
+UB_BATCH_BYTES = 4 << 20   # most bytes of one upper-bound batch's channel draw
 
 
 @dataclass
@@ -284,11 +285,14 @@ def _power(M, out=None):
     return np.add(v[..., 0::2], v[..., 1::2], out=out)
 
 
-def _ub_batches(n_trials):
-    """Trial counts of the upper bound's batches: the fewest of at most
-    UB_BATCH trials, at least two when n_trials >= 2, as equal as possible
-    (np.array_split's sizes), e.g. 100 -> 4 x 25, 70 -> 24 + 23 + 23."""
-    n = max(-(-n_trials // UB_BATCH), min(n_trials, 2))
+def _ub_batches(n_trials, trial_bytes):
+    """Trial counts of the upper bound's batches, for trials whose channel
+    draw takes trial_bytes: the fewest of at most
+    max(1, UB_BATCH_BYTES // trial_bytes) trials, at least two when
+    n_trials >= 2, as equal as possible (np.array_split's sizes), e.g. 100
+    trials of a default drop -> 10 x 10."""
+    cap = max(1, UB_BATCH_BYTES // trial_bytes)
+    n = max(-(-n_trials // cap), min(n_trials, 2))
     size, extra = divmod(n_trials, n)
     return [size + 1] * extra + [size] * (n - extra)
 
@@ -351,20 +355,31 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     sigma_z2 : noise power at the users (the APs' is est.sigma_w2)
     frac : fraction of the coherence block each direction's data phase takes
     n_trials : coherence blocks drawn
-    rng : the drop's stream; only its spawned children are drawn from
+    rng : the drop's stream; only the children spawned from its
+        SeedSequence are drawn from
 
     Each trial draws one coherence block (channels + training noise), runs
     the actual LMMSE estimation, and evaluates the instantaneous SINR with
     conjugate beamforming (DL) and matched-filter combining at the CPU (UL).
     The same draws serve every user (common random numbers).
 
-    Batches: n_trials is split into the fewest batches of at most UB_BATCH
-    trials, at least two when n_trials >= 2, with sizes as equal as
-    possible (_ub_batches: 100 -> 4 x 25, 10 -> 2 x 5, 1 -> 1). Batch b
-    draws from rng.spawn(n_batches)[b]: one sample_channels call, then the
-    training noise as one standard_normal call over the observation's real
-    view. The layout depends only on n_trials, and a batch's draws only on
-    its own stream.
+    Batches: n_trials is split into the fewest batches whose channel draw,
+    T trials of (K, A, N) complex128, fits in UB_BATCH_BYTES (at least one
+    trial each), at least two when n_trials >= 2, with sizes as equal as
+    possible (_ub_batches: 100 trials of the default 60-user drop ->
+    10 x 10, 10 trials of 120 users -> 2 x 5, 1 -> 1). Batch b draws from
+    np.random.Generator(np.random.SFC64(s_b)), with s_b the b-th
+    SeedSequence spawned from rng's: one sample_channels call, then the
+    training noise as one standard_normal call over a real view. The
+    layout depends only on n_trials and the drop's shape, never on the
+    thread count, and a batch's draws only on its own stream.
+
+    Buffers: each thread that runs batches allocates two flat buffers
+    once per call, sized for the largest batch, and reuses them for each
+    of its batches: the channel draw, which sample_channels fills, and
+    the estimate, with room for max(K, P) rows, which first holds the
+    training noise and then lmmse_estimate's output. The observation,
+    the (T, K, K) amplitudes and their powers are allocated per batch.
 
     Threads: the batches run on min(CPUs in the process's affinity mask,
     n_batches) threads. While more than one runs, numpy's OpenBLAS is
@@ -397,9 +412,10 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
       |M|^2 are squared in place and overwrite the UL's, so the DL
       allocates no (T, K, K) array.
 
-    The training arrays are freed before the GEMMs, and no more than two
-    arrays the size of one channel draw (T, K, A, N) and the training
-    observation are live at once per batch.
+    The observation is freed before the GEMMs, so besides its two buffers
+    a thread holds at most the observation (T, P, A, N) and
+    lmmse_estimate's workspace: a call's peak memory is a few
+    UB_BATCH_BYTES per thread, whatever n_trials.
 
     Returns (se_dl, stderr_dl, se_ul, stderr_ul), each (K,), where se is
     frac * mean log2(1 + sinr) and stderr is the standard error of se, from
@@ -422,21 +438,33 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     wdl = np.repeat(np.sqrt(eta_dl)[:, :, None], 2 * N, axis=2)
     diag = np.arange(K)
 
+    sizes = _ub_batches(n_trials, 16 * K * A * N)
+    local = threading.local()
+
     def batch(rng, T):
-        """(sinr_dl, sinr_ul), each (T, K), of T trials drawn from rng."""
+        """(sinr_dl, sinr_ul), each (T, K), of T trials drawn from rng, in
+        the two channel-sized buffers of the calling thread."""
+        if not hasattr(local, "g"):
+            local.g = np.empty(sizes[0] * K * A * N, dtype=complex)
+            local.ghat = np.empty(sizes[0] * max(K, P) * A * N, dtype=complex)
         g = sample_channels(links.beta, links.los_frac, links.steering,
-                            rng, n_draws=T)                     # (T, K, A, N)
+                            rng, n_draws=T,
+                            out=local.g[:T * K * A * N].reshape(T, K, A, N))
         g_flat = g.reshape(T, K, A * N)
 
-        # De-spread training observation per pilot, noise added in place.
+        # Training noise in the estimate's buffer, which the estimate then
+        # overwrites, added to the de-spread observation per pilot.
+        noise = local.ghat[:T * P * A * N].reshape(T, P, A, N)
+        re_im = noise.view(float)
+        rng.standard_normal(out=re_im)
+        re_im *= np.sqrt(sigma_w2 / 2)
         y = (spread @ g.view(float).reshape(T, K, 2 * A * N)).view(complex)
         y = y.reshape(T, P, A, N)
-        re_im = y.view(float)
-        wn = rng.standard_normal(re_im.shape)
-        wn *= np.sqrt(sigma_w2 / 2)
-        re_im += wn
-        del wn, re_im
-        ghat = lmmse_estimate(links, est, y)                    # (T, K, A, N)
+        y += noise
+        del noise, re_im
+        ghat = lmmse_estimate(
+            links, est, y,
+            out=local.ghat[:T * K * A * N].reshape(T, K, A, N))
         del y
         np.conjugate(g, out=g)
 
@@ -461,8 +489,8 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
         interf = p.sum(axis=2) - sig
         return sig / (interf + sigma_z2), sinr_ul
 
-    sizes = _ub_batches(n_trials)
-    streams = rng.spawn(len(sizes))
+    streams = [np.random.Generator(np.random.SFC64(seed))
+               for seed in rng.bit_generator.seed_seq.spawn(len(sizes))]
     workers = min(_cpus(), len(sizes))
     blas = _openblas_threads() if workers > 1 else None
     sums = np.zeros((2, K))

@@ -241,13 +241,19 @@ def covariance_coeffs(beta, los_frac):
 
 
 def sample_channels(beta, los_frac, steering, rng: np.random.Generator,
-                    n_draws=None):
+                    n_draws=None, out=None):
     """Draw fast-fading channel vectors for the given links.
 
     beta, los_frac : (...,) broadcastable link arrays
     steering       : (..., N)
+    out            : optional C-contiguous complex128 array of the result's
+                     shape, filled and returned in place of a new array
     Returns (..., N), or (n_draws, ..., N) when n_draws is given. Phase
     rotations are redrawn per call (one call == one coherence block).
+
+    Draw order: the phases (uniform, one per link), then the scattered
+    part as one standard_normal call over the result's real view, real
+    and imaginary parts interleaved.
     """
     steering = np.asarray(steering)
     los_amp, scatter_amp = map(np.sqrt, covariance_coeffs(beta, los_frac))
@@ -257,15 +263,18 @@ def sample_channels(beta, los_frac, steering, rng: np.random.Generator,
     full = lead + shape
 
     theta = rng.uniform(0.0, 2.0 * np.pi, size=full)
-    # Scattered part CN(0, scatter_amp^2): real then imaginary normals,
-    # scaled into g in place.
-    g = np.empty(full + (n,), dtype=complex)
-    scale = (scatter_amp / np.sqrt(2.0))[..., None]
-    part = rng.standard_normal(full + (n,))
-    np.multiply(part, scale, out=g.real)
-    rng.standard_normal(out=part)
-    np.multiply(part, scale, out=g.imag)
-    del part
+    if out is None:
+        g = np.empty(full + (n,), dtype=complex)
+    elif out.shape != full + (n,) or out.dtype != complex:
+        raise ValueError(f"out must be complex128 of shape {full + (n,)}")
+    else:
+        g = out
+    # Scattered part CN(0, scatter_amp^2), scaled in place on the real
+    # view, whose scale array is contiguous along 2N.
+    re_im = g.view(float)
+    rng.standard_normal(out=re_im)
+    re_im *= np.repeat((scatter_amp / np.sqrt(2.0))[..., None], 2 * n,
+                       axis=-1)
     # LOS part, formed only on the links that have one (every link still
     # draws its phase, so the draw stream does not depend on los_frac).
     los_amp = np.broadcast_to(los_amp, shape).reshape(-1)

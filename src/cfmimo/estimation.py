@@ -159,10 +159,12 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
                         UM=US * w[:, None, :], z=z, q=q.real.copy())
 
 
-def lmmse_estimate(links: LinkSet, est: EstimatorSet, y):
+def lmmse_estimate(links: LinkSet, est: EstimatorSet, y, out=None):
     """LMMSE estimates g_hat (T, K, A, N) of every link, 0 off the serving
     set, from de-spread training observations y (T, P, A, N), one row per
-    pilot with P > every pilot index.
+    pilot with P > every pilot index. out, a C-contiguous complex128
+    (T, K, A, N) array that does not overlap y, receives the estimates in
+    place of a new array and is returned.
 
     y is used as workspace: its rows on the LOS grams are overwritten when
     y is C-contiguous. Each gram's alpha B^{-1} y = y - UM (U^H y) is
@@ -173,6 +175,8 @@ def lmmse_estimate(links: LinkSet, est: EstimatorSet, y):
     K, A, N = links.steering.shape
     T = y.shape[0]
     pilot = est.pilot_index
+    if pilot.max() >= y.shape[1]:
+        raise ValueError("y has fewer pilot rows than the pilot indices")
     c_los, c_eye = covariance_coeffs(links.beta, links.los_frac)
     root = np.sqrt(est.train_powers)[:, None] * est.served
     # z^H y from the observation as drawn, before the grams overwrite it.
@@ -185,7 +189,10 @@ def lmmse_estimate(links: LinkSet, est: EstimatorSet, y):
     y_g -= (y_g @ np.conj(est.U)) @ np.swapaxes(est.UM, 1, 2)
     flat.transpose(1, 0, 2)[est.los_gram] = y_g
     del y_g
-    ghat = np.take(flat.reshape(T, -1, A, N), pilot, axis=1)    # (T, K, A, N)
+    # mode="clip" (the indices are in range) lets take write into out
+    # directly; with "raise" numpy fills a temporary and copies it over.
+    ghat = np.take(flat.reshape(T, -1, A, N), pilot, axis=1, out=out,
+                   mode="clip")                                 # (T, K, A, N)
     # Scale the real view, whose scale array is contiguous along 2N.
     scale = root * c_eye / est.alpha[pilot]
     re_im = ghat.view(float)

@@ -1,6 +1,8 @@
 import dataclasses
+import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cfmimo import bounds, harness
 from cfmimo.allocation import (AssociationMap, associate,
                                dl_power_allocation)
-from cfmimo.bounds import (UB_BATCH, se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb,
+from cfmimo.bounds import (se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb,
                            uatf_terms)
 from cfmimo.channel import LinkSet, build_links, covariance_coeffs
 from cfmimo.config import SystemConfig
@@ -376,11 +378,13 @@ def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac, n_trials,
                      rng):
     """Oracle: the per-pilot-loop, 3-operand-einsum formulation of se_ub_mc,
     with the channel draw written out, on the same draws: the fewest
-    batches of at most UB_BATCH trials (at least two from 2 trials on),
-    sizes as np.array_split makes them, batch b drawn from
-    rng.spawn(n_batches)[b], its training noise one standard_normal call
-    with real and imaginary parts interleaved. The standard error is np.std
-    of every trial's SE over sqrt(n_trials)."""
+    batches whose (T, K, A, N) complex128 draw fits in UB_BATCH_BYTES (at
+    least one trial each, at least two batches from 2 trials on), sizes as
+    np.array_split makes them, batch b drawn from an SFC64 generator on the
+    b-th SeedSequence spawned from rng's, its scattered channel part and
+    its training noise one standard_normal call each with real and
+    imaginary parts interleaved. The standard error is np.std of every
+    trial's SE over sqrt(n_trials)."""
     K, A = links.beta.shape
     N = links.steering.shape[-1]
     eta_dl = np.asarray(eta_dl, dtype=float) * est.served
@@ -394,14 +398,17 @@ def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac, n_trials,
                                                           links.los_frac))
 
     per_trial = [[], []]
-    n_batches = max(int(np.ceil(n_trials / UB_BATCH)), min(n_trials, 2))
+    per_batch = max(1, bounds.UB_BATCH_BYTES // (16 * K * A * N))
+    n_batches = max(int(np.ceil(n_trials / per_batch)), min(n_trials, 2))
     sizes = [len(b) for b in np.array_split(np.arange(n_trials), n_batches)]
-    for rng, T in zip(rng.spawn(n_batches), sizes):
+    seeds = rng.bit_generator.seed_seq.spawn(n_batches)
+    for seed, T in zip(seeds, sizes):
+        rng = np.random.Generator(np.random.SFC64(seed))
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(T, K, A))
-        h = (rng.standard_normal((T, K, A, N))
-             + 1j * rng.standard_normal((T, K, A, N))) / np.sqrt(2.0)
+        h = rng.standard_normal((T, K, A, N, 2)) / np.sqrt(2.0)
         g = (los_amp[..., None] * np.exp(1j * theta)[..., None]
-             * links.steering + scatter_amp[..., None] * h)
+             * links.steering
+             + scatter_amp[..., None] * (h[..., 0] + 1j * h[..., 1]))
         ysig = np.zeros((T, int(pilot_index.max()) + 1, A, N), dtype=complex)
         for p in np.unique(pilot_index):
             users = np.nonzero(pilot_index == p)[0]
@@ -721,9 +728,12 @@ class TestUpperBoundKernel:
         se_dl = self._check(args, 40, 23)[0]
         assert np.all(se_dl[eta_dl.sum(axis=1) == 0] == 0.0)
 
-    def test_tail_batch(self):
-        # 70 trials: an uneven split into three batches of 24, 23 and 23
-        assert bounds._ub_batches(70) == [24, 23, 23]
+    def test_tail_batch(self, monkeypatch):
+        # 70 trials: an uneven split into three batches of 24, 23 and 23,
+        # the last two in buffers sized for 24 trials.
+        trial_bytes = 16 * 8 * 5 * 3                 # (K, A, N) complex128
+        monkeypatch.setattr(bounds, "UB_BATCH_BYTES", 24 * trial_bytes)
+        assert bounds._ub_batches(70, trial_bytes) == [24, 23, 23]
         rng = np.random.default_rng(24)
         links, pilots, est = _mixed_instance(rng)
         mask = rng.random(links.beta.shape) < 0.7
@@ -734,6 +744,23 @@ class TestUpperBoundKernel:
                 rng.uniform(0.2, 1.0, 8), 0.25, 0.42)
         self._check(args, 70, 25)
 
+    def test_more_pilot_rows_than_users(self, monkeypatch):
+        # 3 users on pilots 0, 31 and 0: the training noise takes 32 pilot
+        # rows of the estimate's buffer, more than the estimate's 3 user
+        # rows. Batches of 3 trials make each thread reuse its buffers.
+        trial_bytes = 16 * 3 * 4 * 2                 # (K, A, N) complex128
+        monkeypatch.setattr(bounds, "UB_BATCH_BYTES", 3 * trial_bytes)
+        assert bounds._ub_batches(20, trial_bytes) == [3] * 6 + [2]
+        rng = np.random.default_rng(46)
+        links = random_links(rng, 3, 4, 2)
+        links.los_frac[0] = 0.0
+        links.los_frac[1, :2] = 1.0
+        est = build_estimators(links, [0, 31, 0], rng.uniform(0.5, 2.0, 3),
+                               0.3)
+        args = (links, est, rng.uniform(0.1, 1.0, links.beta.shape),
+                rng.uniform(0.2, 1.0, 3), 0.25, 0.42)
+        self._check(args, 20, 47)
+
     def test_stderr_of_a_barely_varying_user(self, monkeypatch):
         # One pure-LOS user on 2 APs x 2 antennas, trained 1e6 above the
         # noise: its per-trial UL SE varies by ~1e-7 of its mean, where a
@@ -741,6 +768,9 @@ class TestUpperBoundKernel:
         # 70 trials are batches of 24, 23 and 23; the kernel's own per-trial
         # SEs are read from its calls to se_lb, which the merge makes on
         # the caller's thread in batch order.
+        trial_bytes = 16 * 1 * 2 * 2                 # (K, A, N) complex128
+        monkeypatch.setattr(bounds, "UB_BATCH_BYTES", 24 * trial_bytes)
+        assert bounds._ub_batches(70, trial_bytes) == [24, 23, 23]
         links = random_links(np.random.default_rng(44), 1, 2, 2)
         links.los_frac[:] = 1.0
         est = build_estimators(links, [0], [1e6], 1.0)
@@ -756,11 +786,10 @@ class TestUpperBoundKernel:
         np.testing.assert_allclose(err_ul, np.std(ul, axis=0) / np.sqrt(70),
                                    rtol=1e-6)
 
-    def test_peak_memory_of_one_default_batch(self, monkeypatch):
-        # One 64-trial call at the default scale may peak at 4.5 channel
-        # draws (64, K, A, N) of complex128; numpy reports its buffers to
-        # tracemalloc.
-        cfg = SystemConfig()
+    @staticmethod
+    def _traced_peak(monkeypatch, cfg, seed, n_trials):
+        """Traced peak of the one se_ub_mc call of a drop; numpy reports
+        its buffers to tracemalloc."""
         peaks = []
 
         def traced(*args, **kwargs):
@@ -773,10 +802,50 @@ class TestUpperBoundKernel:
             return out
 
         monkeypatch.setattr(harness, "se_ub_mc", traced)
-        harness.simulate_drop(cfg, np.random.default_rng(26), 64)
-        draw = 64 * cfg.n_users * cfg.n_aps * cfg.n_ap_antennas * 16
+        harness.simulate_drop(cfg, np.random.default_rng(seed), n_trials)
         assert len(peaks) == 1
-        assert peaks[0] <= 4.5 * draw, peaks[0] / draw
+        return peaks[0]
+
+    def test_peak_memory_of_one_default_batch(self, monkeypatch):
+        # One 64-trial call at the default scale may peak at 4.5 channel
+        # draws (64, K, A, N) of complex128.
+        cfg = SystemConfig()
+        peak = self._traced_peak(monkeypatch, cfg, 26, 64)
+        draw = 64 * cfg.n_users * cfg.n_aps * cfg.n_ap_antennas * 16
+        assert peak <= 4.5 * draw, peak / draw
+
+    def test_peak_memory_is_bounded_by_the_batch_budget(self, monkeypatch):
+        # 64 trials on 4 APs x 256 antennas, each user served by its
+        # strongest AP, on one thread: 16 batches of 4 trials in two reused
+        # buffers peak at 12.0 MB, where two fresh batches of 32 trials
+        # peaked at 81.8 MB.
+        monkeypatch.setattr(bounds, "_cpus", lambda: 1)
+        cfg = SystemConfig(n_aps=4, n_ap_antennas=256,
+                           association_mode="UC", uc_cluster_size=1)
+        peak = self._traced_peak(monkeypatch, cfg, 3, 64)
+        assert peak <= 4 * bounds.UB_BATCH_BYTES, peak / 1e6
+
+
+class TestUbBatches:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(n=st.integers(1, 5000),
+           trial_bytes=st.one_of(st.integers(1, 4096),
+                                 st.integers(1, 2 * bounds.UB_BATCH_BYTES)))
+    def test_fewest_even_batches_within_the_budget(self, n, trial_bytes):
+        sizes = bounds._ub_batches(n, trial_bytes)
+        cap = max(1, bounds.UB_BATCH_BYTES // trial_bytes)
+        assert sum(sizes) == n
+        assert max(sizes) <= cap
+        assert max(sizes) - min(sizes) <= 1
+        assert sizes == sorted(sizes, reverse=True)     # np.array_split's
+        # At least two from 2 trials on, and one batch fewer would either
+        # overflow the cap or break that rule.
+        assert len(sizes) >= min(n, 2)
+        fewer = len(sizes) - 1
+        assert fewer * cap < n or fewer < min(n, 2)
+        for cpus in (1, 2, 64):
+            with mock.patch.object(bounds, "_cpus", lambda: cpus):
+                assert bounds._ub_batches(n, trial_bytes) == sizes
 
 
 class TestUpperBoundThreads:
@@ -800,9 +869,9 @@ class TestUpperBoundThreads:
         of the threads that ran UB batches are added to `threads`."""
         monkeypatch.setattr(bounds, "_cpus", lambda: cpus)
         if threads is not None:
-            def spy(*args):
+            def spy(*args, **kw):
                 threads.add(threading.current_thread().name)
-                return lmmse_estimate(*args)
+                return lmmse_estimate(*args, **kw)
             monkeypatch.setattr(bounds, "lmmse_estimate", spy)
         res = harness.run_experiment(cfg, 2, 20)
         monkeypatch.undo()
@@ -833,23 +902,47 @@ class TestUpperBoundThreads:
         monkeypatch.setattr(bounds, "_cpus", lambda: 2)
         seen, fail_at = [], None            # BLAS count inside each batch
 
-        def spy(*a):
+        def spy(*a, **kw):
             seen.append(get())
             if len(seen) == fail_at:
                 raise RuntimeError("batch failed")
-            return lmmse_estimate(*a)
+            return lmmse_estimate(*a, **kw)
 
         monkeypatch.setattr(bounds, "lmmse_estimate", spy)
         put(2)
         try:
             se_ub_mc(*args, np.random.default_rng(31))
-            assert seen == [1] * 4 and get() == 2
+            assert seen == [1] * 2 and get() == 2
             seen, fail_at = [], 2
             with pytest.raises(RuntimeError, match="batch failed"):
                 se_ub_mc(*args, np.random.default_rng(31))
             assert get() == 2
         finally:
             put(before)
+
+    def test_threads_keep_their_own_buffers(self, monkeypatch):
+        # More threads than cores, each reusing its buffers over batches
+        # of 3 trials, with a short switch interval: the rates equal the
+        # serial ones bit for bit, which a buffer that two threads write
+        # would break.
+        if bounds._openblas_threads() is None:
+            pytest.skip("numpy did not load an OpenBLAS with a thread setter")
+        rng = np.random.default_rng(34)
+        links, pilots, est = _mixed_instance(rng)
+        args = (links, est, rng.uniform(0.1, 1.0, links.beta.shape),
+                rng.uniform(0.2, 1.0, 8), 0.25, 0.42, 60)
+        monkeypatch.setattr(bounds, "UB_BATCH_BYTES", 3 * 16 * 8 * 5 * 3)
+        monkeypatch.setattr(bounds, "_cpus", lambda: 1)
+        serial = se_ub_mc(*args, np.random.default_rng(35))
+        monkeypatch.setattr(bounds, "_cpus", lambda: 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = se_ub_mc(*args, np.random.default_rng(35))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(pooled, serial):
+            np.testing.assert_array_equal(got, want)
 
     def test_serial_without_blas_symbol(self, monkeypatch):
         rng = np.random.default_rng(32)
@@ -861,9 +954,9 @@ class TestUpperBoundThreads:
         monkeypatch.setattr(bounds, "_openblas_threads", lambda: None)
         threads = set()
 
-        def spy(*a):
+        def spy(*a, **kw):
             threads.add(threading.current_thread())
-            return lmmse_estimate(*a)
+            return lmmse_estimate(*a, **kw)
 
         monkeypatch.setattr(bounds, "lmmse_estimate", spy)
         serial = se_ub_mc(*args, np.random.default_rng(33))

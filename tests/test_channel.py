@@ -210,8 +210,8 @@ def _dense_los_channels(beta, los_frac, steering, rng, n_draws=None):
     full = (() if n_draws is None else (n_draws,)) + shape
     theta = rng.uniform(0.0, 2.0 * np.pi, size=full)
     scale = (scatter_amp / np.sqrt(2.0))[..., None]
-    g = (rng.standard_normal(full + (n,)) * scale
-         + 1j * (rng.standard_normal(full + (n,)) * scale))
+    h = rng.standard_normal(full + (n, 2))          # real, imaginary
+    g = h[..., 0] * scale + 1j * (h[..., 1] * scale)
     return g + (los_amp * np.exp(1j * theta))[..., None] * steering
 
 
@@ -234,6 +234,31 @@ class TestSampleChannels:
         want = _dense_los_channels(beta, kappa, steer,
                                    np.random.default_rng(41), n_draws)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n_draws", [None, 7])
+    def test_out_buffer_matches_the_allocating_call(self, n_draws):
+        # A caller's buffer, filled with stale values, receives the same
+        # bits as a new array, and the stream advances the same way.
+        rng = np.random.default_rng(44)
+        beta = rng.uniform(0.5, 2.0, (4, 3))
+        kappa = rng.uniform(0.0, 1.0, (4, 3))
+        kappa[0] = 0.0
+        kappa[1, 1] = 1.0
+        steer = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 3, 5)))
+        rngs = np.random.default_rng(45), np.random.default_rng(45)
+        want = sample_channels(beta, kappa, steer, rngs[0], n_draws=n_draws)
+        buf = np.full(want.shape, np.nan + 1j, dtype=complex)
+        got = sample_channels(beta, kappa, steer, rngs[1], n_draws=n_draws,
+                              out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(got, want)
+        assert rngs[0].random() == rngs[1].random()
+
+    def test_out_buffer_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            sample_channels(np.ones((2, 3)), 0.5, np.ones((2, 3, 4)),
+                            np.random.default_rng(0), n_draws=2,
+                            out=np.empty((2, 2, 3, 5), dtype=complex))
 
     # Each case is named by its Ricean K-factor, kappa = K/(K+1).
     @pytest.mark.parametrize("kappa", [0.0, 2.5 / 3.5, 1.0],

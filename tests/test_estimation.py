@@ -466,6 +466,31 @@ class TestLmmseEstimate:
                                    atol=1e-12 * np.abs(want).max())
         assert np.all(got[:, ~mask] == 0)
 
+    def test_out_buffer_matches_the_allocating_call(self):
+        # A caller's buffer, filled with stale values, receives the same
+        # bits as a new array; the observation has more pilot rows (5) than
+        # there are users on them.
+        rng = np.random.default_rng(47)
+        links = random_links(rng, 4, 3, 2)
+        links.los_frac[0] = 0.0
+        links.los_frac[2, 1] = 1.0
+        est = build_estimators(links, [0, 4, 0, 2], rng.uniform(0.5, 2, 4),
+                               0.3)
+        y = (rng.standard_normal((3, 5, 3, 2))
+             + 1j * rng.standard_normal((3, 5, 3, 2)))
+        want = lmmse_estimate(links, est, y.copy())
+        buf = np.full(want.shape, np.nan + 1j, dtype=complex)
+        got = lmmse_estimate(links, est, y.copy(), out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(got, want)
+
+    def test_too_few_pilot_rows_rejected(self):
+        rng = np.random.default_rng(48)
+        links = random_links(rng, 2, 2, 2)
+        est = build_estimators(links, [0, 3], [1.0, 1.0], 0.3)
+        with pytest.raises(ValueError, match="pilot rows"):
+            lmmse_estimate(links, est, np.ones((1, 3, 2, 2), dtype=complex))
+
 
 def _dft(n, r):
     """r orthogonal steering vectors of n antennas, the first r DFT columns,
