@@ -8,10 +8,10 @@ import numpy as np
 
 from cfmimo.allocation import associate, dl_power_allocation, fpc
 from cfmimo.bounds import se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb, uatf_terms
-from cfmimo.channel import build_links, sample_channels
+from cfmimo.channel import build_links
 from cfmimo.config import SystemConfig
 from cfmimo.deployment import UAV, sample_drop
-from cfmimo.estimation import build_estimators, lmmse_estimate
+from cfmimo.estimation import build_estimators, draw_block, lmmse_estimate
 
 cfg = SystemConfig(area_side=400.0, n_aps=12, n_gues=6, n_uavs=2,
                    n_ap_antennas=2, tau_p=4, tau_c=20, rng_seed=1)
@@ -30,13 +30,7 @@ est = build_estimators(links, drop.pilot_index, eta_tr, sigma2,
 # orthonormal, so de-spreading user k's pilot leaves the sum of the
 # channels on it plus CN(0, sigma2 I) noise shared by those users.
 n_mc = 20000
-g = sample_channels(links.beta, links.los_frac, links.steering, rng,
-                    n_draws=n_mc)
-spread = np.zeros((cfg.tau_p, cfg.n_users))
-spread[drop.pilot_index, np.arange(cfg.n_users)] = np.sqrt(eta_tr)
-y = np.einsum("pk,tkan->tpan", spread, g)
-y += (rng.standard_normal(y.shape)
-      + 1j * rng.standard_normal(y.shape)) * np.sqrt(sigma2 / 2)
+_, y = draw_block(links, est, rng, n_mc)
 ghat = lmmse_estimate(links, est, y)
 mc_gamma = np.einsum("tkan->ka", np.abs(ghat) ** 2) / n_mc
 rel = np.abs(mc_gamma - est.gamma) / est.gamma

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkSet, covariance_coeffs, sample_channels
-from .estimation import EstimatorSet, lmmse_estimate
+from .channel import LinkSet, covariance_coeffs
+from .estimation import EstimatorSet, draw_block, lmmse_estimate
 from .errors import NumericalError
 
 UB_BATCH_BYTES = 4 << 20   # most bytes of one upper-bound batch's channel draw
@@ -367,19 +367,21 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     T trials of (K, A, N) complex128, fits in UB_BATCH_BYTES (at least one
     trial each), at least two when n_trials >= 2, with sizes as equal as
     possible (_ub_batches: 100 trials of the default 60-user drop ->
-    10 x 10, 10 trials of 120 users -> 2 x 5, 1 -> 1). Batch b draws from
+    10 x 10, 10 trials of 120 users -> 2 x 5, 1 -> 1). Batch b draws its
+    blocks with estimation.draw_block, which defines the draw order, from
     np.random.Generator(np.random.SFC64(s_b)), with s_b the b-th
-    SeedSequence spawned from rng's: one sample_channels call, then the
-    training noise as one standard_normal call over a real view. The
-    layout depends only on n_trials and the drop's shape, never on the
-    thread count, and a batch's draws only on its own stream.
+    SeedSequence spawned from rng's. The layout depends only on n_trials
+    and the drop's shape, never on the thread count, and a batch's draws
+    only on its own stream.
 
-    Buffers: each thread that runs batches allocates two flat buffers
-    once per call, sized for the largest batch, and reuses them for each
-    of its batches: the channel draw, which sample_channels fills, and
-    the estimate, with room for max(K, P) rows, which first holds the
-    training noise and then lmmse_estimate's output. The observation,
-    the (T, K, K) amplitudes and their powers are allocated per batch.
+    Buffers: each thread that runs batches allocates two flat buffers of
+    K rows once per call, sized for the largest batch, and reuses them
+    for each of its batches: the channel draw, which draw_block fills,
+    and the estimate, which lmmse_estimate fills. Per batch it allocates
+    draw_block's (T, P, A, N) noise and observation, freed before the
+    GEMMs, lmmse_estimate's workspace and the (T, K, K) amplitudes and
+    powers, so a call's peak memory is a few UB_BATCH_BYTES per thread,
+    whatever n_trials.
 
     Threads: the batches run on min(CPUs in the process's affinity mask,
     n_batches) threads. While more than one runs, numpy's OpenBLAS is
@@ -393,9 +395,6 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     A batch of T trials is evaluated with BLAS products, with AN = A*N the
     flattened (AP, antenna) axis:
 
-    - training: one (P, K) @ (T, K, AN) product, on real views of the
-      complex arrays, spreads the users' channels onto their pilots; the
-      training noise is added in place;
     - LMMSE: lmmse_estimate forms B^{-1} y once per (pilot, AP) gram, with
       two thin products through the factors U, U M only on the grams with
       a LOS user, and spreads it to the (T, K, A, N) layout the GEMMs read,
@@ -412,11 +411,6 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
       |M|^2 are squared in place and overwrite the UL's, so the DL
       allocates no (T, K, K) array.
 
-    The observation is freed before the GEMMs, so besides its two buffers
-    a thread holds at most the observation (T, P, A, N) and
-    lmmse_estimate's workspace: a call's peak memory is a few
-    UB_BATCH_BYTES per thread, whatever n_trials.
-
     Returns (se_dl, stderr_dl, se_ul, stderr_ul), each (K,), where se is
     frac * mean log2(1 + sinr) and stderr is the standard error of se, from
     per-batch M2 merged in batch order (Chan et al.'s pairwise update).
@@ -428,12 +422,6 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     N = links.steering.shape[-1]
     eta_dl = np.asarray(eta_dl, dtype=float) * serving_mask
     eta_ul = np.asarray(eta_ul, dtype=float)
-    sigma_w2 = est.sigma_w2
-    pilot_index = est.pilot_index
-    P = int(pilot_index.max()) + 1
-    # spread[p, k]: user k's training amplitude on pilot p.
-    spread = np.zeros((P, K))
-    spread[pilot_index, np.arange(K)] = np.sqrt(est.train_powers)
     # sqrt(eta_dl) on the real view of the estimate: contiguous along 2N.
     wdl = np.repeat(np.sqrt(eta_dl)[:, :, None], 2 * N, axis=2)
     diag = np.arange(K)
@@ -446,25 +434,12 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
         the two channel-sized buffers of the calling thread."""
         if not hasattr(local, "g"):
             local.g = np.empty(sizes[0] * K * A * N, dtype=complex)
-            local.ghat = np.empty(sizes[0] * max(K, P) * A * N, dtype=complex)
-        g = sample_channels(links.beta, links.los_frac, links.steering,
-                            rng, n_draws=T,
-                            out=local.g[:T * K * A * N].reshape(T, K, A, N))
+            local.ghat = np.empty_like(local.g)
+        n = T * K * A * N
+        g, y = draw_block(links, est, rng, T, local.g[:n].reshape(T, K, A, N))
         g_flat = g.reshape(T, K, A * N)
-
-        # Training noise in the estimate's buffer, which the estimate then
-        # overwrites, added to the de-spread observation per pilot.
-        noise = local.ghat[:T * P * A * N].reshape(T, P, A, N)
-        re_im = noise.view(float)
-        rng.standard_normal(out=re_im)
-        re_im *= np.sqrt(sigma_w2 / 2)
-        y = (spread @ g.view(float).reshape(T, K, 2 * A * N)).view(complex)
-        y = y.reshape(T, P, A, N)
-        y += noise
-        del noise, re_im
-        ghat = lmmse_estimate(
-            links, est, y,
-            out=local.ghat[:T * K * A * N].reshape(T, K, A, N))
+        ghat = lmmse_estimate(links, est, y,
+                              out=local.ghat[:n].reshape(g.shape))
         del y
         np.conjugate(g, out=g)
 
@@ -476,7 +451,7 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
         sig = eta_ul * p[:, diag, diag]
         interf = p @ eta_ul - sig
         re_im = ghat.view(float).reshape(T, K, 2 * A * N)
-        noise = sigma_w2 * np.einsum("tki,tki->tk", re_im, re_im)
+        noise = est.sigma_w2 * np.einsum("tki,tki->tk", re_im, re_im)
         sinr_ul = sig / (interf + noise)
 
         # Downlink: received amplitude of user j's beam at user k, with the

@@ -249,11 +249,8 @@ def sample_channels(beta, los_frac, steering, rng: np.random.Generator,
     out            : optional C-contiguous complex128 array of the result's
                      shape, filled and returned in place of a new array
     Returns (..., N), or (n_draws, ..., N) when n_draws is given. Phase
-    rotations are redrawn per call (one call == one coherence block).
-
-    Draw order: the phases (uniform, one per link), then the scattered
-    part as one standard_normal call over the result's real view, real
-    and imaginary parts interleaved.
+    rotations are redrawn per call (one call == one coherence block). The
+    draw order is stated once, in estimation.draw_block.
     """
     steering = np.asarray(steering)
     los_amp, scatter_amp = map(np.sqrt, covariance_coeffs(beta, los_frac))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkSet, covariance_coeffs
+from .channel import LinkSet, covariance_coeffs, sample_channels
 from .errors import NumericalError
 
 COND_LIMIT = 1e12
@@ -97,10 +97,13 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
     """Solve the grams read by the links in `serving` (K, A) bool and gamma
     on those links; None, as in cell-free mode, serves every link. The set
     carries the serving mask and the pilot assignment to every later stage
-    of the drop."""
+    of the drop. pilot_index holds K integers >= 0, else ValueError."""
     K, A, N = links.steering.shape
     eta = np.broadcast_to(np.asarray(train_powers, dtype=float), (K,)).copy()
     pilot = np.asarray(pilot_index)
+    if (pilot.shape != (K,) or not np.issubdtype(pilot.dtype, np.integer)
+            or np.any(pilot < 0)):
+        raise ValueError("pilot_index must be K non-negative integers")
     if serving is None:
         served = np.ones((K, A), dtype=bool)
     else:
@@ -157,6 +160,36 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
                         train_powers=eta, sigma_w2=float(sigma_w2),
                         alpha=alpha, tr_inv=tr_inv, los_gram=los_gram, U=U,
                         UM=US * w[:, None, :], z=z, q=q.real.copy())
+
+
+def draw_block(links: LinkSet, est: EstimatorSet, rng: np.random.Generator,
+               n_draws, g=None):
+    """n_draws coherence blocks of the drop: the channels g (T, K, A, N),
+    written into g when it is given, and the de-spread training observation
+    y (T, P, A, N), P = max pilot index + 1.
+
+    The one definition of a block's draws, in order: sample_channels (each
+    link's phase, then the scattered part as one standard_normal call over
+    g's real view); then the training noise CN(0, sigma_w^2), one
+    standard_normal call over the real view of a new (T, P, A, N) array,
+    added to y = spread @ g, with spread[p, k] = sqrt(eta_k) where user k
+    is on pilot p.
+    """
+    K, A, N = links.steering.shape
+    T = n_draws
+    P = int(est.pilot_index.max()) + 1
+    g = sample_channels(links.beta, links.los_frac, links.steering, rng,
+                        n_draws=T, out=g)
+    noise = np.empty((T, P, A, N), dtype=complex)
+    re_im = noise.view(float)
+    rng.standard_normal(out=re_im)
+    re_im *= np.sqrt(est.sigma_w2 / 2)
+    spread = np.zeros((P, K))
+    spread[est.pilot_index, np.arange(K)] = np.sqrt(est.train_powers)
+    y = (spread @ g.view(float).reshape(T, K, 2 * A * N)).view(complex)
+    y = y.reshape(T, P, A, N)
+    y += noise
+    return g, y
 
 
 def lmmse_estimate(links: LinkSet, est: EstimatorSet, y, out=None):

@@ -81,6 +81,33 @@ def simulate_training(g, pilot_index, train_powers, sigma_w2, tau_p, rng):
     return np.einsum("...anp,pk->...kan", Y, phi), Y
 
 
+def explicit_block(links, est, rng, n_draws):
+    """Oracle: n_draws coherence blocks written out, (g, y) as
+    estimation.draw_block returns them and from the same draws: the phases
+    theta (T, K, A), then the channels' scattered part and then the
+    training noise, each one standard_normal call with real and imaginary
+    parts interleaved; the de-spread observation y (T, P, A, N) sums each
+    pilot's users' channels, scaled by sqrt(eta), and adds the noise."""
+    K, A = links.beta.shape
+    N = links.steering.shape[-1]
+    T = n_draws
+    pilot_index = est.pilot_index
+    amp = np.sqrt(est.train_powers)
+    los_amp, scatter_amp = map(np.sqrt, covariance_coeffs(links.beta,
+                                                          links.los_frac))
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(T, K, A))
+    h = rng.standard_normal((T, K, A, N, 2)) / np.sqrt(2.0)
+    g = (los_amp[..., None] * np.exp(1j * theta)[..., None] * links.steering
+         + scatter_amp[..., None] * (h[..., 0] + 1j * h[..., 1]))
+    ysig = np.zeros((T, int(pilot_index.max()) + 1, A, N), dtype=complex)
+    for p in np.unique(pilot_index):
+        users = np.nonzero(pilot_index == p)[0]
+        ysig[:, p] = np.einsum("u,tuan->tan", amp[users], g[:, users])
+    wn = (rng.standard_normal(ysig.shape + (2,)).view(complex)[..., 0]
+          * np.sqrt(est.sigma_w2 / 2))
+    return g, ysig + wn
+
+
 @pytest.fixture
 def small_instance():
     """3 APs, 2 antennas, 3 users; users 0 and 1 share a pilot."""

@@ -4,6 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines inline.
 Criteria 1 and 6 are the heavy ones (a 10^6-draw Monte-Carlo term check and
 three 50-drop full-scale campaigns, the CF/PPA one shared by 6a and 6b); the
 whole file stays well inside a few minutes on a desktop machine.
+
+Criteria 1 and 3 draw their coherence blocks with estimation.draw_block,
+the channel and training draw the upper-bound kernel runs, so the closed
+forms are checked against the kernel's own training step.
 """
 
 import numpy as np
@@ -11,10 +15,9 @@ import pytest
 
 from cfmimo.bounds import sinr_dl_lb, sinr_ul_lb, uatf_terms
 from cfmimo import harness
-from cfmimo.channel import sample_channels
 from cfmimo.config import SystemConfig
 from cfmimo.deployment import UAV
-from cfmimo.estimation import build_estimators, lmmse_estimate
+from cfmimo.estimation import build_estimators, draw_block, lmmse_estimate
 from cfmimo.harness import run_experiment, simulate_drop, emit_cdf
 from cfmimo.allocation import (waterfill_level, wfpc, ppa,
                                dl_power_allocation)
@@ -25,26 +28,6 @@ from conftest import random_links
 def report(num, ok, detail=""):
     print(f"\ncriterion {num}: {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def _draw_estimates(links, est, pilots, rng, n_draws):
-    """One batch of coherence blocks: true channels and LMMSE estimates."""
-    K, A = links.beta.shape
-    N = links.steering.shape[-1]
-    g = sample_channels(links.beta, links.los_frac, links.steering, rng,
-                        n_draws=n_draws)
-    amp = np.sqrt(est.train_powers)
-    pilots = np.asarray(pilots)
-    ysig = np.zeros((n_draws, pilots.max() + 1, A, N), dtype=complex)
-    for p in np.unique(pilots):
-        users = np.nonzero(pilots == p)[0]
-        ysig[:, p] = np.einsum("u,tuan->tan", amp[users], g[:, users])
-    wn = (rng.standard_normal(ysig.shape)
-          + 1j * rng.standard_normal(ysig.shape)) * np.sqrt(est.sigma_w2 / 2)
-    y = ysig + wn
-    y_hat = y[:, pilots]
-    ghat = lmmse_estimate(links, est, y)
-    return g, ghat, y_hat
 
 
 class TestCriterion1:
@@ -100,7 +83,8 @@ class TestCriterion1:
         s_nrm2 = np.zeros(K)
         mc = np.random.default_rng(101)
         for _ in range(n_total // chunk):
-            g, ghat, _ = _draw_estimates(links, est, pilots, mc, chunk)
+            g, y = draw_block(links, est, mc, chunk)
+            ghat = lmmse_estimate(links, est, y)
             m = np.einsum("tkan,ja,tjan->tkj", np.conj(g), np.sqrt(eta_dl),
                           ghat)
             p2 = np.abs(m) ** 2
@@ -186,7 +170,9 @@ class TestCriterion3:
             done = 0
             while done < n:
                 t = min(50000, n - done)
-                g, ghat, y_hat = _draw_estimates(links, est, pilots, mc, t)
+                g, y = draw_block(links, est, mc, t)
+                y_hat = y[:, pilots]
+                ghat = lmmse_estimate(links, est, y)
                 acc += np.einsum("tkan,tkam->kanm", g - ghat, np.conj(y_hat))
                 nrm += np.einsum("tkan->ka", np.abs(ghat) ** 2)
                 done += t

@@ -13,12 +13,13 @@ from cfmimo.allocation import (AssociationMap, associate,
                                dl_power_allocation)
 from cfmimo.bounds import (se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb,
                            uatf_terms)
-from cfmimo.channel import LinkSet, build_links, covariance_coeffs
+from cfmimo.channel import LinkSet, build_links
 from cfmimo.config import SystemConfig
 from cfmimo.deployment import sample_drop
 from cfmimo.estimation import build_estimators, lmmse_estimate
 
-from conftest import covariance_G, lmmse_filters, random_links
+from conftest import (covariance_G, explicit_block, lmmse_filters,
+                      random_links)
 
 
 def unit_steer(rng, n):
@@ -376,26 +377,20 @@ class TestUpperBound:
 
 def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac, n_trials,
                      rng):
-    """Oracle: the per-pilot-loop, 3-operand-einsum formulation of se_ub_mc,
-    with the channel draw written out, on the same draws: the fewest
+    """Oracle: the 3-operand-einsum formulation of se_ub_mc on the same
+    draws, each batch's blocks written out by explicit_block: the fewest
     batches whose (T, K, A, N) complex128 draw fits in UB_BATCH_BYTES (at
     least one trial each, at least two batches from 2 trials on), sizes as
     np.array_split makes them, batch b drawn from an SFC64 generator on the
-    b-th SeedSequence spawned from rng's, its scattered channel part and
-    its training noise one standard_normal call each with real and
-    imaginary parts interleaved. The standard error is np.std of every
-    trial's SE over sqrt(n_trials)."""
+    b-th SeedSequence spawned from rng's. The standard error is np.std of
+    every trial's SE over sqrt(n_trials)."""
     K, A = links.beta.shape
     N = links.steering.shape[-1]
     eta_dl = np.asarray(eta_dl, dtype=float) * est.served
     eta_ul = np.asarray(eta_ul, dtype=float)
     mask = est.served.astype(float)
-    amp = np.sqrt(est.train_powers)
     wdl = np.sqrt(eta_dl)
     sigma_w2 = est.sigma_w2
-    pilot_index = est.pilot_index
-    los_amp, scatter_amp = map(np.sqrt, covariance_coeffs(links.beta,
-                                                          links.los_frac))
 
     per_trial = [[], []]
     per_batch = max(1, bounds.UB_BATCH_BYTES // (16 * K * A * N))
@@ -403,19 +398,9 @@ def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac, n_trials,
     sizes = [len(b) for b in np.array_split(np.arange(n_trials), n_batches)]
     seeds = rng.bit_generator.seed_seq.spawn(n_batches)
     for seed, T in zip(seeds, sizes):
-        rng = np.random.Generator(np.random.SFC64(seed))
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=(T, K, A))
-        h = rng.standard_normal((T, K, A, N, 2)) / np.sqrt(2.0)
-        g = (los_amp[..., None] * np.exp(1j * theta)[..., None]
-             * links.steering
-             + scatter_amp[..., None] * (h[..., 0] + 1j * h[..., 1]))
-        ysig = np.zeros((T, int(pilot_index.max()) + 1, A, N), dtype=complex)
-        for p in np.unique(pilot_index):
-            users = np.nonzero(pilot_index == p)[0]
-            ysig[:, p] = np.einsum("u,tuan->tan", amp[users], g[:, users])
-        wn = (rng.standard_normal(ysig.shape + (2,)).view(complex)[..., 0]
-              * np.sqrt(sigma_w2 / 2))
-        ghat = lmmse_estimate(links, est, ysig + wn)
+        g, y = explicit_block(links, est,
+                              np.random.Generator(np.random.SFC64(seed)), T)
+        ghat = lmmse_estimate(links, est, y)
 
         Mdl = np.einsum("tkan,ja,tjan->tkj", np.conj(g), wdl, ghat)
         p_dl = np.abs(Mdl) ** 2
@@ -745,9 +730,9 @@ class TestUpperBoundKernel:
         self._check(args, 70, 25)
 
     def test_more_pilot_rows_than_users(self, monkeypatch):
-        # 3 users on pilots 0, 31 and 0: the training noise takes 32 pilot
-        # rows of the estimate's buffer, more than the estimate's 3 user
-        # rows. Batches of 3 trials make each thread reuse its buffers.
+        # 3 users on pilots 0, 31 and 0: the observation has 32 pilot rows,
+        # more than the 3 user rows of the reused channel and estimate
+        # buffers. Batches of 3 trials make each thread reuse its buffers.
         trial_bytes = 16 * 3 * 4 * 2                 # (K, A, N) complex128
         monkeypatch.setattr(bounds, "UB_BATCH_BYTES", 3 * trial_bytes)
         assert bounds._ub_batches(20, trial_bytes) == [3] * 6 + [2]

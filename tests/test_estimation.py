@@ -4,10 +4,12 @@ import pytest
 from cfmimo.channel import covariance_coeffs, sample_channels
 from cfmimo import estimation
 from cfmimo.errors import NumericalError
-from cfmimo.estimation import COND_LIMIT, build_estimators, lmmse_estimate
+from cfmimo.estimation import (COND_LIMIT, build_estimators, draw_block,
+                               lmmse_estimate)
 
-from conftest import (applied_filters, covariance_G, lmmse_filter_D,
-                      lmmse_filters, random_links, simulate_training)
+from conftest import (applied_filters, covariance_G, explicit_block,
+                      lmmse_filter_D, lmmse_filters, random_links,
+                      simulate_training)
 
 
 def unit_steer(rng, n):
@@ -75,16 +77,25 @@ class TestPilotGramB:
         assert np.allclose(B[0], B[1])
         assert np.allclose(B[2], 3.0 * G[2] + 0.5 * np.eye(2))
 
-    def test_matches_sample_covariance_of_despread_observation(self):
+    @pytest.mark.parametrize("training", ["simulate_training", "draw_block"])
+    def test_matches_sample_covariance_of_despread_observation(self,
+                                                               training):
+        # The pilot-matrix oracle and the library's draw give each user's
+        # de-spread observation the covariance of its pilot gram.
         links, pilots, eta, sw2, est = _small(seed=7)
         B = pilot_gram_B(links, pilots, eta, sw2)
         rng = np.random.default_rng(8)
-        n_draws, acc = 200000, 0
+        n_draws = 200000
         cov = np.zeros((3, 2, 2, 2), dtype=complex)  # (K, A, N, N)
         for _ in range(10):
-            g = sample_channels(links.beta, links.los_frac, links.steering,
-                                rng, n_draws=n_draws // 10)
-            y, _ = simulate_training(g, pilots, eta, sw2, 2, rng)
+            if training == "draw_block":
+                _, y = draw_block(links, est, rng, n_draws // 10)
+                y = y[:, pilots]
+            else:
+                g = sample_channels(links.beta, links.los_frac,
+                                    links.steering, rng,
+                                    n_draws=n_draws // 10)
+                y, _ = simulate_training(g, pilots, eta, sw2, 2, rng)
             cov += np.einsum("tkan,tkam->kanm", y, np.conj(y))
         cov /= n_draws
         rel = np.linalg.norm(cov - B) / np.linalg.norm(B)
@@ -195,6 +206,18 @@ class TestBuildEstimators:
         with pytest.raises(NumericalError, match="pilot gram"):
             build_estimators(links, pilots, np.ones(4), 1.0)
 
+    @pytest.mark.parametrize("pilots", [[-1, 0, 0], [0, 0.5, 1], [0, 1],
+                                        [[0, 1, 0]]],
+                             ids=["negative", "fractional", "too_short",
+                                  "two_dimensional"])
+    def test_bad_pilot_index_rejected(self, pilots):
+        # Flat gram indices pilot * A + a would wrap a negative pilot onto
+        # other grams instead of failing.
+        links = random_links(np.random.default_rng(32), 3, 2, 2)
+        with pytest.raises(ValueError, match="pilot_index"):
+            build_estimators(links, pilots, np.ones(3), 1.0)
+        est = build_estimators(links, [0, 31, 0], np.ones(3), 1.0)
+        assert est.alpha.shape == (32, 2)
 
     def test_served_links_match_the_all_links_build(self):
         # A ragged user-centric mask: a row with one AP, a full row and an
@@ -490,6 +513,44 @@ class TestLmmseEstimate:
         est = build_estimators(links, [0, 3], [1.0, 1.0], 0.3)
         with pytest.raises(ValueError, match="pilot rows"):
             lmmse_estimate(links, est, np.ones((1, 3, 2, 2), dtype=complex))
+
+
+class TestDrawBlock:
+    """draw_block, the one definition of a coherence block's draws."""
+
+    def test_matches_the_explicit_block(self):
+        # Rayleigh, Ricean and pure-LOS links, two users on one pilot and
+        # a pilot row that no user takes: the channels and the observation
+        # equal the written-out block on the same stream, which pins the
+        # draw order.
+        rng = np.random.default_rng(49)
+        links = random_links(rng, 5, 3, 2)
+        links.los_frac[0] = 0.0
+        links.los_frac[1, :2] = 1.0
+        est = build_estimators(links, [0, 3, 0, 1, 3],
+                               rng.uniform(0.5, 2.0, 5), 0.3)
+        got = draw_block(links, est, np.random.Generator(np.random.SFC64(50)),
+                         7)
+        want = explicit_block(links, est,
+                              np.random.Generator(np.random.SFC64(50)), 7)
+        assert got[1].shape == (7, 4, 3, 2)
+        for x, w in zip(got, want):
+            np.testing.assert_allclose(x, w, rtol=1e-12)
+
+    def test_out_buffer_matches_the_allocating_call(self):
+        # A channel buffer filled with stale values, and more pilot rows
+        # (32) than users (3).
+        rng = np.random.default_rng(51)
+        links = random_links(rng, 3, 4, 2)
+        est = build_estimators(links, [0, 31, 0], rng.uniform(0.5, 2.0, 3),
+                               0.3)
+        g_want, y_want = draw_block(links, est, np.random.default_rng(52), 6)
+        buf = np.full((6, 3, 4, 2), np.nan + 1j, dtype=complex)
+        g, y = draw_block(links, est, np.random.default_rng(52), 6, g=buf)
+        assert g is buf
+        assert y.shape == (6, 32, 4, 2)
+        np.testing.assert_array_equal(g, g_want)
+        np.testing.assert_array_equal(y, y_want)
 
 
 def _dft(n, r):
