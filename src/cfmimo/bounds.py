@@ -20,7 +20,7 @@ import ctypes
 import functools
 import os
 import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -380,8 +380,11 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     and the estimate, which lmmse_estimate fills. Per batch it allocates
     draw_block's (T, P, A, N) noise and observation, freed before the
     GEMMs, lmmse_estimate's workspace and the (T, K, K) amplitudes and
-    powers, so a call's peak memory is a few UB_BATCH_BYTES per thread,
-    whatever n_trials.
+    powers, so a call's peak memory is a few UB_BATCH_BYTES per thread.
+    Keeping every trial's DL and UL SINR for the reduction adds 16 B per
+    trial and user, and the reduction at most 24 B more (one direction's
+    concatenated SINRs and se_lb's temporaries), 0.6% of the 6.4 KB per
+    trial and user that the default drop's channel draw takes.
 
     Threads: the batches run on min(CPUs in the process's affinity mask,
     n_batches) threads. While more than one runs, numpy's OpenBLAS is
@@ -389,8 +392,9 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     spin on the other core) and its previous count is restored after the
     last batch, also when one raises. Without that OpenBLAS symbol the
     batches run serially, on the same batches and streams. Each batch
-    returns its (T, K) DL and UL SINRs; the caller's thread merges them in
-    batch order, so the output is bit-identical for any thread count.
+    returns its (T, K) DL and UL SINRs; the caller's thread concatenates
+    them in batch order and reduces every trial's SE once, so the output is
+    bit-identical for any thread count.
 
     A batch of T trials is evaluated with BLAS products, with AN = A*N the
     flattened (AP, antenna) axis:
@@ -412,8 +416,9 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
       allocates no (T, K, K) array.
 
     Returns (se_dl, stderr_dl, se_ul, stderr_ul), each (K,), where se is
-    frac * mean log2(1 + sinr) and stderr is the standard error of se, from
-    per-batch M2 merged in batch order (Chan et al.'s pairwise update).
+    frac * mean log2(1 + sinr) and stderr the standard error of se,
+    np.std(ddof=0) / sqrt(n_trials), both numpy's two-pass moments over
+    the n_trials per-trial SEs in batch order.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -468,29 +473,17 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
                for seed in rng.bit_generator.seed_seq.spawn(len(sizes))]
     workers = min(_cpus(), len(sizes))
     blas = _openblas_threads() if workers > 1 else None
-    sums = np.zeros((2, K))
-    m2 = np.zeros((2, K))
-    done = 0
-    with ExitStack() as stack:
-        if blas is None:
-            batches = map(batch, streams, sizes)
-        else:
-            # Imported here: it pulls in logging, ~4% of `import cfmimo`.
-            from concurrent.futures import ThreadPoolExecutor
-            stack.enter_context(_one_blas_thread(*blas))
-            pool = stack.enter_context(ThreadPoolExecutor(
-                workers, thread_name_prefix="cfmimo-ub"))
-            batches = pool.map(batch, streams, sizes)
-        for T, sinrs in zip(sizes, batches):
-            for i, sinr in enumerate(sinrs):
-                se = se_lb(sinr, frac)
-                batch_mean = se.mean(axis=0)
-                shift = batch_mean - sums[i] / max(done, 1)
-                m2[i] += (np.sum((se - batch_mean) ** 2, axis=0)
-                          + shift ** 2 * (done * T / (done + T)))
-                sums[i] += se.sum(axis=0)
-            done += T
+    if blas is None:
+        batches = list(map(batch, streams, sizes))
+    else:
+        # Imported here: it pulls in logging, ~4% of `import cfmimo`.
+        from concurrent.futures import ThreadPoolExecutor
+        with _one_blas_thread(*blas), ThreadPoolExecutor(
+                workers, thread_name_prefix="cfmimo-ub") as pool:
+            batches = list(pool.map(batch, streams, sizes))
 
-    mean = sums / n_trials
-    stderr = np.sqrt(m2 / n_trials / n_trials)
-    return mean[0], stderr[0], mean[1], stderr[1]
+    out = []
+    for sinrs in zip(*batches):
+        se = se_lb(np.concatenate(sinrs), frac)                 # (n_trials, K)
+        out += [se.mean(axis=0), se.std(axis=0) / np.sqrt(n_trials)]
+    return tuple(out)

@@ -197,10 +197,11 @@ class SystemConfig:
     def from_json(cls, path) -> "SystemConfig":
         from .errors import ConfigurationError
 
-        with open(path) as f:
+        # JSON is UTF-8 (RFC 8259), whatever the locale.
+        with open(path, encoding="utf-8") as f:
             try:
                 data = json.load(f)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, UnicodeDecodeError) as e:
                 raise ConfigurationError(f"malformed config file {path}: {e}")
         if not isinstance(data, dict):
             raise ConfigurationError("config file must contain a JSON object")

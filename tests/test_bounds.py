@@ -751,8 +751,8 @@ class TestUpperBoundKernel:
         # noise: its per-trial UL SE varies by ~1e-7 of its mean, where a
         # one-pass sq / n - mean^2 variance cancels to rounding noise. The
         # 70 trials are batches of 24, 23 and 23; the kernel's own per-trial
-        # SEs are read from its calls to se_lb, which the merge makes on
-        # the caller's thread in batch order.
+        # SEs are read from its one se_lb call per direction, made on the
+        # caller's thread over the batches' SINRs in batch order.
         trial_bytes = 16 * 1 * 2 * 2                 # (K, A, N) complex128
         monkeypatch.setattr(bounds, "UB_BATCH_BYTES", 24 * trial_bytes)
         assert bounds._ub_batches(70, trial_bytes) == [24, 23, 23]
@@ -770,6 +770,33 @@ class TestUpperBoundKernel:
         np.testing.assert_allclose(se_ul, ul.mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(err_ul, np.std(ul, axis=0) / np.sqrt(70),
                                    rtol=1e-6)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_moments_are_numpys_of_the_per_trial_se(self, monkeypatch, cpus):
+        # A default drop's 100 trials in 10 batches, serial or pooled: the
+        # mean and standard error are np.mean and np.std / sqrt(n) of the
+        # per-trial SEs the kernel passes through se_lb, bit for bit.
+        monkeypatch.setattr(bounds, "_cpus", lambda: cpus)
+        per_trial, got = [], []
+        monkeypatch.setattr(bounds, "se_lb", lambda *args: (
+            per_trial.append(se_lb(*args)) or per_trial[-1]))
+
+        def kept(*args, **kwargs):
+            got.extend(se_ub_mc(*args, **kwargs))
+            return tuple(got)
+
+        monkeypatch.setattr(harness, "se_ub_mc", kept)
+        cfg = SystemConfig()
+        harness.simulate_drop(cfg, np.random.default_rng(5), 100)
+        assert bounds._ub_batches(100, 16 * cfg.n_users * cfg.n_aps
+                                  * cfg.n_ap_antennas) == [10] * 10
+        se = [np.concatenate(per_trial[i::2]) for i in (0, 1)]  # DL, UL
+        assert se[0].shape == se[1].shape == (100, cfg.n_users)
+        want = []
+        for x in se:
+            want += [np.mean(x, axis=0), np.std(x, axis=0) / np.sqrt(100)]
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, w)
 
     @staticmethod
     def _traced_peak(monkeypatch, cfg, seed, n_trials):

@@ -187,10 +187,13 @@ class TestSerialization:
         assert cfg.n_aps == 100
 
     def test_malformed_json(self, tmp_path):
+        # Bad JSON, and bytes that are not UTF-8 (RFC 8259's encoding).
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigurationError):
-            SystemConfig.from_json(path)
+        for raw in (b"{not json", b"\xff\xfe"):
+            path.write_bytes(raw)
+            with pytest.raises(ConfigurationError,
+                               match="malformed config file"):
+                SystemConfig.from_json(path)
 
     def test_non_object_json(self, tmp_path):
         path = tmp_path / "list.json"

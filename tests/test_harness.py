@@ -220,6 +220,17 @@ class TestCli:
         assert r.returncode == 2
         assert r.stderr.startswith("ERROR ConfigurationError:")
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xff\xfe")
+        code = cli.main(["run", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"ERROR ConfigurationError: malformed config file {cfg_path}:")
+
     def test_missing_config_exits_3(self, tmp_path):
         r = run_cli("run", "--config", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "o"))
