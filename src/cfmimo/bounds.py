@@ -9,9 +9,12 @@ SINR) with true channels and actual LMMSE estimates/beamformers.
 
 All SINR denominators decompose into: beamforming-gain-uncertainty term,
 cross-interference trace term, noise term, and a pilot-contamination term
-over users sharing the same pilot. The cross traces are formed for every
-pair of users; the contamination traces only for the pairs that share a
-pilot.
+over users sharing the same pilot. The contamination traces are formed only
+for the pairs that share a pilot. The cross trace of every (filter owner,
+user) pair is held in factors: tr X on each owner slot times each user's
+c_eye at the slot's AP, plus a (J, C, L) block for the L users with a LOS
+component. Its memory and work scale as K C L, not K^2 C, and the SINRs
+contract the factors without forming the (J, C, K) array.
 """
 
 from __future__ import annotations
@@ -66,24 +69,35 @@ class UatfTerms:
     terms, are 0: the owner's side of a slot is masked by the serving set).
     In cell-free mode C = A and ap[j, c] = c.
 
-    cross is read for every (owner, user) pair. t and delta are read only
-    on the P pairs p = (j, k) = (pj[p], pk[p]) whose users share a pilot,
-    self-pairs included, in row-major (j, k) order. With a = ap[j, c]:
+    The cross trace cross[j, c, k] = tr(G_{j,a} D_{j,a}^H G_{k,a}) of
+    every (owner, user) pair is held in factors, never as a (J, C, K)
+    array: it is tr_X[j, c] c_eye[k, a], plus cross_los[j, c, l] when k is
+    the l-th user los[l] with a LOS component. cross_at_users and
+    cross_at_slots contract it against the SINRs' weights. t and delta are
+    read only on the P pairs p = (j, k) = (pj[p], pk[p]) whose users share
+    a pilot, self-pairs included, in row-major (j, k) order. With
+    a = ap[j, c]:
 
-    ap      : (J, C) int          AP of each slot
-    serving : (K, A) bool         the estimators' serving mask
-    cross   : (J, C, K) real      tr(G_{j,a} D_{j,a}^H G_{k,a})
-    pj, pk  : (P,) int            filter owner and user of each pair
-    t       : (P, C) complex      tr(D_{j,a} G_{k,a})
-    delta   : (P, C) real         delta of link (k, a) against D_{j,a}
-    gamma   : (K, A); eta_train : (K,)
+    ap        : (J, C) int        AP of each slot
+    serving   : (K, A) bool       the estimators' serving mask
+    tr_X      : (J, C) real       tr X_{j,a}, X_{j,a} = D_{j,a} G_{j,a}
+    c_eye     : (K, A) real       scattered power of each link
+    los       : (L,) int          the users with a LOS component, ascending
+    cross_los : (J, C, L) real    c_los[los, a] Re(a_l^H X_{j,a} a_l)
+    pj, pk    : (P,) int          filter owner and user of each pair
+    t         : (P, C) complex    tr(D_{j,a} G_{k,a})
+    delta     : (P, C) real       delta of link (k, a) against D_{j,a}
+    gamma     : (K, A); eta_train : (K,)
 
     D_{j,a} = sqrt(eta_j) G_{j,a} B^{-1} is owner j's LMMSE filter at AP
     a, never formed: every entry comes from scalars of its pilot gram B.
     """
     ap: np.ndarray
     serving: np.ndarray
-    cross: np.ndarray
+    tr_X: np.ndarray
+    c_eye: np.ndarray
+    los: np.ndarray
+    cross_los: np.ndarray
     pj: np.ndarray
     pk: np.ndarray
     t: np.ndarray
@@ -94,6 +108,27 @@ class UatfTerms:
     def at_slots(self, x):
         """x (K, A) read at each owner's slots, (K, C)."""
         return np.take_along_axis(np.asarray(x, dtype=float), self.ap, axis=1)
+
+    # The two contractions run as einsums, not BLAS products: a threaded
+    # BLAS call leaves OpenBLAS workers spinning into se_ub_mc, which runs
+    # next and then shares the cores with them.
+
+    def cross_at_users(self, v):
+        """sum_{j,c} v[j, c] cross[j, c, k] for every user k, (K,), from v
+        (J, C): the slots' v tr_X summed per AP and weighted by c_eye, plus
+        v against cross_los on the LOS users."""
+        per_ap = np.bincount(self.ap.ravel(), (v * self.tr_X).ravel(),
+                             minlength=self.c_eye.shape[1])
+        out = np.einsum("ka,a->k", self.c_eye, per_ap)
+        out[self.los] += np.einsum("jc,jcl->l", v, self.cross_los)
+        return out
+
+    def cross_at_slots(self, x):
+        """sum_k cross[j, c, k] x[k] for every owner slot, (J, C), from x
+        (K,): tr_X times the c_eye-weighted sum of x at the slot's AP, plus
+        cross_los against x on the LOS users."""
+        return (self.tr_X * np.einsum("k,ka->a", x, self.c_eye)[self.ap]
+                + np.einsum("jcl,l->jc", self.cross_los, x[self.los]))
 
 
 def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
@@ -110,9 +145,10 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     t = c_los,k a_k^H D_j a_k + x and
     delta = x (x + 2 c_los,k Re(a_k^H D_j a_k)); the steering products are
     formed only on the pairs whose users both have a LOS component.
-    cross = c_eye,k tr X + c_los,k Re(a_k^H X a_k) with X = D_j G_j, whose
-    B^{-1} part a_k^H B^{-1} a_k = (N - a_k^H U M U^H a_k) / alpha comes
-    from z and the steering products.
+    cross = c_eye,k tr X + c_los,k Re(a_k^H X a_k) with X = D_j G_j is
+    held as tr X and, for the users k with a LOS component, the second
+    term, whose B^{-1} part a_k^H B^{-1} a_k = (N - a_k^H U M U^H a_k) / alpha
+    comes from z and the steering products.
     """
     serving = est.served
     K, A, N = links.steering.shape
@@ -147,8 +183,6 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     # X = sqrt(eta_j) (c_eye,j^2 B^{-1} + c_eye,j c_los,j (z_j a_j^H + a_j z_j^H)
     #                  + c_los,j^2 q_j a_j a_j^H).
     tr_X = root * (ce_j * ce_j * tr_inv + (2.0 * ce_j + N * cl_j) * cl_j * q_j)
-    cross = np.ascontiguousarray(ce.T)[ap]                      # (J, C, K)
-    cross *= tr_X[..., None]
     # For the users l with a LOS component, Re(a_l^H X a_l) from a_l^H z_i
     # and a_l^H a_i per AP: as U M U^H = sum_i w_i z_i a_i^H over the LOS
     # users i on a gram (w = eta c_los), its B^{-1} part is (N - ea) / alpha
@@ -160,8 +194,12 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     w = (est.train_powers[los, None] * cl[los]).T[:, None, :]   # (A, 1, L)
     ea = ((prod[..., :L] * np.conj(prod[..., L:])).real * w
           @ (est.pilot_index[los, None] == np.arange(P)))       # (A, L, P)
-    aXa = (root * ce_j * ce_j / est.alpha.ravel()[gram])[..., None] * (
-        N - ea.transpose(2, 0, 1)[est.pilot_index[:, None], ap])
+    # Gathered as rows of L from a (P, A, L) copy, not through a transposed
+    # view, which is ~3x slower.
+    aXa = np.ascontiguousarray(ea.transpose(2, 0, 1))[
+        est.pilot_index[:, None], ap]                           # (J, C, L)
+    np.subtract(N, aXa, out=aXa)
+    aXa *= (root * ce_j * ce_j / est.alpha.ravel()[gram])[..., None]
     # ... and the rest from a_l^H z_j and a_l^H a_j for the owners j with a
     # LOS component, read at their slots.
     j = np.arange(L)[:, None]
@@ -169,9 +207,10 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     aXa[los] += (root * cl_j)[los, :, None] * (
         2.0 * ce_j[los, :, None] * (za * np.conj(aa)).real
         + (cl_j * q_j)[los, :, None] * (aa.real ** 2 + aa.imag ** 2))
-    cross[..., los] += np.ascontiguousarray(cl[los].T)[ap] * aXa
+    aXa *= np.ascontiguousarray(cl[los].T)[ap]      # c_los,l Re(a_l^H X a_l)
 
-    return UatfTerms(ap=ap, serving=serving, cross=cross,
+    return UatfTerms(ap=ap, serving=serving, tr_X=tr_X, c_eye=ce, los=los,
+                     cross_los=aXa,
                      pj=pj, pk=pk, t=c_los * aDa + x,
                      delta=x * (x + 2.0 * c_los * aDa.real),
                      gamma=est.gamma, eta_train=est.train_powers)
@@ -219,7 +258,7 @@ def sinr_dl_lb(terms: UatfTerms, eta_dl, sigma_z2, return_parts=False):
 
     num = np.einsum("kc,kc->k", np.sqrt(w), gamma) ** 2
     bu = np.einsum("kc,kc->k", w, self_bu)
-    cross = (np.sqrt(eta)[:, None] * w).ravel() @ terms.cross.reshape(-1, K)
+    cross = terms.cross_at_users(np.sqrt(eta)[:, None] * w)
 
     cont = _contamination(terms, w)
     contamination = eta * np.bincount(terms.pk, cont, minlength=K)
@@ -253,7 +292,8 @@ def sinr_ul_lb(terms: UatfTerms, eta_ul, sigma_w2, return_parts=False):
     bu = eta_ul * np.einsum("kc,kc->k", m, self_bu)
 
     # The decoding user k owns the filters: cross[k, c, j] with D_k.
-    cross = np.sqrt(eta) * np.einsum("kc,kc->k", m, terms.cross @ eta_ul)
+    cross = np.sqrt(eta) * np.einsum("kc,kc->k", m,
+                                     terms.cross_at_slots(eta_ul))
 
     noise = sigma_w2 * gsum
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .deployment import Drop, GUE, UAV, toroidal_distance, wrapped_delta
+from .deployment import (Drop, GUE, UAV, hypot3, toroidal_distance,
+                         wrapped_delta)
 from .errors import ConfigurationError, GeometryError, OutOfModelError
 
 # ---------------------------------------------------------------------------
@@ -38,8 +39,7 @@ def steering_vector(elements, user, wavelength):
         raise GeometryError("wavelength must be positive")
     elements = np.asarray(elements, dtype=float)
     user = np.asarray(user, dtype=float)
-    diff = elements - user[..., None, :]
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
+    r = hypot3(*(elements[..., i] - user[..., None, i] for i in range(3)))
     if np.any(r <= 0):
         raise GeometryError("user coincides with an antenna element")
     phase = -2.0 * np.pi * (r[..., :1] - r) / wavelength
@@ -201,8 +201,9 @@ def build_links(drop: Drop, cfg: SystemConfig, rng: np.random.Generator) -> Link
     # vectors are mutually consistent.
     delta = wrapped_delta(ap_ref[None, :, :], users[:, None, :], side)
     user_img = ap_ref[None, :, :] + delta                       # (K, A, 3)
-    dist3d = np.sqrt(np.sum(delta * delta, axis=-1))
-    dist2d = np.sqrt(np.sum(delta[..., :2] ** 2, axis=-1))
+    dx, dy, dz = np.moveaxis(delta, -1, 0)
+    dist3d = hypot3(dx, dy, dz)
+    dist2d = np.sqrt(dx * dx + dy * dy)
     if np.any(dist3d <= 0):
         raise GeometryError("user coincides with an AP")
 

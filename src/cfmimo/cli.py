@@ -5,6 +5,9 @@
 
 Exit code 0 on success; on failure, one machine-readable line
 "ERROR <kind>: <message>" goes to stderr and the exit code is nonzero.
+A run with --fading-trials 1 also prints one "WARNING ..." line on stderr
+once its campaign has run: a one-trial upper bound has no standard error
+and falls below the lower bound for about half the users.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import sys
 
 from .config import SystemConfig
 from .errors import CfmimoError
-from .harness import emit_cdf, run_experiment, summarize
+from .harness import SUMMARY_COLUMNS, emit_cdf, run_experiment, summarize
 
 
 def _build_parser():
@@ -39,6 +42,10 @@ def _cmd_run(args):
     if args.seed is not None:
         cfg.rng_seed = args.seed
     result = run_experiment(cfg, args.drops, args.fading_trials)
+    if args.fading_trials == 1:
+        print("WARNING --fading-trials 1: the upper bound's standard error is "
+              "undefined at 1 trial, and single-trial upper bounds fall below "
+              "the lower bound for about half the users", file=sys.stderr)
     files = emit_cdf(result, args.out)
     for f in files:
         print(f)
@@ -46,11 +53,9 @@ def _cmd_run(args):
 
 def _cmd_summarize(args):
     rows = summarize(args.in_dir)
-    cols = ("population", "direction", "bound", "n_samples",
-            "rate_p05_bps", "rate_p50_bps")
-    print("  ".join(f"{c:>14s}" for c in cols))
+    print("  ".join(f"{c:>14s}" for c in SUMMARY_COLUMNS))
     for r in rows:
-        print("  ".join(f"{r.get(c, ''):>14s}" for c in cols))
+        print("  ".join(f"{r.get(c, ''):>14s}" for c in SUMMARY_COLUMNS))
 
 
 def main(argv=None):

@@ -96,11 +96,18 @@ def wrapped_delta(p, q, area_side: float) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     d = q - p
-    d[..., :2] -= area_side * np.round(d[..., :2] / area_side)
+    for i in (0, 1):                 # each horizontal view, wrapped in place
+        v = d[..., i]
+        v -= area_side * np.round(v / area_side)
     return d
+
+
+def hypot3(x, y, z):
+    """Euclidean length sqrt(x*x + y*y + z*z) from the three coordinate
+    arrays, summed left to right (np.sum's order over a length-3 axis)."""
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def toroidal_distance(p, q, area_side: float):
     """3D distance on the wrap-around square (z never wraps)."""
-    d = wrapped_delta(p, q, area_side)
-    return np.sqrt(np.sum(d * d, axis=-1))
+    return hypot3(*np.moveaxis(wrapped_delta(p, q, area_side), -1, 0))

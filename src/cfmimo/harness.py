@@ -24,6 +24,8 @@ from .estimation import build_estimators
 POPULATIONS = {"gue": GUE, "uav": UAV}
 DIRECTIONS = ("dl", "ul")
 BOUNDS = ("lb", "ub")
+SUMMARY_COLUMNS = ("population", "direction", "bound", "n_samples",
+                   "rate_p05_bps", "rate_p50_bps")
 
 
 def simulate_drop(cfg: SystemConfig, rng: np.random.Generator,
@@ -153,7 +155,7 @@ def emit_cdf(result: ExperimentResult, out_dir):
                                      _fmt(percentile(s, 0.50))))
     summary = os.path.join(out_dir, "summary.csv")
     with open(summary, "w") as f:
-        f.write("population,direction,bound,n_samples,rate_p05_bps,rate_p50_bps\n")
+        f.write(",".join(SUMMARY_COLUMNS) + "\n")
         for row in summary_rows:
             f.write(",".join(str(x) for x in row) + "\n")
     written.append(summary)
@@ -161,12 +163,20 @@ def emit_cdf(result: ExperimentResult, out_dir):
 
 
 def summarize(out_dir):
-    """Load summary.csv and return its rows as a list of dicts."""
+    """Load summary.csv and return its rows as a list of dicts.
+
+    The file is read as UTF-8 (emit_cdf writes ASCII). A file that is not
+    UTF-8 text, or whose header names none of SUMMARY_COLUMNS, raises
+    CfmimoError.
+    """
     path = os.path.join(out_dir, "summary.csv")
-    rows = []
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        for line in f:
-            vals = line.strip().split(",")
-            rows.append(dict(zip(header, vals)))
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().strip().split(",")
+            rows = [dict(zip(header, line.strip().split(","))) for line in f]
+    except UnicodeDecodeError as e:
+        raise CfmimoError(f"malformed summary file {path}: {e}") from None
+    if not set(header) & set(SUMMARY_COLUMNS):
+        raise CfmimoError(f"malformed summary file {path}: its header names "
+                          f"none of {', '.join(SUMMARY_COLUMNS)}")
     return rows

@@ -119,3 +119,13 @@ def small_instance():
     sigma_w2 = 0.3
     est = build_estimators(links, pilots, eta_tr, sigma_w2)
     return links, pilots, eta_tr, sigma_w2, est
+
+
+def expand_cross(terms):
+    """Oracle view: the cross trace a UatfTerms holds in factors, expanded
+    to the dense (J, C, K) array cross[j, c, k]: tr_X[j, c] times
+    c_eye[k, ap[j, c]], plus the cross_los columns on the users terms.los
+    with a LOS component."""
+    cross = terms.tr_X[..., None] * terms.c_eye.T[terms.ap]
+    cross[..., terms.los] += terms.cross_los
+    return cross

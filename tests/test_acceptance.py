@@ -22,7 +22,7 @@ from cfmimo.harness import run_experiment, simulate_drop, emit_cdf
 from cfmimo.allocation import (waterfill_level, wfpc, ppa,
                                dl_power_allocation)
 
-from conftest import random_links
+from conftest import expand_cross, random_links
 
 
 def report(num, ok, detail=""):
@@ -32,9 +32,24 @@ def report(num, ok, detail=""):
 
 class TestCriterion1:
     def test_closed_form_terms_match_monte_carlo(self):
+        # Every user has a LOS component on every link.
+        self._check(rayleigh_users=[])
+
+    @pytest.mark.parametrize("rayleigh_users", [[0], [0, 1, 2]],
+                             ids=["mixed", "ground_only"])
+    def test_closed_form_terms_match_monte_carlo_with_rayleigh_users(
+            self, rayleigh_users):
+        # The same drop with user 0, which shares its pilot with user 1, or
+        # every user Rayleigh: the cross term's factors for the users
+        # without a LOS component, alone or beside LOS users.
+        self._check(rayleigh_users)
+
+    @staticmethod
+    def _check(rayleigh_users):
         # 3 APs, 2 antennas, users 0/1 share a pilot, user 2 alone.
         rng = np.random.default_rng(100)
         links = random_links(rng, 3, 3, 2)
+        links.los_frac[rayleigh_users] = 0.0
         pilots = np.array([0, 0, 1])
         eta_tr = np.array([1.5, 0.8, 1.2])
         sw2, sz2 = 0.3, 0.25
@@ -57,7 +72,8 @@ class TestCriterion1:
 
         # DL: m_kj = sum_a sqrt(eta_dl[j,a]) g_k^H ghat_j
         dl_mean = np.einsum("ka,ka->k", np.sqrt(eta_dl), gamma)   # E m_kk
-        dl_pair = np.einsum("j,ja,jak->kj", np.sqrt(eta), eta_dl, terms.cross)
+        cross = expand_cross(terms)
+        dl_pair = np.einsum("j,ja,jak->kj", np.sqrt(eta), eta_dl, cross)
         # the victim's own pilot power scales the leakage into beam j; the
         # per-pair factors are 0 on self-pairs
         dl_pair[pk, pj] += eta[pk] * pdl["cont_pair"]
@@ -67,7 +83,7 @@ class TestCriterion1:
 
         # UL: u_kj = sum_a ghat_k^H g_j  (full serving set)
         gsum = gamma.sum(axis=1)                                  # E u_kk
-        ul_pair = np.sqrt(eta)[:, None] * terms.cross.sum(axis=1)  # (k, j)
+        ul_pair = np.sqrt(eta)[:, None] * cross.sum(axis=1)        # (k, j)
         ul_pair[pj, pk] += eta[pk] * pul["cont_pair"]
         ul_pair[idx, idx] += gsum ** 2 \
             + (eta[:, None] * self_delta - gamma ** 2).sum(axis=1)

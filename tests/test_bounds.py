@@ -18,8 +18,8 @@ from cfmimo.config import SystemConfig
 from cfmimo.deployment import sample_drop
 from cfmimo.estimation import build_estimators, lmmse_estimate
 
-from conftest import (covariance_G, explicit_block, lmmse_filters,
-                      random_links)
+from conftest import (covariance_G, expand_cross, explicit_block,
+                      lmmse_filters, random_links)
 
 
 def unit_steer(rng, n):
@@ -479,7 +479,10 @@ class TestUatfTerms:
         np.testing.assert_array_equal(np.column_stack([terms.pj, terms.pk]),
                                       _sharing_pairs(pilots))
         on_pairs = (terms.pj, slice(None), terms.pk)
-        for got, want, at in ((terms.t, t, on_pairs), (terms.cross, cross, ...),
+        np.testing.assert_array_equal(
+            terms.los, np.flatnonzero(links.los_frac.any(axis=1)))
+        for got, want, at in ((terms.t, t, on_pairs),
+                              (expand_cross(terms), cross, ...),
                               (terms.delta, delta, on_pairs)):
             np.testing.assert_allclose(got, want[at], rtol=0,
                                        atol=1e-12 * np.abs(want).max())
@@ -511,6 +514,27 @@ class TestUatfTerms:
         # per-link filters before them at 75-81 MB, on the same drops.
         peak = self._traced_peak(100, 3)
         assert peak <= 25e6, peak / 1e6
+
+    def test_peak_memory_below_one_k_by_a_by_k_array(self):
+        # A CF drop of 264 users, 24 of them UAVs: the factored cross term
+        # holds K C L, not K^2 C, floats. uatf_terms alone peaked at
+        # 86.0 MB with the dense (J, C, K) cross array; the bound is one
+        # (K, A, K) float64 array, 55.8 MB.
+        cfg = SystemConfig(n_gues=240, n_uavs=24, tau_p=64)
+        rng = np.random.default_rng(3)
+        drop = sample_drop(cfg, rng)
+        links = build_links(drop, cfg, rng)
+        est = build_estimators(links, drop.pilot_index, cfg.train_power,
+                               cfg.noise_power_mw)
+        tracemalloc.start()
+        try:
+            terms = uatf_terms(links, est)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        K, A = links.beta.shape
+        assert len(terms.los) == 24
+        assert peak < K * A * K * 8, peak / 1e6
 
     def test_peak_memory_of_a_256_antenna_drop(self):
         # 2.4-2.7 MB over seeds 3-5 with the thin factors of the LOS
@@ -595,15 +619,24 @@ PILOT_CASES = pytest.mark.parametrize(
     "pilots", [None, (0,) * 8, tuple(range(8))],
     ids=["mix", "shared", "distinct"])
 
+# The users of _mixed_instance with a LOS component: none (every link
+# Rayleigh, L = 0) or all (the GUEs Ricean too, L = K); its own mix has
+# the three UAVs.
+LOS_CASES = pytest.mark.parametrize("los", ["ground_only", "all_los"])
+
 
 class TestServingSlots:
     """The slot closed forms against the dense (J, K, A) oracle on a ragged
     mask: a single-AP row, padded slots and a WFPC user with no DL power."""
 
-    def _instance(self, pilots=None):
+    def _instance(self, pilots=None, los=None):
         rng = np.random.default_rng(30)
         links, mixed, est = _mixed_instance(rng)
         pilots = mixed if pilots is None else np.array(pilots)
+        if los == "ground_only":
+            links.los_frac[:] = 0.0
+        elif los == "all_los":
+            links.los_frac[:5] = 0.4           # the five GUEs Ricean too
         links.beta[0] *= 1e-3              # too weak to get any DL power
         mask = rng.random(links.beta.shape) < 0.6
         mask[:, 4] = True
@@ -618,8 +651,18 @@ class TestServingSlots:
 
     @PILOT_CASES
     def test_slot_layout(self, pilots):
-        links, pilots, est, mask, _, _ = self._instance(pilots)
+        self._check_slot_layout(*self._instance(pilots)[:4])
+
+    @LOS_CASES
+    def test_slot_layout_by_los_users(self, los):
+        self._check_slot_layout(*self._instance(los=los)[:4])
+
+    @staticmethod
+    def _check_slot_layout(links, pilots, est, mask):
         terms = uatf_terms(links, est)
+        np.testing.assert_array_equal(
+            terms.los, np.flatnonzero(links.los_frac.any(axis=1)))
+        cross = expand_cross(terms)
         K, A = mask.shape
         counts = mask.sum(axis=1)
         assert terms.ap.shape == (K, counts.max())
@@ -633,7 +676,7 @@ class TestServingSlots:
             mine = terms.pj == j
             users = terms.pk[mine]
             for c, a in enumerate(terms.ap[j]):
-                np.testing.assert_allclose(terms.cross[j, c],
+                np.testing.assert_allclose(cross[j, c],
                                            dense["cross"][j, :, a],
                                            rtol=1e-12, atol=0)
                 np.testing.assert_allclose(terms.t[mine, c],
@@ -646,7 +689,14 @@ class TestServingSlots:
 
     @PILOT_CASES
     def test_sinrs_match_dense_oracle(self, pilots):
-        links, pilots, est, mask, eta_dl, eta_ul = self._instance(pilots)
+        self._check_sinrs(*self._instance(pilots))
+
+    @LOS_CASES
+    def test_sinrs_match_dense_oracle_by_los_users(self, los):
+        self._check_sinrs(*self._instance(los=los))
+
+    @staticmethod
+    def _check_sinrs(links, pilots, est, mask, eta_dl, eta_ul):
         terms = uatf_terms(links, est)
         dense = _dense_terms(links, est)
         got_dl, pdl = sinr_dl_lb(terms, eta_dl, 0.25, return_parts=True)

@@ -127,6 +127,24 @@ class TestRunExperiment:
                            match="drop 0: shadow_decorr = 1e\\+06 m"):
             run_experiment(cfg, 1, 1)
 
+    @pytest.mark.parametrize("population", [dict(n_uavs=0),
+                                            dict(n_gues=0)],
+                             ids=["ground_only", "air_only"])
+    def test_one_population_campaign(self, population, tmp_path):
+        # A default-scale drop with no UAVs (no user has a LOS component)
+        # or no GUEs (every user has one) runs end to end.
+        cfg = SystemConfig(**population)
+        res = run_experiment(cfg, 2, 2)
+        emit_cdf(res, tmp_path)
+        for rates in (res.rate_lb_dl, res.rate_ub_dl, res.rate_lb_ul,
+                      res.rate_ub_ul):
+            assert rates.shape == (2, cfg.n_users)
+            assert np.all(np.isfinite(rates)) and np.all(rates > 0)
+        rows = summarize(tmp_path)
+        empty = "uav" if cfg.n_uavs == 0 else "gue"
+        assert [int(r["n_samples"]) for r in rows
+                if r["population"] == empty] == [0] * 4
+
     def test_invalid_counts(self):
         with pytest.raises(CfmimoError):
             run_experiment(tiny_cfg(), 0, 4)
@@ -241,6 +259,50 @@ class TestCli:
         r = run_cli("summarize", "--in", str(tmp_path / "nope"))
         assert r.returncode == 3
         assert r.stderr.startswith("ERROR IOError:")
+
+    def test_summarize_non_utf8_exits_2(self, tmp_path, capsys):
+        (tmp_path / "summary.csv").write_bytes(b"\xff\xfe")
+        code = cli.main(["summarize", "--in", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("ERROR CfmimoError: malformed summary file "
+                                 f"{tmp_path / 'summary.csv'}:")
+
+    def test_summarize_foreign_header_exits_2(self, tmp_path, capsys):
+        (tmp_path / "summary.csv").write_text("a,b\n1,2\n")
+        code = cli.main(["summarize", "--in", str(tmp_path)])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            f"ERROR CfmimoError: malformed summary file "
+            f"{tmp_path / 'summary.csv'}: its header names none of "
+            "population, direction, bound, n_samples, rate_p05_bps, "
+            "rate_p50_bps"]
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_one_fading_trial_warns(self, tmp_path, capsys, trials):
+        # One WARNING line at 1 trial, none at 2; the CSVs are those of
+        # the same campaign run through the API.
+        cfg_path = tmp_path / "cfg.json"
+        tiny_cfg().to_json(cfg_path)
+        out = tmp_path / "out"
+        code = cli.main(["run", "--config", str(cfg_path), "--drops", "2",
+                         "--fading-trials", str(trials), "--out", str(out)])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        if trials == 1:
+            assert len(err) == 1
+            assert err[0].startswith("WARNING --fading-trials 1: the upper "
+                                     "bound's standard error is undefined")
+            assert "below the lower bound for about half the users" in err[0]
+        else:
+            assert err == []
+        emit_cdf(run_experiment(tiny_cfg(), 2, trials), tmp_path / "api")
+        for name in os.listdir(out):
+            assert (out / name).read_bytes() == \
+                (tmp_path / "api" / name).read_bytes()
 
     def test_nan_scenario_value_exits_2(self, tmp_path, capsys):
         # json.load accepts NaN; the config boundary must reject it.
