@@ -80,7 +80,9 @@ class UatfTerms:
 
     ap        : (J, C) int        AP of each slot
     serving   : (K, A) bool       the estimators' serving mask
-    tr_X      : (J, C) real       tr X_{j,a}, X_{j,a} = D_{j,a} G_{j,a}
+    tr_X      : (J, C) real       tr X_{j,a}, X_{j,a} = D_{j,a} G_{j,a}, which
+                                  is gamma / sqrt(eta_j); 0 on pad slots
+                                  and where eta_j = 0
     c_eye     : (K, A) real       scattered power of each link
     los       : (L,) int          the users with a LOS component, ascending
     cross_los : (J, C, L) real    c_los[los, a] Re(a_l^H X_{j,a} a_l)
@@ -167,6 +169,9 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     ce_j, cl_j, q_j = ce[owner, ap], cl[owner, ap], q[owner, ap]
     gram = est.pilot_index[:, None] * A + ap                    # (J, C)
     tr_inv = est.tr_inv.ravel()[gram]
+    # tr X = gamma / sqrt(eta_j), 0 where root is (pad slots, eta_j = 0).
+    tr_X = np.divide(est.gamma[owner, ap], root, out=np.zeros(root.shape),
+                     where=root > 0)
 
     pj, pk = np.nonzero(est.pilot_index[:, None] == est.pilot_index)
     link = (pk[:, None], ap[pj])                                # (P, C)
@@ -182,7 +187,6 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     # cross = Re tr(X G_k), the conjugate of tr(G_j D_j^H G_k), with
     # X = sqrt(eta_j) (c_eye,j^2 B^{-1} + c_eye,j c_los,j (z_j a_j^H + a_j z_j^H)
     #                  + c_los,j^2 q_j a_j a_j^H).
-    tr_X = root * (ce_j * ce_j * tr_inv + (2.0 * ce_j + N * cl_j) * cl_j * q_j)
     # For the users l with a LOS component, Re(a_l^H X a_l) from a_l^H z_i
     # and a_l^H a_i per AP: as U M U^H = sum_i w_i z_i a_i^H over the LOS
     # users i on a gram (w = eta c_los), its B^{-1} part is (N - ea) / alpha
@@ -242,6 +246,18 @@ def _self_terms(terms: UatfTerms):
     return gamma, terms.eta_train[:, None] * self_delta - gamma ** 2
 
 
+def _sinr(direction, return_parts, **parts):
+    """num / (bu + cross + noise + contamination) from the parts, summed in
+    that order; with return_parts, also the parts. A denominator <= 0
+    raises NumericalError naming the direction."""
+    den = (parts["bu"] + parts["cross"] + parts["noise"]
+           + parts["contamination"])
+    if np.any(den <= 0):
+        raise NumericalError(f"non-positive {direction} SINR denominator")
+    sinr = parts["num"] / den
+    return (sinr, parts) if return_parts else sinr
+
+
 def sinr_dl_lb(terms: UatfTerms, eta_dl, sigma_z2, return_parts=False):
     """Closed-form downlink SINR for every user (linear).
 
@@ -263,15 +279,8 @@ def sinr_dl_lb(terms: UatfTerms, eta_dl, sigma_z2, return_parts=False):
     cont = _contamination(terms, w)
     contamination = eta * np.bincount(terms.pk, cont, minlength=K)
 
-    den = bu + cross + sigma_z2 + contamination
-    if np.any(den <= 0):
-        raise NumericalError("non-positive downlink SINR denominator")
-    sinr = num / den
-    if return_parts:
-        return sinr, {"num": num, "bu": bu, "cross": cross,
-                      "contamination": contamination, "noise": sigma_z2,
-                      "cont_pair": cont}
-    return sinr
+    return _sinr("downlink", return_parts, num=num, bu=bu, cross=cross,
+                 noise=sigma_z2, contamination=contamination, cont_pair=cont)
 
 
 def sinr_ul_lb(terms: UatfTerms, eta_ul, sigma_w2, return_parts=False):
@@ -303,14 +312,8 @@ def sinr_ul_lb(terms: UatfTerms, eta_ul, sigma_w2, return_parts=False):
     contamination = np.bincount(terms.pj, eta_ul[terms.pk] * eta[terms.pk]
                                 * cont, minlength=K)
 
-    den = bu + cross + noise + contamination
-    if np.any(den <= 0):
-        raise NumericalError("non-positive uplink SINR denominator")
-    sinr = num / den
-    if return_parts:
-        return sinr, {"num": num, "bu": bu, "cross": cross, "noise": noise,
-                      "contamination": contamination, "cont_pair": cont}
-    return sinr
+    return _sinr("uplink", return_parts, num=num, bu=bu, cross=cross,
+                 noise=noise, contamination=contamination, cont_pair=cont)
 
 
 # ---------------------------------------------------------------------------

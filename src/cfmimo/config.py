@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, asdict, fields
 from numbers import Integral, Real
 
+from .errors import ConfigurationError
+
 SPEED_OF_LIGHT = 299792458.0
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -81,7 +83,6 @@ class SystemConfig:
 
     def validate(self):
         from .channel import AERIAL_H_MAX, AERIAL_H_MIN
-        from .errors import ConfigurationError
 
         for f in fields(self):
             if not _has_type(getattr(self, f.name), f.type):
@@ -183,8 +184,6 @@ class SystemConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":
-        from .errors import ConfigurationError
-
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
@@ -195,8 +194,6 @@ class SystemConfig:
 
     @classmethod
     def from_json(cls, path) -> "SystemConfig":
-        from .errors import ConfigurationError
-
         # JSON is UTF-8 (RFC 8259), whatever the locale.
         with open(path, encoding="utf-8") as f:
             try:

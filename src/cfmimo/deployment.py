@@ -42,6 +42,13 @@ class Drop:
         return self.user_positions.shape[0]
 
 
+def user_kinds(cfg: SystemConfig):
+    """The user layout of every drop, (n_users,): the n_gues GUEs first,
+    then the n_uavs UAVs."""
+    return np.concatenate([np.full(cfg.n_gues, GUE, dtype=int),
+                           np.full(cfg.n_uavs, UAV, dtype=int)])
+
+
 def assign_pilots(cfg: SystemConfig, n_users: int, rng: np.random.Generator):
     """Random pilot assignment: each user draws uniformly from the tau_p
     orthogonal sequences, independently. Collisions (pilot contamination)
@@ -80,13 +87,11 @@ def sample_drop(cfg: SystemConfig, rng: np.random.Generator) -> Drop:
     heights[n_g:] = rng.uniform(cfg.uav_height_range[0],
                                 cfg.uav_height_range[1], size=n_u)
     user_positions = np.column_stack([user_xy, heights])
-    user_kind = np.concatenate([np.full(n_g, GUE, dtype=int),
-                                np.full(n_u, UAV, dtype=int)])
 
     pilot_index = assign_pilots(cfg, n_users, rng)
 
     return Drop(ap_positions=ap_positions, ap_elements=ap_elements,
-                user_positions=user_positions, user_kind=user_kind,
+                user_positions=user_positions, user_kind=user_kinds(cfg),
                 pilot_index=pilot_index)
 
 

@@ -17,7 +17,7 @@ from .allocation import associate, dl_power_allocation, fpc
 from .bounds import RateReport, se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb, uatf_terms
 from .channel import build_links
 from .config import SystemConfig
-from .deployment import GUE, UAV, sample_drop
+from .deployment import GUE, UAV, sample_drop, user_kinds
 from .errors import CfmimoError, NumericalError
 from .estimation import build_estimators
 
@@ -111,9 +111,7 @@ def run_experiment(cfg: SystemConfig, n_drops: int,
         out["rate_lb_ul"][i] = rep.se_lb_ul * cfg.bandwidth
         out["rate_ub_ul"][i] = rep.se_ub_ul * cfg.bandwidth
 
-    kind = np.concatenate([np.full(cfg.n_gues, GUE, dtype=int),
-                           np.full(cfg.n_uavs, UAV, dtype=int)])
-    return ExperimentResult(cfg=cfg, user_kind=kind, **out)
+    return ExperimentResult(cfg=cfg, user_kind=user_kinds(cfg), **out)
 
 
 def percentile(samples, q: float):

@@ -9,6 +9,29 @@ from cfmimo.allocation import (AssociationMap, associate,
 from cfmimo.errors import ConfigurationError
 
 
+# Each check that rejects a bad argument, with its message: a case fails
+# if its check is deleted, also where a later check would raise the same
+# type. ONE and SERVED are one AP's gammas and serving mask.
+ONE, SERVED = np.ones(2), np.ones(2, dtype=bool)
+BUDGET = "DL budget must be positive"
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: associate("XX", np.ones((2, 3)), 1), "unknown association mode"),
+    (lambda: ppa(ONE, SERVED, 0.0), BUDGET),
+    (lambda: ppa(ONE, SERVED, -1.0), BUDGET),
+    (lambda: wfpc(ONE, SERVED, 0.1, 0.0), BUDGET),
+    (lambda: wfpc(ONE, SERVED, 0.1, -1.0), BUDGET),
+    (lambda: dl_power_allocation("XX", ONE[:, None],
+                                 AssociationMap(SERVED[:, None]), 0.1, 1.0),
+     "unknown DL policy"),
+], ids=["associate_mode", "ppa_zero_budget", "ppa_negative_budget",
+        "wfpc_zero_budget", "wfpc_negative_budget", "dl_policy"])
+def test_bad_argument_is_a_configuration_error(call, match):
+    with pytest.raises(ConfigurationError, match=match):
+        call()
+
+
 class TestAssociate:
     def test_cf_serves_everyone(self):
         beta = np.random.default_rng(0).uniform(size=(5, 100))

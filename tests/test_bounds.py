@@ -16,6 +16,7 @@ from cfmimo.bounds import (se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb,
 from cfmimo.channel import LinkSet, build_links
 from cfmimo.config import SystemConfig
 from cfmimo.deployment import sample_drop
+from cfmimo.errors import NumericalError
 from cfmimo.estimation import build_estimators, lmmse_estimate
 
 from conftest import (covariance_G, expand_cross, explicit_block,
@@ -332,6 +333,27 @@ class TestSinrClosedForms:
                       + pdl["contamination"] > 0)
         assert np.all(pul["bu"] + pul["cross"] + pul["noise"]
                       + pul["contamination"] > 0)
+
+
+# Each check that rejects a bad input, with its message: a case fails if
+# its check is deleted. Zero powers and negative noise make each SINR's
+# denominator the noise alone.
+@pytest.mark.parametrize("call, error, match", [
+    (lambda links, est: sinr_dl_lb(uatf_terms(links, est),
+                                   np.zeros(links.beta.shape), -1.0),
+     NumericalError, "non-positive downlink SINR denominator"),
+    (lambda links, est: sinr_ul_lb(uatf_terms(links, est),
+                                   np.zeros(len(links.beta)), -1.0),
+     NumericalError, "non-positive uplink SINR denominator"),
+    (lambda links, est: se_ub_mc(links, est, np.ones(links.beta.shape),
+                                 np.ones(len(links.beta)), 0.5, 0.42, 0,
+                                 np.random.default_rng(0)),
+     ValueError, "n_trials must be >= 1"),
+], ids=["dl_denominator", "ul_denominator", "no_trials"])
+def test_bad_input_raises(small_instance, call, error, match):
+    links, *_, est = small_instance
+    with pytest.raises(error, match=match):
+        call(links, est)
 
 
 class TestUpperBound:
@@ -711,6 +733,30 @@ class TestServingSlots:
         if len(set(pilots)) == len(pilots):
             assert np.all(pdl["contamination"] == 0.0)
             assert np.all(pul["contamination"] == 0.0)
+
+    def test_tr_X_matches_dense_oracle(self):
+        # tr X = tr(D_j G_j) on every slot, pad slots included (D is 0
+        # off the serving set there).
+        links, pilots, est, mask = self._instance()[:4]
+        terms = uatf_terms(links, est)
+        D = lmmse_filters(links, est)
+        G = covariance_G(links.beta, links.los_frac, links.steering)
+        owner = np.arange(len(pilots))[:, None]
+        want = np.trace(D @ G, axis1=-2, axis2=-1).real[owner, terms.ap]
+        assert np.any(~mask[owner, terms.ap])
+        np.testing.assert_allclose(terms.tr_X, want, rtol=1e-12, atol=0)
+
+    def test_tr_X_is_zero_on_pad_slots_and_for_a_zero_power_owner(self):
+        links, pilots, est, mask = self._instance()[:4]
+        eta = est.train_powers.copy()
+        eta[2] = 0.0
+        est = build_estimators(links, pilots, eta, 0.3, serving=mask)
+        terms = uatf_terms(links, est)
+        pad = ~mask[np.arange(len(pilots))[:, None], terms.ap]
+        assert np.any(pad)
+        assert np.all(terms.tr_X[pad] == 0.0)
+        assert np.all(terms.tr_X[2] == 0.0)
+        assert np.all(terms.tr_X[~pad & (eta[:, None] > 0)] > 0.0)
 
     def test_served_link_estimators_give_the_same_rates(self):
         # Filters solved on the serving set only: the SINRs and the UB

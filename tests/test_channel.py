@@ -6,7 +6,8 @@ from cfmimo.channel import (build_links, cost231_constant, gue_large_scale,
                             sample_channels, three_slope_path_loss_db,
                             uav_path_loss_db, uav_large_scale)
 from cfmimo.config import SystemConfig
-from cfmimo.deployment import UAV, sample_drop, wrapped_delta
+from cfmimo.deployment import (GUE, UAV, sample_drop, toroidal_distance,
+                               wrapped_delta)
 from cfmimo.errors import GeometryError, OutOfModelError
 
 from conftest import covariance_G
@@ -54,6 +55,37 @@ class TestSteeringVector:
         el = ula_elements(2, LAM / 2)
         with pytest.raises(GeometryError):
             steering_vector(el, el[0], LAM)
+
+
+def _user_on_an_ap():
+    cfg = SystemConfig(n_aps=3, n_gues=2, n_uavs=0)
+    drop = sample_drop(cfg, np.random.default_rng(0))
+    drop.user_positions[1] = drop.ap_positions[2]
+    return build_links(drop, cfg, np.random.default_rng(1))
+
+
+# Each geometry check, with its message: a case fails if its check is
+# deleted, also where a later check would raise the same type.
+@pytest.mark.parametrize("call, match", [
+    (lambda: steering_vector(ula_elements(2, LAM / 2), [0.0, 10.0, 0.0], 0.0),
+     "wavelength must be positive"),
+    (lambda: steering_vector(ula_elements(2, LAM / 2), [0.0, 10.0, 0.0], -LAM),
+     "wavelength must be positive"),
+    (lambda: three_slope_path_loss_db([10.0, 0.0], CFG),
+     "non-positive link distance"),
+    (lambda: three_slope_path_loss_db(-5.0, CFG),
+     "non-positive link distance"),
+    (lambda: uav_path_loss_db(0.0, 50.0, CFG.carrier_freq, True),
+     "non-positive link distance"),
+    (lambda: uav_path_loss_db([30.0, -1.0], 50.0, CFG.carrier_freq, False),
+     "non-positive link distance"),
+    (_user_on_an_ap, "user coincides with an AP"),
+], ids=["zero_wavelength", "negative_wavelength", "three_slope_zero",
+        "three_slope_negative", "aerial_zero", "aerial_negative",
+        "user_on_an_ap"])
+def test_degenerate_geometry_is_a_geometry_error(call, match):
+    with pytest.raises(GeometryError, match=match):
+        call()
 
 
 class TestThreeSlope:
@@ -195,6 +227,21 @@ class TestBuildLinks:
         assert np.any(p_los < 1.0) and np.any(p_los == 1.0)
         np.testing.assert_array_equal(links.los_frac[uav], p_los)
         np.testing.assert_array_equal(links.los_frac[~uav], 0.0)
+
+    def test_no_shadowing_gives_the_bare_three_slope_law(self):
+        # shadowing_std = 0 draws no shadowing field: every GUE link,
+        # inside and beyond d1, gets the three-slope path gain alone.
+        cfg = SystemConfig(n_aps=20, n_gues=30, n_uavs=4, shadowing_std=0.0)
+        drop = sample_drop(cfg, np.random.default_rng(52))
+        links = build_links(drop, cfg, np.random.default_rng(53))
+        gue = drop.user_kind == GUE
+        d = toroidal_distance(drop.ap_positions[None, :, :],
+                              drop.user_positions[gue, None, :], cfg.area_side)
+        far = d > cfg.three_slope_d1
+        assert np.any(far) and np.any(~far)
+        np.testing.assert_allclose(
+            links.beta[gue], 10.0 ** (three_slope_path_loss_db(d, cfg) / 10.0),
+            rtol=1e-14, atol=0)
 
 
 def _dense_los_channels(beta, los_frac, steering, rng, n_draws=None):

@@ -127,6 +127,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=field):
             SystemConfig(**{field: value})
 
+    # Checks that no other test reaches, each with its own message.
+    @pytest.mark.parametrize("field, value, match", [
+        ("n_ap_antennas", 0, "need at least one AP with one antenna"),
+        ("tau_p", 0, "tau_p must be >= 1"),
+        ("shadowing_std", -1.0, "shadowing_std must be >= 0"),
+    ])
+    def test_out_of_range_field(self, field, value, match):
+        with pytest.raises(ConfigurationError, match=match):
+            SystemConfig(**{field: value})
+
     def test_three_slope_breakpoints_may_coincide(self):
         SystemConfig(three_slope_d0=50.0, three_slope_d1=50.0)
 

@@ -145,6 +145,31 @@ class TestRunExperiment:
         assert [int(r["n_samples"]) for r in rows
                 if r["population"] == empty] == [0] * 4
 
+    @pytest.mark.parametrize("population", [{}, dict(n_uavs=0),
+                                            dict(n_gues=0)],
+                             ids=["mixed", "ground_only", "air_only"])
+    def test_user_kind_is_every_drops(self, population, monkeypatch):
+        drops = []
+        original = harness.sample_drop
+
+        def recorded(cfg, rng):
+            drops.append(original(cfg, rng))
+            return drops[-1]
+
+        monkeypatch.setattr(harness, "sample_drop", recorded)
+        res = run_experiment(tiny_cfg(**population), 2, 1)
+        assert len(drops) == 2
+        for drop in drops:
+            np.testing.assert_array_equal(res.user_kind, drop.user_kind)
+
+    def test_no_shadowing_campaign_is_finite_and_repeatable(self):
+        cfg = SystemConfig(shadowing_std=0.0)
+        r1, r2 = (run_experiment(cfg, 2, 2) for _ in range(2))
+        for name in ("rate_lb_dl", "rate_ub_dl", "rate_lb_ul", "rate_ub_ul"):
+            assert np.all(np.isfinite(getattr(r1, name)))
+            np.testing.assert_array_equal(getattr(r1, name),
+                                          getattr(r2, name))
+
     def test_invalid_counts(self):
         with pytest.raises(CfmimoError):
             run_experiment(tiny_cfg(), 0, 4)
