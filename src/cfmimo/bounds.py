@@ -145,8 +145,9 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     With x = c_eye,k tr D_j and
     a_k^H D_j a_k = sqrt(eta_j) (c_eye,j q_k + c_los,j (a_k^H a_j)(z_j^H a_k)),
     t = c_los,k a_k^H D_j a_k + x and
-    delta = x (x + 2 c_los,k Re(a_k^H D_j a_k)); the steering products are
-    formed only on the pairs whose users both have a LOS component.
+    delta = x (x + 2 c_los,k Re(a_k^H D_j a_k)). a_k^H D_j a_k is formed
+    only on the pairs whose user k has a LOS component (elsewhere t = x and
+    delta = x^2), and its steering products only where j has one too.
     cross = c_eye,k tr X + c_los,k Re(a_k^H X a_k) with X = D_j G_j is
     held as tr X and, for the users k with a LOS component, the second
     term, whose B^{-1} part a_k^H B^{-1} a_k = (N - a_k^H U M U^H a_k) / alpha
@@ -174,15 +175,24 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
                      where=root > 0)
 
     pj, pk = np.nonzero(est.pilot_index[:, None] == est.pilot_index)
-    link = (pk[:, None], ap[pj])                                # (P, C)
-    sb = np.zeros(link[1].shape, dtype=complex)       # (a_k^H a_j)(z_j^H a_k)
-    ll = np.flatnonzero(has_los[pj] & has_los[pk])
-    jl, kl = (pj[ll, None], ap[pj[ll]]), (pk[ll, None], ap[pj[ll]])
+    x = (ce[pk[:, None], ap[pj]] * root[pj]
+         * (ce_j * tr_inv + cl_j * q_j)[pj])                    # (P, C)
+    # Where the user k has no LOS component (c_los,k = 0), t = x and
+    # delta = x^2; a^H D a and the steering products are formed only on the
+    # pairs pl whose user has one.
+    t, delta = x.astype(complex), x * x
+    pl = np.flatnonzero(has_los[pk])
+    oj, xl = pj[pl], x[pl]
+    link = (pk[pl, None], ap[oj])                               # (P', C)
+    sb = np.zeros(xl.shape, dtype=complex)            # (a_k^H a_j)(z_j^H a_k)
+    ll = np.flatnonzero(has_los[oj])
+    jl, kl = (oj[ll, None], link[1][ll]), (link[0][ll], link[1][ll])
     sb[ll] = (np.einsum("pcn,pcn->pc", np.conj(steer[kl]), steer[jl])
               * np.einsum("pcn,pcn->pc", np.conj(est.z[jl]), steer[kl]))
-    aDa = root[pj] * (ce_j[pj] * q[link] + cl_j[pj] * sb)
-    x = ce[link] * root[pj] * (ce_j[pj] * tr_inv[pj] + cl_j[pj] * q_j[pj])
+    aDa = root[oj] * (ce_j[oj] * q[link] + cl_j[oj] * sb)
     c_los = cl[link]
+    t[pl] = c_los * aDa + xl
+    delta[pl] = xl * (xl + 2.0 * c_los * aDa.real)
 
     # cross = Re tr(X G_k), the conjugate of tr(G_j D_j^H G_k), with
     # X = sqrt(eta_j) (c_eye,j^2 B^{-1} + c_eye,j c_los,j (z_j a_j^H + a_j z_j^H)
@@ -215,8 +225,7 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
 
     return UatfTerms(ap=ap, serving=serving, tr_X=tr_X, c_eye=ce, los=los,
                      cross_los=aXa,
-                     pj=pj, pk=pk, t=c_los * aDa + x,
-                     delta=x * (x + 2.0 * c_los * aDa.real),
+                     pj=pj, pk=pk, t=t, delta=delta,
                      gamma=est.gamma, eta_train=est.train_powers)
 
 

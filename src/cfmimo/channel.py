@@ -27,6 +27,22 @@ from .errors import ConfigurationError, GeometryError, OutOfModelError
 # Steering vectors
 # ---------------------------------------------------------------------------
 
+def _element_distances(elements, user):
+    """Exact path length from every antenna element to the user.
+
+    elements : (..., N, 3) antenna coordinates
+    user     : (..., 3) user coordinates (same frame as elements, unwrapped)
+
+    Returns (..., N); GeometryError where the user sits on an element.
+    """
+    elements = np.asarray(elements, dtype=float)
+    user = np.asarray(user, dtype=float)
+    r = hypot3(*(elements[..., i] - user[..., None, i] for i in range(3)))
+    if np.any(r <= 0):
+        raise GeometryError("user coincides with an antenna element")
+    return r
+
+
 def steering_vector(elements, user, wavelength):
     """Array response from exact per-element path lengths.
 
@@ -37,11 +53,7 @@ def steering_vector(elements, user, wavelength):
     """
     if wavelength <= 0:
         raise GeometryError("wavelength must be positive")
-    elements = np.asarray(elements, dtype=float)
-    user = np.asarray(user, dtype=float)
-    r = hypot3(*(elements[..., i] - user[..., None, i] for i in range(3)))
-    if np.any(r <= 0):
-        raise GeometryError("user coincides with an antenna element")
+    r = _element_distances(elements, user)
     phase = -2.0 * np.pi * (r[..., :1] - r) / wavelength
     return np.exp(1j * phase)
 
@@ -177,7 +189,10 @@ class LinkSet:
 
     beta, los_frac : (n_users, n_aps); los_frac is the share of beta in the
                      LOS ray, 1 on pure-LOS links and 0 on Rayleigh ones
-    steering       : (n_users, n_aps, n_ap_antennas)
+    steering       : (n_users, n_aps, n_ap_antennas), the steering vectors
+                     of the users with los_frac > 0 on some link, held on
+                     every link of their rows; exactly 0 on the rows of the
+                     users with no LOS link, which read none
     """
     beta: np.ndarray
     los_frac: np.ndarray
@@ -190,6 +205,10 @@ def build_links(drop: Drop, cfg: SystemConfig, rng: np.random.Generator) -> Link
     UAV links draw one Bernoulli LOS state per drop, used consistently for
     the LOS/NLOS path-loss branch; their LOS power fraction is the LOS
     probability itself. Ground links are Rayleigh (fraction 0).
+
+    Steering vectors are formed only on the rows that LinkSet.steering
+    holds, chosen by los_frac, not by kind; a user of any kind that sits
+    on an antenna element raises GeometryError.
     """
     side = cfg.area_side
     ap_ref = drop.ap_positions
@@ -206,9 +225,6 @@ def build_links(drop: Drop, cfg: SystemConfig, rng: np.random.Generator) -> Link
     dist2d = np.sqrt(dx * dx + dy * dy)
     if np.any(dist3d <= 0):
         raise GeometryError("user coincides with an AP")
-
-    steer = steering_vector(drop.ap_elements[None, :, :, :], user_img,
-                            cfg.wavelength)
 
     beta = np.empty((n_users, n_aps))
     los_frac = np.zeros((n_users, n_aps))
@@ -230,6 +246,20 @@ def build_links(drop: Drop, cfg: SystemConfig, rng: np.random.Generator) -> Link
         beta[is_uav] = uav_large_scale(dist3d[is_uav], h, cfg.carrier_freq, los)
         los_frac[is_uav] = p_los
 
+    rows = np.any(los_frac > 0, axis=1)
+    steer = np.zeros((n_users, n_aps, drop.ap_elements.shape[1]),
+                     dtype=complex)
+    steer[rows] = steering_vector(drop.ap_elements[None, :, :, :],
+                                  user_img[rows], cfg.wavelength)
+    # The other users are checked on the links where one could sit on an
+    # element: no farther from the AP's reference element than its farthest
+    # element. Both distances are taken alike from the reference, so an
+    # image equal to an element is never skipped.
+    offset = drop.ap_elements - ap_ref[:, None, :]              # (A, N, 3)
+    reach = hypot3(*np.moveaxis(offset, -1, 0)).max(axis=1)
+    near = hypot3(*np.moveaxis(user_img - ap_ref, -1, 0)) <= reach
+    k, a = np.nonzero(near & ~rows[:, None])
+    _element_distances(drop.ap_elements[a], user_img[k, a])
     return LinkSet(beta=beta, los_frac=los_frac, steering=steer)
 
 

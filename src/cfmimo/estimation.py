@@ -139,8 +139,9 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
                           + alpha_g[:, None, None] * np.eye(r))
     US = U @ S_inv
     z = np.zeros((K, A, N), dtype=complex)
-    z[k, a] = US[pos, :, slot]
-    q = np.einsum("kan,kan->ka", np.conj(links.steering), z)
+    z[k, a] = z_los = US[pos, :, slot]
+    q = np.zeros((K, A), dtype=complex)
+    q[k, a] = np.einsum("ln,ln->l", np.conj(links.steering[k, a]), z_los)
     # tr B^{-1} = (N - r) / alpha + tr S^{-1} sums positive terms for
     # r <= N, where N / alpha + tr(B^{-1} - I / alpha) would cancel.
     tr_inv = N / alpha
@@ -202,8 +203,8 @@ def lmmse_estimate(links: LinkSet, est: EstimatorSet, y, out=None):
     y is used as workspace: its rows on the LOS grams are overwritten when
     y is C-contiguous. Each gram's alpha B^{-1} y = y - UM (U^H y) is
     formed in place with two thin products, then spread to the users along
-    the pilot axis and scaled by sqrt(eta) c_eye / alpha per link; users
-    with a LOS component add sqrt(eta) c_los a (z^H y) on their own links.
+    the pilot axis and scaled by sqrt(eta) c_eye / alpha per link; each
+    served link with a LOS component adds sqrt(eta) c_los a (z^H y).
     """
     K, A, N = links.steering.shape
     T = y.shape[0]
@@ -212,12 +213,15 @@ def lmmse_estimate(links: LinkSet, est: EstimatorSet, y, out=None):
         raise ValueError("y has fewer pilot rows than the pilot indices")
     c_los, c_eye = covariance_coeffs(links.beta, links.los_frac)
     root = np.sqrt(est.train_powers)[:, None] * est.served
-    # z^H y from the observation as drawn, before the grams overwrite it.
-    los = np.flatnonzero(np.any(root * c_los > 0, axis=1))
-    zy = [np.einsum("tan,an->ta", y[:, pilot[k]], np.conj(est.z[k]))
-          for k in los]
-
     flat = y.reshape(T, -1, N)
+    # z^H y on the served LOS links lk (flat (user, AP) indices), from the
+    # observation as drawn, before the grams overwrite it. take, not fancy
+    # indexing, gathers the (T, len(lk), N) rows: it is ~2x faster here.
+    lk = np.flatnonzero(root * c_los > 0)
+    k, a = np.divmod(lk, A)
+    zy = np.einsum("tln,ln->tl", np.take(flat, pilot[k] * A + a, axis=1),
+                   np.conj(est.z.reshape(-1, N)[lk]))
+
     y_g = flat.transpose(1, 0, 2)[est.los_gram]                 # (G, T, N)
     y_g -= (y_g @ np.conj(est.U)) @ np.swapaxes(est.UM, 1, 2)
     flat.transpose(1, 0, 2)[est.los_gram] = y_g
@@ -230,7 +234,12 @@ def lmmse_estimate(links: LinkSet, est: EstimatorSet, y, out=None):
     scale = root * c_eye / est.alpha[pilot]
     re_im = ghat.view(float)
     re_im *= np.repeat(scale[..., None], 2 * N, axis=-1)
-    for k, zy_k in zip(los, zy):
-        ghat[:, k] += zy_k[..., None] * ((root[k] * c_los[k])[:, None]
-                                         * links.steering[k])
+    # Gathered, summed and written back: an in-place += through the index
+    # takes twice as long, and so does broadcasting zy along N.
+    per_link = ghat.reshape(T, K * A, N)
+    term = np.repeat(zy, N, axis=1).reshape(T, -1, N)
+    term *= ((root * c_los).ravel()[lk, None]
+             * links.steering.reshape(-1, N)[lk])
+    term += np.take(per_link, lk, axis=1)
+    per_link[:, lk] = term
     return ghat

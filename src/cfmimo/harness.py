@@ -8,6 +8,7 @@ UB Monte-Carlo over fast-fading blocks.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -50,6 +51,7 @@ def simulate_drop(cfg: SystemConfig, rng: np.random.Generator,
     frac = cfg.tau_d / cfg.tau_c
     sdl = sinr_dl_lb(terms, eta_dl, sigma2)
     sul = sinr_ul_lb(terms, eta_ul, sigma2)
+    del terms                          # not held through the upper bound
 
     ub_dl, err_dl, ub_ul, err_ul = se_ub_mc(
         links, est, eta_dl, eta_ul, sigma2, frac, n_fading_trials, rng)
@@ -90,10 +92,14 @@ def run_experiment(cfg: SystemConfig, n_drops: int,
     """Monte-Carlo campaign over independent network drops.
 
     Deterministic given (cfg.rng_seed, cfg, counts): each drop runs on its
-    own spawned stream, so results do not depend on execution order.
+    own spawned stream, so results do not depend on execution order. Each
+    count must be an integer >= 1, numpy's included and bool not, else
+    CfmimoError.
     """
-    if n_drops < 1 or n_fading_trials < 1:
-        raise CfmimoError("n_drops and n_fading_trials must be >= 1")
+    for name, n in (("n_drops", n_drops),
+                    ("n_fading_trials", n_fading_trials)):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise CfmimoError(f"{name} must be an integer >= 1, got {n!r}")
     cfg.validate()
 
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(n_drops)

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from cfmimo import bounds, harness
 from cfmimo.allocation import (AssociationMap, associate,
-                               dl_power_allocation)
+                               dl_power_allocation, fpc)
 from cfmimo.bounds import (se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb,
                            uatf_terms)
-from cfmimo.channel import LinkSet, build_links
+from cfmimo.channel import LinkSet, build_links, steering_vector
 from cfmimo.config import SystemConfig
-from cfmimo.deployment import sample_drop
+from cfmimo.deployment import sample_drop, wrapped_delta
 from cfmimo.errors import NumericalError
 from cfmimo.estimation import build_estimators, lmmse_estimate
 
@@ -1102,3 +1102,50 @@ class TestLbBelowUb:
             np.random.default_rng(seed + 1))
         assert np.all(lb_dl <= ub_dl + 3 * err_dl)
         assert np.all(lb_ul <= ub_ul + 3 * err_ul)
+
+
+class TestLosOnlySteering:
+    """build_links forms steering vectors only on the rows of users with a
+    LOS link. Fed instead the steering vectors of every link, each later
+    stage gives the same bits: no stage reads a Rayleigh row."""
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"association_mode": "UC", "uc_cluster_size": 10,
+             "dl_policy": "WFPC"},
+        {"n_uavs": 0}, {"n_gues": 0}],
+        ids=["mixed", "mixed_uc_wfpc", "ground_only", "air_only"])
+    def test_stages_match_dense_steering(self, overrides):
+        cfg = SystemConfig(rng_seed=6, **overrides)
+        rng = np.random.default_rng(6)
+        drop = sample_drop(cfg, rng)
+        links = build_links(drop, cfg, rng)
+        image = drop.ap_positions[None] + wrapped_delta(
+            drop.ap_positions[None], drop.user_positions[:, None],
+            cfg.area_side)
+        dense = dataclasses.replace(links, steering=steering_vector(
+            drop.ap_elements[None], image, cfg.wavelength))
+        rows = np.any(links.los_frac > 0, axis=1)
+        assert np.all(links.steering[~rows] == 0)
+        assert np.all(dense.steering[~rows] != 0)
+
+        sigma2 = cfg.noise_power_mw
+        outputs = []
+        for ls in (links, dense):
+            assoc = associate(cfg.association_mode, ls.beta,
+                              cfg.uc_cluster_size)
+            est = build_estimators(ls, drop.pilot_index, cfg.train_power,
+                                   sigma2, serving=assoc.serving)
+            _, eta_dl = dl_power_allocation(cfg.dl_policy, est.gamma, assoc,
+                                            sigma2, cfg.dl_power_budget)
+            eta_ul = fpc(cfg.n_ap_antennas * ls.beta, assoc.serving,
+                         cfg.fpc_p0_mw, cfg.fpc_alpha, cfg.ul_max_power)
+            terms = uatf_terms(ls, est)
+            outputs.append(
+                [getattr(terms, f.name) for f in dataclasses.fields(terms)]
+                + [sinr_dl_lb(terms, eta_dl, sigma2),
+                   sinr_ul_lb(terms, eta_ul, sigma2),
+                   *se_ub_mc(ls, est, eta_dl, eta_ul, sigma2, 0.45, 4,
+                             np.random.default_rng(7))])
+        for got, want in zip(*outputs):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cfmimo import channel
 from cfmimo.channel import (build_links, cost231_constant, gue_large_scale,
                             los_probability, steering_vector,
                             sample_channels, three_slope_path_loss_db,
@@ -64,6 +65,21 @@ def _user_on_an_ap():
     return build_links(drop, cfg, np.random.default_rng(1))
 
 
+def _ground_user_on_an_element(element):
+    # A Rayleigh user gets no steering vector, but is still checked against
+    # every element, the farthest from the reference (3) included. Binary
+    # fractions keep the user's image exact.
+    cfg = SystemConfig(n_aps=3, n_gues=2, n_uavs=0)
+    drop = sample_drop(cfg, np.random.default_rng(0))
+    drop.ap_positions[2] = [100.0, 200.0, cfg.ap_height]
+    drop.ap_elements[2] = drop.ap_positions[2] + [[0.0, 0.0, 0.0],
+                                                  [0.0625, 0.0, 0.0],
+                                                  [0.125, 0.0, 0.0],
+                                                  [0.1875, 0.0, 0.0]]
+    drop.user_positions[1] = drop.ap_elements[2, element]
+    return build_links(drop, cfg, np.random.default_rng(1))
+
+
 # Each geometry check, with its message: a case fails if its check is
 # deleted, also where a later check would raise the same type.
 @pytest.mark.parametrize("call, match", [
@@ -80,9 +96,14 @@ def _user_on_an_ap():
     (lambda: uav_path_loss_db([30.0, -1.0], 50.0, CFG.carrier_freq, False),
      "non-positive link distance"),
     (_user_on_an_ap, "user coincides with an AP"),
+    (lambda: _ground_user_on_an_element(1),
+     "user coincides with an antenna element"),
+    (lambda: _ground_user_on_an_element(3),
+     "user coincides with an antenna element"),
 ], ids=["zero_wavelength", "negative_wavelength", "three_slope_zero",
         "three_slope_negative", "aerial_zero", "aerial_negative",
-        "user_on_an_ap"])
+        "user_on_an_ap", "ground_user_on_element_1",
+        "ground_user_on_element_3"])
 def test_degenerate_geometry_is_a_geometry_error(call, match):
     with pytest.raises(GeometryError, match=match):
         call()
@@ -227,6 +248,35 @@ class TestBuildLinks:
         assert np.any(p_los < 1.0) and np.any(p_los == 1.0)
         np.testing.assert_array_equal(links.los_frac[uav], p_los)
         np.testing.assert_array_equal(links.los_frac[~uav], 0.0)
+
+    def test_steering_only_on_rows_with_a_los_link(self, monkeypatch):
+        # The rows are chosen by los_frac, not by kind: a UAV whose every
+        # link has LOS probability 0 gets none; one with a single LOS link
+        # gets its whole row. Those rows equal steering_vector on the
+        # user's image at each AP; every other row is exactly 0.
+        real = channel.los_probability
+
+        def los_probability(d, h):
+            p = real(d, h)
+            p[0] = 0.0
+            p[1, 1:] = 0.0
+            return p
+        monkeypatch.setattr(channel, "los_probability", los_probability)
+        cfg = SystemConfig(n_aps=10, n_gues=4, n_uavs=5)
+        drop = sample_drop(cfg, np.random.default_rng(54))
+        links = build_links(drop, cfg, np.random.default_rng(55))
+        rows = np.any(links.los_frac > 0, axis=1)
+        np.testing.assert_array_equal(rows, [0, 0, 0, 0, 0, 1, 1, 1, 1])
+        assert np.all(links.steering[~rows] == 0)
+        image = drop.ap_positions[None] + wrapped_delta(
+            drop.ap_positions[None], drop.user_positions[:, None],
+            cfg.area_side)
+        np.testing.assert_array_equal(
+            links.steering[rows],
+            steering_vector(drop.ap_elements[None], image[rows],
+                            cfg.wavelength))
+        np.testing.assert_allclose(np.abs(links.steering[rows]), 1.0,
+                                   rtol=1e-12)
 
     def test_no_shadowing_gives_the_bare_three_slope_law(self):
         # shadowing_std = 0 draws no shadowing field: every GUE link,

@@ -171,10 +171,16 @@ class TestRunExperiment:
                                           getattr(r2, name))
 
     def test_invalid_counts(self):
-        with pytest.raises(CfmimoError):
-            run_experiment(tiny_cfg(), 0, 4)
-        with pytest.raises(CfmimoError):
-            run_experiment(tiny_cfg(), 1, 0)
+        # Each count must be an integer >= 1 and not a bool: a float, a
+        # bool or a string fails at the boundary, not deep in the drop.
+        for bad in (0, -1, 2.5, 2.0, True, "3"):
+            for counts, name in (((bad, 1), "n_drops"),
+                                 ((1, bad), "n_fading_trials")):
+                with pytest.raises(CfmimoError, match=name):
+                    run_experiment(tiny_cfg(), *counts)
+        # numpy integers are integers.
+        res = run_experiment(tiny_cfg(), np.int64(1), np.int32(2))
+        assert res.rate_lb_dl.shape == (1, 5)
 
 
 class TestEmitCdf:
