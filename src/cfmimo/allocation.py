@@ -136,9 +136,7 @@ def dl_power_allocation(policy, gamma, assoc: AssociationMap, sigma_z2, budget):
         P = wfpc(gamma, assoc.serving, sigma_z2, budget)
     else:
         raise ConfigurationError(f"unknown DL policy {policy!r}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta_dl = np.where(gamma > 0, P / np.where(gamma > 0, gamma, 1.0), 0.0)
-    return P, eta_dl
+    return P, np.divide(P, gamma, out=np.zeros_like(P), where=gamma > 0)
 
 
 def fpc(channel_gain, serving_mask, p0_mw, alpha, p_max):

@@ -23,7 +23,6 @@ import ctypes
 import functools
 import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +66,8 @@ class UatfTerms:
     fewer APs has its remaining slots pointing at APs that do not serve it,
     and the SINRs give those slots weight 0 (their filters, and so their
     terms, are 0: the owner's side of a slot is masked by the serving set).
-    In cell-free mode C = A and ap[j, c] = c.
+    In cell-free mode C = A and ap[j, c] = c. Every per-owner array is held
+    on the slots; c_eye, read for every user, is the one (K, A) array.
 
     The cross trace cross[j, c, k] = tr(G_{j,a} D_{j,a}^H G_{k,a}) of
     every (owner, user) pair is held in factors, never as a (J, C, K)
@@ -79,7 +79,7 @@ class UatfTerms:
     a = ap[j, c]:
 
     ap        : (J, C) int        AP of each slot
-    serving   : (K, A) bool       the estimators' serving mask
+    served    : (J, C) real       1 on serving slots, 0 on pad slots
     tr_X      : (J, C) real       tr X_{j,a}, X_{j,a} = D_{j,a} G_{j,a}, which
                                   is gamma / sqrt(eta_j); 0 on pad slots
                                   and where eta_j = 0
@@ -89,13 +89,15 @@ class UatfTerms:
     pj, pk    : (P,) int          filter owner and user of each pair
     t         : (P, C) complex    tr(D_{j,a} G_{k,a})
     delta     : (P, C) real       delta of link (k, a) against D_{j,a}
-    gamma     : (K, A); eta_train : (K,)
+    gamma     : (J, C) real       gamma of each slot's link, 0 on pad slots
+    self_bu   : (J, C) real       eta_j delta[(j, j)] - gamma^2, 0 on pad slots
+    eta_train : (K,)
 
     D_{j,a} = sqrt(eta_j) G_{j,a} B^{-1} is owner j's LMMSE filter at AP
     a, never formed: every entry comes from scalars of its pilot gram B.
     """
     ap: np.ndarray
-    serving: np.ndarray
+    served: np.ndarray
     tr_X: np.ndarray
     c_eye: np.ndarray
     los: np.ndarray
@@ -105,11 +107,8 @@ class UatfTerms:
     t: np.ndarray
     delta: np.ndarray
     gamma: np.ndarray
+    self_bu: np.ndarray
     eta_train: np.ndarray
-
-    def at_slots(self, x):
-        """x (K, A) read at each owner's slots, (K, C)."""
-        return np.take_along_axis(np.asarray(x, dtype=float), self.ap, axis=1)
 
     # The two contractions run as einsums, not BLAS products: a threaded
     # BLAS call leaves OpenBLAS workers spinning into se_ub_mc, which runs
@@ -166,13 +165,14 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     los = np.flatnonzero(has_los)
     q = est.q                                   # a^H B^{-1} a, 0 off LOS
     # The owner's side of each slot, 0 on pad slots, and its gram.
-    root = np.sqrt(est.train_powers)[:, None] * serving[owner, ap]
+    served = serving[owner, ap].astype(float)
+    root = np.sqrt(est.train_powers)[:, None] * served
     ce_j, cl_j, q_j = ce[owner, ap], cl[owner, ap], q[owner, ap]
     gram = est.pilot_index[:, None] * A + ap                    # (J, C)
     tr_inv = est.tr_inv.ravel()[gram]
     # tr X = gamma / sqrt(eta_j), 0 where root is (pad slots, eta_j = 0).
-    tr_X = np.divide(est.gamma[owner, ap], root, out=np.zeros(root.shape),
-                     where=root > 0)
+    gamma = est.gamma[owner, ap]
+    tr_X = np.divide(gamma, root, out=np.zeros(root.shape), where=root > 0)
 
     pj, pk = np.nonzero(est.pilot_index[:, None] == est.pilot_index)
     x = (ce[pk[:, None], ap[pj]] * root[pj]
@@ -223,10 +223,10 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
         + (cl_j * q_j)[los, :, None] * (aa.real ** 2 + aa.imag ** 2))
     aXa *= np.ascontiguousarray(cl[los].T)[ap]      # c_los,l Re(a_l^H X a_l)
 
-    return UatfTerms(ap=ap, serving=serving, tr_X=tr_X, c_eye=ce, los=los,
-                     cross_los=aXa,
-                     pj=pj, pk=pk, t=t, delta=delta,
-                     gamma=est.gamma, eta_train=est.train_powers)
+    self_bu = est.train_powers[:, None] * delta[pj == pk] - gamma ** 2
+    return UatfTerms(ap=ap, served=served, tr_X=tr_X, c_eye=ce, los=los,
+                     cross_los=aXa, pj=pj, pk=pk, t=t, delta=delta,
+                     gamma=gamma, self_bu=self_bu, eta_train=est.train_powers)
 
 
 def _contamination(terms: UatfTerms, w):
@@ -247,21 +247,13 @@ def _contamination(terms: UatfTerms, w):
     return np.where(terms.pj != terms.pk, dterm + coherent - diagonal, 0.0)
 
 
-def _self_terms(terms: UatfTerms):
-    """Per-slot gamma and eta_k delta_k - gamma^2 of each user's own links,
-    both (K, C)."""
-    gamma = terms.at_slots(terms.gamma)
-    self_delta = terms.delta[terms.pj == terms.pk]
-    return gamma, terms.eta_train[:, None] * self_delta - gamma ** 2
-
-
 def _sinr(direction, return_parts, **parts):
     """num / (bu + cross + noise + contamination) from the parts, summed in
     that order; with return_parts, also the parts. A denominator <= 0
-    raises NumericalError naming the direction."""
+    (or NaN) raises NumericalError naming the direction."""
     den = (parts["bu"] + parts["cross"] + parts["noise"]
            + parts["contamination"])
-    if np.any(den <= 0):
+    if not np.all(den > 0):
         raise NumericalError(f"non-positive {direction} SINR denominator")
     sinr = parts["num"] / den
     return (sinr, parts) if return_parts else sinr
@@ -275,14 +267,13 @@ def sinr_dl_lb(terms: UatfTerms, eta_dl, sigma_z2, return_parts=False):
         the entries on the serving sets are read
     sigma_z2 : noise power at the users
     """
-    w = terms.at_slots(np.asarray(eta_dl, dtype=float)
-                       * terms.serving)                         # (J, C)
+    w = np.take_along_axis(np.asarray(eta_dl, dtype=float), terms.ap,
+                           axis=1) * terms.served               # (J, C)
     eta = terms.eta_train
     K = len(eta)
-    gamma, self_bu = _self_terms(terms)
 
-    num = np.einsum("kc,kc->k", np.sqrt(w), gamma) ** 2
-    bu = np.einsum("kc,kc->k", w, self_bu)
+    num = np.einsum("kc,kc->k", np.sqrt(w), terms.gamma) ** 2
+    bu = np.einsum("kc,kc->k", w, terms.self_bu)
     cross = terms.cross_at_users(np.sqrt(eta)[:, None] * w)
 
     cont = _contamination(terms, w)
@@ -300,14 +291,13 @@ def sinr_ul_lb(terms: UatfTerms, eta_ul, sigma_w2, return_parts=False):
     sigma_w2 : noise power at the APs
     """
     eta_ul = np.asarray(eta_ul, dtype=float)
-    m = terms.at_slots(terms.serving)                           # (K, C) 0/1
+    m = terms.served                                            # (K, C) 0/1
     eta = terms.eta_train
     K = len(eta)
-    gamma, self_bu = _self_terms(terms)
 
-    gsum = np.einsum("kc,kc->k", m, gamma)
+    gsum = np.einsum("kc,kc->k", m, terms.gamma)
     num = eta_ul * gsum ** 2
-    bu = eta_ul * np.einsum("kc,kc->k", m, self_bu)
+    bu = eta_ul * np.einsum("kc,kc->k", m, terms.self_bu)
 
     # The decoding user k owns the filters: cross[k, c, j] with D_k.
     cross = np.sqrt(eta) * np.einsum("kc,kc->k", m,
@@ -381,19 +371,6 @@ def _openblas_threads():
                 get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
                 return get, put
     return None
-
-
-@contextmanager
-def _one_blas_thread(get, put):
-    """OpenBLAS pinned to one thread while the block runs, and its previous
-    count restored after, also when the block raises. The count is
-    process-wide."""
-    saved = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(saved)
 
 
 def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
@@ -530,9 +507,15 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     else:
         # Imported here: it pulls in logging, ~4% of `import cfmimo`.
         from concurrent.futures import ThreadPoolExecutor
-        with _one_blas_thread(*blas), ThreadPoolExecutor(
-                workers, thread_name_prefix="cfmimo-ub") as pool:
-            batches = list(pool.map(batch, streams, sizes))
+        get, put = blas
+        saved = get()
+        put(1)
+        try:
+            with ThreadPoolExecutor(workers,
+                                    thread_name_prefix="cfmimo-ub") as pool:
+                batches = list(pool.map(batch, streams, sizes))
+        finally:
+            put(saved)
 
     out = []
     for sinrs in zip(*batches):

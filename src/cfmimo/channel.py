@@ -71,12 +71,17 @@ def cost231_constant(carrier_freq, ap_height, user_height):
             + (1.56 * np.log10(f_mhz) - 0.8))
 
 
+def _check_distance(d):
+    """GeometryError unless every link distance in d is positive."""
+    if np.any(d <= 0):
+        raise GeometryError("non-positive link distance")
+
+
 def three_slope_path_loss_db(distance_3d, cfg: SystemConfig):
     """Ground-link path gain in dB (negative): -35 dB/decade beyond d1,
     -20 dB/decade between d0 and d1, flat inside d0."""
     d = np.asarray(distance_3d, dtype=float)
-    if np.any(d <= 0):
-        raise GeometryError("non-positive link distance")
+    _check_distance(d)
     L = cost231_constant(cfg.carrier_freq, cfg.ap_height, cfg.gue_height)
     d0_km = cfg.three_slope_d0 / 1000.0
     d1_km = cfg.three_slope_d1 / 1000.0
@@ -134,6 +139,13 @@ AERIAL_H_MIN = 22.5
 AERIAL_H_MAX = 300.0
 
 
+def _check_aerial_height(h):
+    """OutOfModelError unless every height in h is in the aerial tables."""
+    if np.any(h < AERIAL_H_MIN) or np.any(h > AERIAL_H_MAX):
+        raise OutOfModelError(f"UAV height outside [{AERIAL_H_MIN:g}, "
+                              f"{AERIAL_H_MAX:g}] m")
+
+
 def los_probability(distance_2d, uav_height):
     """LOS probability for an aerial user in the urban-micro scenario, from
     the aerial table, which holds for heights in [22.5, 300] m as the aerial
@@ -141,8 +153,7 @@ def los_probability(distance_2d, uav_height):
     """
     d = np.asarray(distance_2d, dtype=float)
     h = np.asarray(uav_height, dtype=float)
-    if np.any(h < AERIAL_H_MIN) or np.any(h > AERIAL_H_MAX):
-        raise OutOfModelError("UAV height outside [22.5, 300] m")
+    _check_aerial_height(h)
     d = np.maximum(d, 1e-12)
 
     logh = np.log10(h)
@@ -160,10 +171,8 @@ def uav_path_loss_db(distance_3d, uav_height, carrier_freq, los):
     LOS/NLOS state. Valid for heights in [22.5, 300] m."""
     d = np.asarray(distance_3d, dtype=float)
     h = np.asarray(uav_height, dtype=float)
-    if np.any(h < AERIAL_H_MIN) or np.any(h > AERIAL_H_MAX):
-        raise OutOfModelError("UAV height outside [22.5, 300] m")
-    if np.any(d <= 0):
-        raise GeometryError("non-positive link distance")
+    _check_aerial_height(h)
+    _check_distance(d)
     f_ghz = carrier_freq / 1e9
     pl_los = (30.9 + (22.25 - 0.5 * np.log10(h)) * np.log10(d)
               + 20.0 * np.log10(f_ghz))

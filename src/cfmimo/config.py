@@ -89,8 +89,6 @@ class SystemConfig:
                 raise ConfigurationError(
                     f"{f.name} must be {_TYPE_NAMES[f.type]}, "
                     f"got {getattr(self, f.name)!r}")
-        if not 0 < self.area_side < math.inf:
-            raise ConfigurationError("area_side must be positive and finite")
         if self.n_aps <= 0 or self.n_ap_antennas <= 0:
             raise ConfigurationError("need at least one AP with one antenna")
         if self.n_gues < 0 or self.n_uavs < 0 or self.n_gues + self.n_uavs == 0:
@@ -114,7 +112,7 @@ class SystemConfig:
         for name in ("carrier_freq", "bandwidth", "train_power_per_sample",
                      "dl_power_budget", "ul_max_power", "ap_height",
                      "gue_height", "antenna_spacing", "shadow_decorr",
-                     "three_slope_d0", "three_slope_d1"):
+                     "three_slope_d0", "three_slope_d1", "area_side"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigurationError(f"{name} must be positive and finite")
         if not self.three_slope_d0 <= self.three_slope_d1:

@@ -97,13 +97,18 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
     """Solve the grams read by the links in `serving` (K, A) bool and gamma
     on those links; None, as in cell-free mode, serves every link. The set
     carries the serving mask and the pilot assignment to every later stage
-    of the drop. pilot_index holds K integers >= 0, else ValueError."""
+    of the drop. pilot_index must hold K integers >= 0, train_powers finite
+    values >= 0 and sigma_w2 a finite value, else ValueError."""
     K, A, N = links.steering.shape
     eta = np.broadcast_to(np.asarray(train_powers, dtype=float), (K,)).copy()
     pilot = np.asarray(pilot_index)
     if (pilot.shape != (K,) or not np.issubdtype(pilot.dtype, np.integer)
             or np.any(pilot < 0)):
         raise ValueError("pilot_index must be K non-negative integers")
+    if not np.all(np.isfinite(eta) & (eta >= 0)):
+        raise ValueError("train_powers must be finite and >= 0")
+    if not np.isfinite(sigma_w2):
+        raise ValueError("sigma_w2 must be finite")
     if serving is None:
         served = np.ones((K, A), dtype=bool)
     else:
@@ -148,15 +153,15 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
     tr_inv.ravel()[los_gram] = ((N - r) / alpha_g
                                 + np.trace(S_inv, axis1=1, axis2=2).real)
 
-    ks, as_ = np.nonzero(served)
-    cl, ce, qs = c_los[ks, as_], c_eye[ks, as_], q[ks, as_]
-    gamma_s = eta[ks] * (ce * ce * tr_inv[pilot[ks], as_]
-                         + (2.0 * ce + N * cl) * cl * qs)
-    scale = np.maximum(np.abs(gamma_s), 1e-300)
-    if np.any(np.abs(gamma_s.imag) > 1e-8 * scale) or np.any(gamma_s.real < -1e-8 * scale):
+    # Formed on every link, where tr_inv and q are finite; checked and kept
+    # on the served ones.
+    gamma = eta[:, None] * (c_eye * c_eye * tr_inv[pilot]
+                            + (2.0 * c_eye + N * c_los) * c_los * q)
+    scale = np.maximum(np.abs(gamma), 1e-300)
+    if np.any(served & ((np.abs(gamma.imag) > 1e-8 * scale)
+                        | (gamma.real < -1e-8 * scale))):
         raise NumericalError("gamma is not real non-negative; inconsistent inputs")
-    gamma = np.zeros((K, A))
-    gamma[ks, as_] = np.maximum(gamma_s.real, 0.0)
+    gamma = np.where(served, np.maximum(gamma.real, 0.0), 0.0)
     return EstimatorSet(gamma=gamma, served=served, pilot_index=pilot,
                         train_powers=eta, sigma_w2=float(sigma_w2),
                         alpha=alpha, tr_inv=tr_inv, los_gram=los_gram, U=U,

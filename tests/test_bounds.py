@@ -337,7 +337,7 @@ class TestSinrClosedForms:
 
 # Each check that rejects a bad input, with its message: a case fails if
 # its check is deleted. Zero powers and negative noise make each SINR's
-# denominator the noise alone.
+# denominator the noise alone; a NaN power or noise makes it NaN.
 @pytest.mark.parametrize("call, error, match", [
     (lambda links, est: sinr_dl_lb(uatf_terms(links, est),
                                    np.zeros(links.beta.shape), -1.0),
@@ -345,11 +345,21 @@ class TestSinrClosedForms:
     (lambda links, est: sinr_ul_lb(uatf_terms(links, est),
                                    np.zeros(len(links.beta)), -1.0),
      NumericalError, "non-positive uplink SINR denominator"),
+    (lambda links, est: sinr_dl_lb(uatf_terms(links, est),
+                                   np.full(links.beta.shape, np.nan), 0.25),
+     NumericalError, "non-positive downlink SINR denominator"),
+    (lambda links, est: sinr_ul_lb(uatf_terms(links, est),
+                                   np.full(len(links.beta), np.nan), 0.3),
+     NumericalError, "non-positive uplink SINR denominator"),
+    (lambda links, est: sinr_dl_lb(uatf_terms(links, est),
+                                   np.ones(links.beta.shape), np.nan),
+     NumericalError, "non-positive downlink SINR denominator"),
     (lambda links, est: se_ub_mc(links, est, np.ones(links.beta.shape),
                                  np.ones(len(links.beta)), 0.5, 0.42, 0,
                                  np.random.default_rng(0)),
      ValueError, "n_trials must be >= 1"),
-], ids=["dl_denominator", "ul_denominator", "no_trials"])
+], ids=["dl_denominator", "ul_denominator", "dl_nan_power", "ul_nan_power",
+        "dl_nan_noise", "no_trials"])
 def test_bad_input_raises(small_instance, call, error, match):
     links, *_, est = small_instance
     with pytest.raises(error, match=match):
@@ -691,6 +701,22 @@ class TestServingSlots:
         np.testing.assert_array_equal(np.column_stack([terms.pj, terms.pk]),
                                       _sharing_pairs(pilots))
         dense = _dense_terms(links, est)
+        # The owner terms: exactly 0 on pad slots, the dense gamma and
+        # eta delta - gamma^2 of the owner's own links on served ones.
+        owner = np.arange(K)[:, None]
+        on = mask[owner, terms.ap]
+        assert np.any(~on)
+        assert terms.served.dtype == float
+        np.testing.assert_array_equal(terms.served, on)
+        for got in (terms.gamma, terms.self_bu):
+            assert np.all(got[~on] == 0.0)
+        np.testing.assert_array_equal(terms.gamma[on],
+                                      dense["gamma"][owner, terms.ap][on])
+        eta_delta = dense["eta"][:, None] * dense["delta"][owner, owner,
+                                                           terms.ap]
+        np.testing.assert_allclose(
+            terms.self_bu[on], (eta_delta - terms.gamma ** 2)[on],
+            rtol=0, atol=1e-12 * eta_delta.max())
         for j in range(K):
             served = terms.ap[j, :counts[j]]
             np.testing.assert_array_equal(served, np.nonzero(mask[j])[0])

@@ -202,7 +202,8 @@ class TestAerialModel:
                 los_probability_oracle(d, h), rel=1e-12)
 
     def test_los_probability_out_of_model(self):
-        with pytest.raises(OutOfModelError):
+        with pytest.raises(OutOfModelError,
+                           match=r"^UAV height outside \[22\.5, 300\] m$"):
             los_probability(100.0, 400.0)
         with pytest.raises(OutOfModelError):
             los_probability(100.0, 1.0)
@@ -229,7 +230,8 @@ class TestAerialModel:
         assert b1 == b2
 
     def test_height_out_of_model(self):
-        with pytest.raises(OutOfModelError):
+        with pytest.raises(OutOfModelError,
+                           match=r"^UAV height outside \[22\.5, 300\] m$"):
             uav_path_loss_db(100.0, 10.0, 1.9e9, True)
 
 

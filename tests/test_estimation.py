@@ -219,6 +219,21 @@ class TestBuildEstimators:
         est = build_estimators(links, [0, 31, 0], np.ones(3), 1.0)
         assert est.alpha.shape == (32, 2)
 
+    @pytest.mark.parametrize("eta, sw2, match", [
+        ([1.0, np.nan, 1.0, 1.0], 0.3, "train_powers"),
+        ([1.0, np.inf, 1.0, 1.0], 0.3, "train_powers"),
+        ([1.0, -1.0, 1.0, 1.0], 0.3, "train_powers"),
+        (np.ones(4), np.nan, "sigma_w2"),
+        (np.ones(4), np.inf, "sigma_w2"),
+    ], ids=["nan_power", "inf_power", "negative_power", "nan_noise",
+            "inf_noise"])
+    def test_bad_powers_rejected(self, eta, sw2, match):
+        # Unchecked, each gives a NaN gamma, a raw RuntimeWarning or a
+        # misnamed singular gram.
+        links = random_links(np.random.default_rng(33), 4, 3, 2)
+        with pytest.raises(ValueError, match=match):
+            build_estimators(links, [0, 1, 0, 2], eta, sw2)
+
     def test_served_links_match_the_all_links_build(self):
         # A ragged user-centric mask: a row with one AP, a full row and an
         # AP that serves nobody.

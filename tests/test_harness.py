@@ -76,9 +76,17 @@ class TestSimulateDrop:
             run_experiment(tiny_cfg(), 2, 4)
 
     def test_non_finite_lower_bound_rejected(self, monkeypatch):
-        real = harness.fpc
+        # NaN UL powers stop the drop at the SINR's denominator check; a
+        # non-finite SINR past that check stops at the drop's own check.
+        real_fpc, real_sinr = harness.fpc, harness.sinr_dl_lb
         monkeypatch.setattr(harness, "fpc",
-                            lambda *a, **k: real(*a, **k) * np.nan)
+                            lambda *a, **k: real_fpc(*a, **k) * np.nan)
+        with pytest.raises(NumericalError, match="^drop 0: non-positive "
+                           "uplink SINR denominator"):
+            run_experiment(tiny_cfg(), 1, 4)
+        monkeypatch.setattr(harness, "fpc", real_fpc)
+        monkeypatch.setattr(harness, "sinr_dl_lb",
+                            lambda *a, **k: real_sinr(*a, **k) * np.nan)
         with pytest.raises(NumericalError, match="^drop 0: non-finite"):
             run_experiment(tiny_cfg(), 1, 4)
 
