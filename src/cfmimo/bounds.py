@@ -28,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkSet, covariance_coeffs
-from .estimation import EstimatorSet, draw_block, lmmse_estimate
+from .estimation import (DrawSetup, EstimateSetup, EstimatorSet,
+                         block_setup, draw_block, lmmse_estimate)
 from .errors import NumericalError
 
-UB_BATCH_BYTES = 4 << 20   # most bytes of one upper-bound batch's channel draw
+UB_BATCH_BYTES = 2 << 20   # most bytes of one upper-bound batch's channel draw
 
 
 @dataclass
@@ -332,7 +333,7 @@ def _ub_batches(n_trials, trial_bytes):
     draw takes trial_bytes: the fewest of at most
     max(1, UB_BATCH_BYTES // trial_bytes) trials, at least two when
     n_trials >= 2, as equal as possible (np.array_split's sizes), e.g. 100
-    trials of a default drop -> 10 x 10."""
+    trials of a default drop -> 20 x 5."""
     cap = max(1, UB_BATCH_BYTES // trial_bytes)
     n = max(-(-n_trials // cap), min(n_trials, 2))
     size, extra = divmod(n_trials, n)
@@ -396,20 +397,32 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     T trials of (K, A, N) complex128, fits in UB_BATCH_BYTES (at least one
     trial each), at least two when n_trials >= 2, with sizes as equal as
     possible (_ub_batches: 100 trials of the default 60-user drop ->
-    10 x 10, 10 trials of 120 users -> 2 x 5, 1 -> 1). Batch b draws its
+    20 x 5, 10 trials of 120 users -> 5 x 2, 1 -> 1). Batch b draws its
     blocks with estimation.draw_block, which defines the draw order, from
     np.random.Generator(np.random.SFC64(s_b)), with s_b the b-th
     SeedSequence spawned from rng's. The layout depends only on n_trials
     and the drop's shape, never on the thread count, and a batch's draws
     only on its own stream.
 
+    Setup: what the batches read of the drop besides their draws (the
+    fading draw's constants, the de-spreading matrix and the estimate's
+    per-link factors) is est's block setup, derived once per drop by
+    estimation.block_setup: before the pool starts when threads run, else
+    by the first batch. Only its two (K, A) scales are repeated along 2N
+    per batch; holding them repeated would add two trials' draws to the
+    memory of every batch.
+
     Buffers: each thread that runs batches allocates two flat buffers of
     K rows once per call, sized for the largest batch, and reuses them
     for each of its batches: the channel draw, which draw_block fills,
-    and the estimate, which lmmse_estimate fills. Per batch it allocates
+    and the estimate, which lmmse_estimate fills; its first DL step adds
+    sqrt(eta_dl) repeated along 2N, one trial's draw in size, kept for
+    its later batches. Per batch it allocates
     draw_block's (T, P, A, N) noise and observation, freed before the
     GEMMs, lmmse_estimate's workspace and the (T, K, K) amplitudes and
-    powers, so a call's peak memory is a few UB_BATCH_BYTES per thread.
+    powers, so a call's peak memory is about 3.5 UB_BATCH_BYTES per
+    thread (a default 100-trial call: ~7 MB on one thread, ~13 MB on
+    two).
     Keeping every trial's DL and UL SINR for the reduction adds 16 B per
     trial and user, and the reduction at most 24 B more (one direction's
     concatenated SINRs and se_lb's temporaries), 0.6% of the 6.4 KB per
@@ -456,8 +469,6 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     N = links.steering.shape[-1]
     eta_dl = np.asarray(eta_dl, dtype=float) * serving_mask
     eta_ul = np.asarray(eta_ul, dtype=float)
-    # sqrt(eta_dl) on the real view of the estimate: contiguous along 2N.
-    wdl = np.repeat(np.sqrt(eta_dl)[:, :, None], 2 * N, axis=2)
     diag = np.arange(K)
 
     sizes = _ub_batches(n_trials, 16 * K * A * N)
@@ -489,8 +500,12 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
         sinr_ul = sig / (interf + noise)
 
         # Downlink: received amplitude of user j's beam at user k, with the
-        # estimate weighted in place.
-        re_im *= wdl.reshape(K, 2 * A * N)                      # w g_hat
+        # estimate weighted in place by sqrt(eta_dl), repeated along 2N for
+        # the real view. Each thread repeats it at its first DL step, so a
+        # one-batch call does not hold it through the estimate.
+        if not hasattr(local, "wdl"):
+            local.wdl = np.repeat(np.sqrt(eta_dl)[:, :, None], 2 * N, axis=2)
+        re_im *= local.wdl.reshape(K, 2 * A * N)                # w g_hat
         np.matmul(g_flat, ghat.reshape(T, K, A * N).transpose(0, 2, 1),
                   out=M)
         _power(M, out=p)
@@ -508,6 +523,8 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
         # Imported here: it pulls in logging, ~4% of `import cfmimo`.
         from concurrent.futures import ThreadPoolExecutor
         get, put = blas
+        for part in (DrawSetup, EstimateSetup):    # once, not per thread
+            block_setup(links, est, part)
         saved = get()
         put(1)
         try:

@@ -72,8 +72,9 @@ def cost231_constant(carrier_freq, ap_height, user_height):
 
 
 def _check_distance(d):
-    """GeometryError unless every link distance in d is positive."""
-    if np.any(d <= 0):
+    """GeometryError unless every link distance in d is positive (NaN is
+    not)."""
+    if not np.all(d > 0):
         raise GeometryError("non-positive link distance")
 
 
@@ -140,8 +141,9 @@ AERIAL_H_MAX = 300.0
 
 
 def _check_aerial_height(h):
-    """OutOfModelError unless every height in h is in the aerial tables."""
-    if np.any(h < AERIAL_H_MIN) or np.any(h > AERIAL_H_MAX):
+    """OutOfModelError unless every height in h is in the aerial tables
+    (NaN is not)."""
+    if not np.all((h >= AERIAL_H_MIN) & (h <= AERIAL_H_MAX)):
         raise OutOfModelError(f"UAV height outside [{AERIAL_H_MIN:g}, "
                               f"{AERIAL_H_MAX:g}] m")
 
@@ -280,9 +282,70 @@ def covariance_coeffs(beta, los_frac):
     return beta * kappa, beta * (1.0 - kappa)
 
 
+@dataclass
+class Fading:
+    """The per-link constants of a fast-fading draw, derived once by
+    Fading.of and read by every draw on the same links.
+
+    shape     : the links' broadcast shape
+    scatter   : sqrt(c_eye / 2), the scattered part's amplitude per real
+                component, broadcastable to shape
+    los       : (L,) flat indices (into shape) of the links with c_los > 0
+    los_amp   : (L,) sqrt(c_los) on those links
+    los_steer : (L, N) their steering vectors
+    """
+    shape: tuple
+    scatter: np.ndarray
+    los: np.ndarray
+    los_amp: np.ndarray
+    los_steer: np.ndarray
+
+    @classmethod
+    def of(cls, beta, los_frac, steering):
+        """The constants of links with gains beta and LOS fractions
+        los_frac, broadcastable against steering (..., N)."""
+        steering = np.asarray(steering)
+        los_amp, scatter_amp = map(np.sqrt, covariance_coeffs(beta, los_frac))
+        shape = np.broadcast_shapes(los_amp.shape, steering.shape[:-1])
+        n = steering.shape[-1]
+        los_amp = np.broadcast_to(los_amp, shape).reshape(-1)
+        los = np.flatnonzero(los_amp > 0)
+        a = np.broadcast_to(steering, shape + (n,)).reshape(-1, n)
+        return cls(shape=shape, scatter=scatter_amp / np.sqrt(2.0), los=los,
+                   los_amp=los_amp[los], los_steer=a[los])
+
+    def draw(self, rng: np.random.Generator, n_draws=None, out=None):
+        """One coherence block of every link, (..., N), or n_draws of them,
+        (n_draws, ..., N); out as in sample_channels."""
+        n = self.los_steer.shape[-1]
+        lead = () if n_draws is None else (n_draws,)
+        full = lead + self.shape
+
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=full)
+        if out is None:
+            g = np.empty(full + (n,), dtype=complex)
+        elif out.shape != full + (n,) or out.dtype != complex:
+            raise ValueError(f"out must be complex128 of shape {full + (n,)}")
+        else:
+            g = out
+        # Scattered part CN(0, c_eye), scaled in place on the real view,
+        # whose scale array is contiguous along 2N.
+        re_im = g.view(float)
+        rng.standard_normal(out=re_im)
+        re_im *= np.repeat(self.scatter[..., None], 2 * n, axis=-1)
+        # LOS part, formed only on the links that have one (every link still
+        # draws its phase, so the draw stream does not depend on los_frac).
+        phase = np.exp(1j * theta.reshape(lead + (-1,))[..., self.los])
+        g_los = g.reshape(lead + (-1, n))
+        g_los[..., self.los, :] += ((self.los_amp * phase)[..., None]
+                                    * self.los_steer)
+        return g
+
+
 def sample_channels(beta, los_frac, steering, rng: np.random.Generator,
                     n_draws=None, out=None):
-    """Draw fast-fading channel vectors for the given links.
+    """Draw fast-fading channel vectors for the given links:
+    Fading.of(beta, los_frac, steering).draw(rng, n_draws, out).
 
     beta, los_frac : (...,) broadcastable link arrays
     steering       : (..., N)
@@ -292,32 +355,4 @@ def sample_channels(beta, los_frac, steering, rng: np.random.Generator,
     rotations are redrawn per call (one call == one coherence block). The
     draw order is stated once, in estimation.draw_block.
     """
-    steering = np.asarray(steering)
-    los_amp, scatter_amp = map(np.sqrt, covariance_coeffs(beta, los_frac))
-    shape = np.broadcast_shapes(los_amp.shape, steering.shape[:-1])
-    n = steering.shape[-1]
-    lead = () if n_draws is None else (n_draws,)
-    full = lead + shape
-
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=full)
-    if out is None:
-        g = np.empty(full + (n,), dtype=complex)
-    elif out.shape != full + (n,) or out.dtype != complex:
-        raise ValueError(f"out must be complex128 of shape {full + (n,)}")
-    else:
-        g = out
-    # Scattered part CN(0, scatter_amp^2), scaled in place on the real
-    # view, whose scale array is contiguous along 2N.
-    re_im = g.view(float)
-    rng.standard_normal(out=re_im)
-    re_im *= np.repeat((scatter_amp / np.sqrt(2.0))[..., None], 2 * n,
-                       axis=-1)
-    # LOS part, formed only on the links that have one (every link still
-    # draws its phase, so the draw stream does not depend on los_frac).
-    los_amp = np.broadcast_to(los_amp, shape).reshape(-1)
-    los = np.flatnonzero(los_amp > 0)
-    phase = np.exp(1j * theta.reshape(lead + (-1,))[..., los])
-    a = np.broadcast_to(steering, shape + (n,)).reshape(-1, n)[los]
-    g_los = g.reshape(lead + (-1, n))
-    g_los[..., los, :] += (los_amp[los] * phase)[..., None] * a
-    return g
+    return Fading.of(beta, los_frac, steering).draw(rng, n_draws, out)

@@ -120,23 +120,26 @@ def run_experiment(cfg: SystemConfig, n_drops: int,
     return ExperimentResult(cfg=cfg, user_kind=user_kinds(cfg), **out)
 
 
-def percentile(samples, q: float):
-    """Linear-interpolation empirical quantile, q in [0, 1]."""
+def percentile(samples, q):
+    """Linear-interpolation empirical quantile, q in [0, 1]; for a sequence
+    of q, a tuple of quantiles taken in one np.quantile call."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise CfmimoError("percentile of empty sample set")
-    if not 0.0 <= q <= 1.0:
+    qs = np.asarray(q, dtype=float)
+    if not np.all((qs >= 0.0) & (qs <= 1.0)):
         raise CfmimoError("quantile must be in [0, 1]")
-    return float(np.quantile(samples, q, method="linear"))
+    out = np.quantile(samples, qs, method="linear")
+    return float(out) if out.ndim == 0 else tuple(out.tolist())
 
 
-def _fmt(x):
-    return format(float(x), ".12g")
+_FLOAT_FORMAT = ".12g"    # every float the CSVs hold
 
 
 def emit_cdf(result: ExperimentResult, out_dir):
     """Write one CSV per (population, direction, bound) plus a percentile
-    summary. Empty populations are skipped and noted in the summary."""
+    summary. Empty populations are skipped and noted in the summary. Each
+    file is written with one write call."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     summary_rows = []
@@ -149,19 +152,20 @@ def emit_cdf(result: ExperimentResult, out_dir):
                     continue
                 path = os.path.join(out_dir, f"{pop}_{direction}_{bound}.csv")
                 n = s.size
+                rows = [f"{r:{_FLOAT_FORMAT}},{i / n:{_FLOAT_FORMAT}}\n"
+                        for i, r in enumerate(s.tolist(), start=1)]
                 with open(path, "w") as f:
-                    f.write("rate_bps,cdf\n")
-                    for i, r in enumerate(s, start=1):
-                        f.write(f"{_fmt(r)},{_fmt(i / n)}\n")
+                    f.write("rate_bps,cdf\n" + "".join(rows))
                 written.append(path)
+                p05, p50 = percentile(s, (0.05, 0.50))
                 summary_rows.append((pop, direction, bound, n,
-                                     _fmt(percentile(s, 0.05)),
-                                     _fmt(percentile(s, 0.50))))
+                                     f"{p05:{_FLOAT_FORMAT}}",
+                                     f"{p50:{_FLOAT_FORMAT}}"))
     summary = os.path.join(out_dir, "summary.csv")
+    lines = [",".join(SUMMARY_COLUMNS)]
+    lines += [",".join(str(x) for x in row) for row in summary_rows]
     with open(summary, "w") as f:
-        f.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in summary_rows:
-            f.write(",".join(str(x) for x in row) + "\n")
+        f.write("\n".join(lines) + "\n")
     written.append(summary)
     return written
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfmimo import bounds, harness
+from cfmimo import bounds, channel, estimation, harness
 from cfmimo.allocation import (AssociationMap, associate,
                                dl_power_allocation, fpc)
 from cfmimo.bounds import (se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb,
@@ -895,7 +895,7 @@ class TestUpperBoundKernel:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_moments_are_numpys_of_the_per_trial_se(self, monkeypatch, cpus):
-        # A default drop's 100 trials in 10 batches, serial or pooled: the
+        # A default drop's 100 trials in 20 batches, serial or pooled: the
         # mean and standard error are np.mean and np.std / sqrt(n) of the
         # per-trial SEs the kernel passes through se_lb, bit for bit.
         monkeypatch.setattr(bounds, "_cpus", lambda: cpus)
@@ -911,7 +911,7 @@ class TestUpperBoundKernel:
         cfg = SystemConfig()
         harness.simulate_drop(cfg, np.random.default_rng(5), 100)
         assert bounds._ub_batches(100, 16 * cfg.n_users * cfg.n_aps
-                                  * cfg.n_ap_antennas) == [10] * 10
+                                  * cfg.n_ap_antennas) == [5] * 20
         se = [np.concatenate(per_trial[i::2]) for i in (0, 1)]  # DL, UL
         assert se[0].shape == se[1].shape == (100, cfg.n_users)
         want = []
@@ -958,6 +958,44 @@ class TestUpperBoundKernel:
                            association_mode="UC", uc_cluster_size=1)
         peak = self._traced_peak(monkeypatch, cfg, 3, 64)
         assert peak <= 4 * bounds.UB_BATCH_BYTES, peak / 1e6
+
+    def test_peak_memory_of_a_pooled_default_call(self, monkeypatch):
+        # 100 default trials on two threads: 20 batches of 5 trials, each
+        # thread in its two reused buffers, peak at ~13 MB, under 7 batch
+        # budgets of 2 MiB. With 4 MiB budgets (10 batches of 10) the same
+        # call peaked at ~24 MB.
+        monkeypatch.setattr(bounds, "_cpus", lambda: 2)
+        peak = self._traced_peak(monkeypatch, SystemConfig(), 26, 100)
+        assert peak <= 7 * (2 << 20), peak / 1e6
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_per_drop_setup_is_derived_once_per_call(self, monkeypatch,
+                                                     cpus):
+        # The link covariances are read once per part of the drop's block
+        # setup, however many batches the call runs: 1 trial in 1 batch
+        # and 20 trials in 20 batches take the same count.
+        trial_bytes = 16 * 8 * 5 * 3                 # (K, A, N) complex128
+        monkeypatch.setattr(bounds, "UB_BATCH_BYTES", trial_bytes)
+        monkeypatch.setattr(bounds, "_cpus", lambda: cpus)
+        assert bounds._ub_batches(20, trial_bytes) == [1] * 20
+        calls, real = [], channel.covariance_coeffs
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (channel, estimation, bounds):
+            monkeypatch.setattr(module, "covariance_coeffs", counted)
+        counts = []
+        for n_trials in (1, 20):
+            rng = np.random.default_rng(36)
+            links, pilots, est = _mixed_instance(rng)
+            calls.clear()
+            se_ub_mc(links, est, rng.uniform(0.1, 1.0, links.beta.shape),
+                     rng.uniform(0.2, 1.0, 8), 0.25, 0.42, n_trials,
+                     np.random.default_rng(37))
+            counts.append(len(calls))
+        assert counts == [2, 2]
 
 
 class TestUbBatches:

@@ -109,6 +109,22 @@ def test_degenerate_geometry_is_a_geometry_error(call, match):
         call()
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: three_slope_path_loss_db(np.nan, CFG), GeometryError,
+     r"^non-positive link distance$"),
+    (lambda: los_probability(100.0, np.nan), OutOfModelError,
+     r"^UAV height outside \[22\.5, 300\] m$"),
+    (lambda: uav_path_loss_db(np.nan, 50.0, 1.9e9, True), GeometryError,
+     r"^non-positive link distance$"),
+], ids=["three_slope_distance", "los_probability_height",
+        "aerial_distance"])
+def test_nan_fails_the_model_limit_checks(call, error, match):
+    # NaN compares false both ways, so each check asks that every value is
+    # inside its limits rather than that none is outside them.
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestThreeSlope:
     def test_outer_slope_35db_per_decade(self):
         b1 = 10 ** (three_slope_path_loss_db(100.0, CFG) / 10)

@@ -217,6 +217,21 @@ class TestEmitCdf:
         s = res.samples("uav", "ul", "lb")
         assert float(row["rate_p50_bps"]) == pytest.approx(percentile(s, 0.5))
 
+    def test_every_summary_row_holds_the_cells_percentiles(self, tmp_path):
+        # emit_cdf takes both percentiles of a cell in one call: each must
+        # be the one percentile() gives alone, to the CSV's 12 digits.
+        res = run_experiment(tiny_cfg(), 3, 4)
+        emit_cdf(res, tmp_path)
+        rows = summarize(tmp_path)
+        assert len(rows) == 8
+        for row in rows:
+            s = res.samples(row["population"], row["direction"], row["bound"])
+            assert int(row["n_samples"]) == s.size > 0
+            for col, q in (("rate_p05_bps", 0.05), ("rate_p50_bps", 0.5)):
+                assert row[col] == format(percentile(s, q), ".12g")
+        assert percentile(s, (0.05, 0.5)) == (percentile(s, 0.05),
+                                              percentile(s, 0.5))
+
     def test_empty_population_noted(self, tmp_path):
         res = run_experiment(tiny_cfg(n_uavs=0, n_gues=4), 1, 4)
         emit_cdf(res, tmp_path)
