@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkSet, covariance_coeffs
-from .estimation import (DrawSetup, EstimateSetup, EstimatorSet,
-                         block_setup, draw_block, lmmse_estimate)
+from .estimation import Block, EstimatorSet
 from .errors import NumericalError
 
 UB_BATCH_BYTES = 2 << 20   # most bytes of one upper-bound batch's channel draw
@@ -397,29 +396,22 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     T trials of (K, A, N) complex128, fits in UB_BATCH_BYTES (at least one
     trial each), at least two when n_trials >= 2, with sizes as equal as
     possible (_ub_batches: 100 trials of the default 60-user drop ->
-    20 x 5, 10 trials of 120 users -> 5 x 2, 1 -> 1). Batch b draws its
-    blocks with estimation.draw_block, which defines the draw order, from
-    np.random.Generator(np.random.SFC64(s_b)), with s_b the b-th
+    20 x 5, 10 trials of 120 users -> 5 x 2, 1 -> 1). Every batch reads
+    the one estimation.Block of the drop, derived once per call before any
+    batch runs, and draws with Block.draw, which defines the draw order,
+    from np.random.Generator(np.random.SFC64(s_b)), with s_b the b-th
     SeedSequence spawned from rng's. The layout depends only on n_trials
     and the drop's shape, never on the thread count, and a batch's draws
     only on its own stream.
 
-    Setup: what the batches read of the drop besides their draws (the
-    fading draw's constants, the de-spreading matrix and the estimate's
-    per-link factors) is est's block setup, derived once per drop by
-    estimation.block_setup: before the pool starts when threads run, else
-    by the first batch. Only its two (K, A) scales are repeated along 2N
-    per batch; holding them repeated would add two trials' draws to the
-    memory of every batch.
-
     Buffers: each thread that runs batches allocates two flat buffers of
     K rows once per call, sized for the largest batch, and reuses them
-    for each of its batches: the channel draw, which draw_block fills,
-    and the estimate, which lmmse_estimate fills; its first DL step adds
+    for each of its batches: the channel draw, which Block.draw fills,
+    and the estimate, which Block.estimate fills; its first DL step adds
     sqrt(eta_dl) repeated along 2N, one trial's draw in size, kept for
     its later batches. Per batch it allocates
-    draw_block's (T, P, A, N) noise and observation, freed before the
-    GEMMs, lmmse_estimate's workspace and the (T, K, K) amplitudes and
+    Block.draw's (T, P, A, N) noise and observation, freed before the
+    GEMMs, Block.estimate's workspace and the (T, K, K) amplitudes and
     powers, so a call's peak memory is about 3.5 UB_BATCH_BYTES per
     thread (a default 100-trial call: ~7 MB on one thread, ~13 MB on
     two).
@@ -441,7 +433,7 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     A batch of T trials is evaluated with BLAS products, with AN = A*N the
     flattened (AP, antenna) axis:
 
-    - LMMSE: lmmse_estimate forms B^{-1} y once per (pilot, AP) gram, with
+    - LMMSE: Block.estimate forms B^{-1} y once per (pilot, AP) gram, with
       two thin products through the factors U, U M only on the grams with
       a LOS user, and spreads it to the (T, K, A, N) layout the GEMMs read,
       zero off the serving set; the channel is then conjugated in place;
@@ -472,6 +464,7 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     diag = np.arange(K)
 
     sizes = _ub_batches(n_trials, 16 * K * A * N)
+    block = Block.of(links, est)
     local = threading.local()
 
     def batch(rng, T):
@@ -481,10 +474,9 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
             local.g = np.empty(sizes[0] * K * A * N, dtype=complex)
             local.ghat = np.empty_like(local.g)
         n = T * K * A * N
-        g, y = draw_block(links, est, rng, T, local.g[:n].reshape(T, K, A, N))
+        g, y = block.draw(rng, T, local.g[:n].reshape(T, K, A, N))
         g_flat = g.reshape(T, K, A * N)
-        ghat = lmmse_estimate(links, est, y,
-                              out=local.ghat[:n].reshape(g.shape))
+        ghat = block.estimate(y, out=local.ghat[:n].reshape(g.shape))
         del y
         np.conjugate(g, out=g)
 
@@ -523,8 +515,6 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
         # Imported here: it pulls in logging, ~4% of `import cfmimo`.
         from concurrent.futures import ThreadPoolExecutor
         get, put = blas
-        for part in (DrawSetup, EstimateSetup):    # once, not per thread
-            block_setup(links, est, part)
         saved = get()
         put(1)
         try:

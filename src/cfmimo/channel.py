@@ -284,42 +284,40 @@ def covariance_coeffs(beta, los_frac):
 
 @dataclass
 class Fading:
-    """The per-link constants of a fast-fading draw, derived once by
-    Fading.of and read by every draw on the same links.
+    """The per-link constants of a fast-fading draw on a drop's links,
+    derived once by Fading.of and read by every draw on the same links.
 
-    shape     : the links' broadcast shape
-    scatter   : sqrt(c_eye / 2), the scattered part's amplitude per real
-                component, broadcastable to shape
-    los       : (L,) flat indices (into shape) of the links with c_los > 0
+    scatter   : (K, A) sqrt(c_eye / 2), the scattered part's amplitude per
+                real component
+    los       : (L,) flat (user, AP) indices of the links with c_los > 0
     los_amp   : (L,) sqrt(c_los) on those links
     los_steer : (L, N) their steering vectors
     """
-    shape: tuple
     scatter: np.ndarray
     los: np.ndarray
     los_amp: np.ndarray
     los_steer: np.ndarray
 
     @classmethod
-    def of(cls, beta, los_frac, steering):
-        """The constants of links with gains beta and LOS fractions
-        los_frac, broadcastable against steering (..., N)."""
-        steering = np.asarray(steering)
-        los_amp, scatter_amp = map(np.sqrt, covariance_coeffs(beta, los_frac))
-        shape = np.broadcast_shapes(los_amp.shape, steering.shape[:-1])
-        n = steering.shape[-1]
-        los_amp = np.broadcast_to(los_amp, shape).reshape(-1)
+    def of(cls, links: LinkSet):
+        los_amp, scatter_amp = map(np.sqrt, covariance_coeffs(links.beta,
+                                                              links.los_frac))
+        los_amp = los_amp.ravel()
         los = np.flatnonzero(los_amp > 0)
-        a = np.broadcast_to(steering, shape + (n,)).reshape(-1, n)
-        return cls(shape=shape, scatter=scatter_amp / np.sqrt(2.0), los=los,
-                   los_amp=los_amp[los], los_steer=a[los])
+        n = links.steering.shape[-1]
+        return cls(scatter=scatter_amp / np.sqrt(2.0), los=los,
+                   los_amp=los_amp[los],
+                   los_steer=links.steering.reshape(-1, n)[los])
 
-    def draw(self, rng: np.random.Generator, n_draws=None, out=None):
-        """One coherence block of every link, (..., N), or n_draws of them,
-        (n_draws, ..., N); out as in sample_channels."""
+    def draw(self, rng: np.random.Generator, n_draws, out=None):
+        """n_draws coherence blocks of every link, (n_draws, K, A, N): each
+        link's phase, then the scattered part as one standard_normal call
+        over the real view. out, a C-contiguous complex128 array of that
+        shape, is filled and returned in place of a new array. Phases are
+        redrawn per block. The draw order of a whole block, training
+        included, is stated once, in estimation.Block.draw."""
         n = self.los_steer.shape[-1]
-        lead = () if n_draws is None else (n_draws,)
-        full = lead + self.shape
+        full = (n_draws,) + self.scatter.shape
 
         theta = rng.uniform(0.0, 2.0 * np.pi, size=full)
         if out is None:
@@ -335,24 +333,8 @@ class Fading:
         re_im *= np.repeat(self.scatter[..., None], 2 * n, axis=-1)
         # LOS part, formed only on the links that have one (every link still
         # draws its phase, so the draw stream does not depend on los_frac).
-        phase = np.exp(1j * theta.reshape(lead + (-1,))[..., self.los])
-        g_los = g.reshape(lead + (-1, n))
-        g_los[..., self.los, :] += ((self.los_amp * phase)[..., None]
-                                    * self.los_steer)
+        phase = np.exp(1j * theta.reshape(n_draws, -1)[:, self.los])
+        g_los = g.reshape(n_draws, -1, n)
+        g_los[:, self.los, :] += ((self.los_amp * phase)[..., None]
+                                  * self.los_steer)
         return g
-
-
-def sample_channels(beta, los_frac, steering, rng: np.random.Generator,
-                    n_draws=None, out=None):
-    """Draw fast-fading channel vectors for the given links:
-    Fading.of(beta, los_frac, steering).draw(rng, n_draws, out).
-
-    beta, los_frac : (...,) broadcastable link arrays
-    steering       : (..., N)
-    out            : optional C-contiguous complex128 array of the result's
-                     shape, filled and returned in place of a new array
-    Returns (..., N), or (n_draws, ..., N) when n_draws is given. Phase
-    rotations are redrawn per call (one call == one coherence block). The
-    draw order is stated once, in estimation.draw_block.
-    """
-    return Fading.of(beta, los_frac, steering).draw(rng, n_draws, out)

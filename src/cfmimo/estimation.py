@@ -25,7 +25,7 @@ with v shared by every user on the gram; its mean energy is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,7 @@ def _check_grams(alpha, uu, w, n, sigma_w2):
 @dataclass
 class EstimatorSet:
     """Estimation statistics for the (user, AP) links of a drop, held per
-    pilot gram; lmmse_estimate applies them to training observations.
+    pilot gram; Block.estimate applies them to training observations.
 
     The gram of link (k, a) is (pilot_index[k], a), flat index
     pilot_index[k] * A + a, with P = pilot_index.max() + 1 pilot rows.
@@ -77,11 +77,6 @@ class EstimatorSet:
     UM : (G, N, r) the product U M, so B^{-1} = (I - UM U^H) / alpha there
     z : (K, A, N) B^{-1} a on the LOS links of those grams, 0 elsewhere
     q : (K, A) a^H B^{-1} a = a^H z, 0 where z is
-
-    The set is a snapshot of the links it was built from. It keeps the
-    per-drop constants of draw_block and lmmse_estimate, each part derived
-    where it is first read (see block_setup); dataclasses.replace gives a
-    set without them.
     """
     gamma: np.ndarray
     served: np.ndarray
@@ -95,80 +90,6 @@ class EstimatorSet:
     UM: np.ndarray
     z: np.ndarray
     q: np.ndarray
-    _setup: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-
-
-@dataclass
-class DrawSetup:
-    """What draw_block reads of a drop besides its draws.
-
-    fading : the channel draw's constants, Fading.of the links
-    spread : (P, K) sqrt(eta_k) at (pilot_index[k], k), 0 elsewhere
-    """
-    fading: Fading
-    spread: np.ndarray
-
-    @classmethod
-    def of(cls, links: LinkSet, est: EstimatorSet):
-        K = len(est.pilot_index)
-        spread = np.zeros((int(est.pilot_index.max()) + 1, K))
-        spread[est.pilot_index, np.arange(K)] = np.sqrt(est.train_powers)
-        return cls(fading=Fading.of(links.beta, links.los_frac,
-                                    links.steering), spread=spread)
-
-
-@dataclass
-class EstimateSetup:
-    """What lmmse_estimate reads of a drop besides the observation. With L
-    the served links that have a LOS component:
-
-    scale : (K, A) sqrt(eta) c_eye / alpha on the served links, 0 elsewhere
-    lk : (L,) flat (user, AP) indices of those links
-    lk_row : (L,) flat (pilot, AP) row of each one's gram in y
-    z_conj : (L, N) conj(z) on them
-    los_term : (L, N) sqrt(eta) c_los a on them
-    U_conj : (G, N, r) conj(U); UM is read through a transposed view
-    """
-    scale: np.ndarray
-    lk: np.ndarray
-    lk_row: np.ndarray
-    z_conj: np.ndarray
-    los_term: np.ndarray
-    U_conj: np.ndarray
-
-    @classmethod
-    def of(cls, links: LinkSet, est: EstimatorSet):
-        A, N = links.steering.shape[1:]
-        pilot = est.pilot_index
-        c_los, c_eye = covariance_coeffs(links.beta, links.los_frac)
-        root = np.sqrt(est.train_powers)[:, None] * est.served
-        lk = np.flatnonzero(root * c_los > 0)
-        k, a = np.divmod(lk, A)
-        return cls(scale=root * c_eye / est.alpha[pilot], lk=lk,
-                   lk_row=pilot[k] * A + a,
-                   z_conj=np.conj(est.z.reshape(-1, N)[lk]),
-                   los_term=((root * c_los).ravel()[lk, None]
-                             * links.steering.reshape(-1, N)[lk]),
-                   U_conj=np.conj(est.U))
-
-
-def block_setup(links: LinkSet, est: EstimatorSet, part):
-    """The per-drop constants that draw_block (part DrawSetup) or
-    lmmse_estimate (part EstimateSetup) reads.
-
-    Each part is derived by part.of(links, est) on its first call and kept
-    on est, so every later block of the drop reads it; it is derived again
-    only for another LinkSet object. A one-block call thus derives each
-    part right before its one reader. Deriving both before the draw made
-    a 1-trial default se_ub_mc call ~0.3 ms slower: the estimate's part
-    lived through the draw, and the call took ~130 more page faults.
-    """
-    seen, setup = est._setup.get(part, (None, None))
-    if seen is not links:
-        setup = part.of(links, est)
-        est._setup[part] = (links, setup)
-    return setup
 
 
 def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
@@ -247,78 +168,120 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
                         UM=US * w[:, None, :], z=z, q=q.real.copy())
 
 
-def draw_block(links: LinkSet, est: EstimatorSet, rng: np.random.Generator,
-               n_draws, g=None):
-    """n_draws coherence blocks of the drop: the channels g (T, K, A, N),
-    written into g when it is given, and the de-spread training observation
-    y (T, P, A, N), P = max pilot index + 1.
+@dataclass
+class Block:
+    """The per-drop constants of a coherence block: what Block.draw and
+    Block.estimate read of a drop besides the draws, derived once by
+    Block.of. With L the served links that have a LOS component:
 
-    The one definition of a block's draws, in order: the channels, drawn as
-    sample_channels draws them (each link's phase, then the scattered part
-    as one standard_normal call over g's real view), from the drop's
-    DrawSetup; then the training noise CN(0, sigma_w^2), one
-    standard_normal call over the real view of a new (T, P, A, N) array,
-    added to y = spread @ g, with spread[p, k] = sqrt(eta_k) where user k
-    is on pilot p.
+    est : the drop's estimators
+    fading : the channel draw's constants, Fading.of the links
+    spread : (P, K) sqrt(eta_k) at (pilot_index[k], k), 0 elsewhere
+    scale : (K, A) sqrt(eta) c_eye / alpha on the served links, 0 elsewhere
+    lk : (L,) flat (user, AP) indices of those links
+    lk_row : (L,) flat (pilot, AP) row of each one's gram in y
+    z_conj : (L, N) conj(z) on them
+    los_term : (L, N) sqrt(eta) c_los a on them
+    U_conj : (G, N, r) conj(est.U); est.UM is read through a transposed view
+
+    The scales (fading.scatter and scale) are held (K, A) and repeated
+    along 2N per block: held repeated, they would add two trials' draws
+    to the memory of every batch of the upper bound.
     """
-    setup = block_setup(links, est, DrawSetup)
-    K, A, N = links.steering.shape
-    T = n_draws
-    P = setup.spread.shape[0]
-    g = setup.fading.draw(rng, T, out=g)
-    noise = np.empty((T, P, A, N), dtype=complex)
-    re_im = noise.view(float)
-    rng.standard_normal(out=re_im)
-    re_im *= np.sqrt(est.sigma_w2 / 2)
-    y = (setup.spread @ g.view(float).reshape(T, K, 2 * A * N)).view(complex)
-    y = y.reshape(T, P, A, N)
-    y += noise
-    return g, y
+    est: EstimatorSet
+    fading: Fading
+    spread: np.ndarray
+    scale: np.ndarray
+    lk: np.ndarray
+    lk_row: np.ndarray
+    z_conj: np.ndarray
+    los_term: np.ndarray
+    U_conj: np.ndarray
 
+    @classmethod
+    def of(cls, links: LinkSet, est: EstimatorSet):
+        K, A, N = links.steering.shape
+        pilot = est.pilot_index
+        spread = np.zeros((int(pilot.max()) + 1, K))
+        spread[pilot, np.arange(K)] = np.sqrt(est.train_powers)
+        c_los, c_eye = covariance_coeffs(links.beta, links.los_frac)
+        root = np.sqrt(est.train_powers)[:, None] * est.served
+        lk = np.flatnonzero(root * c_los > 0)
+        k, a = np.divmod(lk, A)
+        return cls(est=est, fading=Fading.of(links), spread=spread,
+                   scale=root * c_eye / est.alpha[pilot], lk=lk,
+                   lk_row=pilot[k] * A + a,
+                   z_conj=np.conj(est.z.reshape(-1, N)[lk]),
+                   los_term=((root * c_los).ravel()[lk, None]
+                             * links.steering.reshape(-1, N)[lk]),
+                   U_conj=np.conj(est.U))
 
-def lmmse_estimate(links: LinkSet, est: EstimatorSet, y, out=None):
-    """LMMSE estimates g_hat (T, K, A, N) of every link, 0 off the serving
-    set, from de-spread training observations y (T, P, A, N), one row per
-    pilot with P > every pilot index. out, a C-contiguous complex128
-    (T, K, A, N) array that does not overlap y, receives the estimates in
-    place of a new array and is returned.
+    def draw(self, rng: np.random.Generator, n_draws, g=None):
+        """n_draws coherence blocks of the drop: the channels g (T, K, A, N),
+        written into g when it is given, and the de-spread training
+        observation y (T, P, A, N), P = max pilot index + 1.
 
-    y is used as workspace: its rows on the LOS grams are overwritten when
-    y is C-contiguous. Each gram's alpha B^{-1} y = y - UM (U^H y) is
-    formed in place with two thin products, then spread to the users along
-    the pilot axis and scaled by sqrt(eta) c_eye / alpha per link; each
-    served link with a LOS component adds sqrt(eta) c_los a (z^H y). Every
-    factor that does not depend on y comes from the drop's EstimateSetup.
-    """
-    setup = block_setup(links, est, EstimateSetup)
-    K, A, N = links.steering.shape
-    T = y.shape[0]
-    pilot = est.pilot_index
-    if pilot.max() >= y.shape[1]:
-        raise ValueError("y has fewer pilot rows than the pilot indices")
-    flat = y.reshape(T, -1, N)
-    # z^H y on the served LOS links, from the observation as drawn, before
-    # the grams overwrite it. take, not fancy indexing, gathers the
-    # (T, L, N) rows: it is ~2x faster here.
-    zy = np.einsum("tln,ln->tl", np.take(flat, setup.lk_row, axis=1),
-                   setup.z_conj)
+        The one definition of a block's draws, in order: the channels, by
+        Fading.draw (each link's phase, then the scattered part as one
+        standard_normal call over g's real view); then the training noise
+        CN(0, sigma_w^2), one standard_normal call over the real view of a
+        new (T, P, A, N) array, added to y = spread @ g, with
+        spread[p, k] = sqrt(eta_k) where user k is on pilot p.
+        """
+        T = n_draws
+        P, K = self.spread.shape
+        g = self.fading.draw(rng, T, out=g)
+        A, N = g.shape[2:]
+        noise = np.empty((T, P, A, N), dtype=complex)
+        re_im = noise.view(float)
+        rng.standard_normal(out=re_im)
+        re_im *= np.sqrt(self.est.sigma_w2 / 2)
+        y = self.spread @ g.view(float).reshape(T, K, 2 * A * N)
+        y = y.view(complex).reshape(T, P, A, N)
+        y += noise
+        return g, y
 
-    y_g = flat.transpose(1, 0, 2)[est.los_gram]                 # (G, T, N)
-    y_g -= (y_g @ setup.U_conj) @ np.swapaxes(est.UM, 1, 2)
-    flat.transpose(1, 0, 2)[est.los_gram] = y_g
-    del y_g
-    # mode="clip" (the indices are in range) lets take write into out
-    # directly; with "raise" numpy fills a temporary and copies it over.
-    ghat = np.take(flat.reshape(T, -1, A, N), pilot, axis=1, out=out,
-                   mode="clip")                                 # (T, K, A, N)
-    # Scale the real view, whose scale array is contiguous along 2N.
-    re_im = ghat.view(float)
-    re_im *= np.repeat(setup.scale[..., None], 2 * N, axis=-1)
-    # Gathered, summed and written back: an in-place += through the index
-    # takes twice as long, and so does broadcasting zy along N.
-    per_link = ghat.reshape(T, K * A, N)
-    term = np.repeat(zy, N, axis=1).reshape(T, -1, N)
-    term *= setup.los_term
-    term += np.take(per_link, setup.lk, axis=1)
-    per_link[:, setup.lk] = term
-    return ghat
+    def estimate(self, y, out=None):
+        """LMMSE estimates g_hat (T, K, A, N) of every link, 0 off the
+        serving set, from de-spread training observations y (T, P, A, N),
+        one row per pilot with P > every pilot index. out, a C-contiguous
+        complex128 (T, K, A, N) array that does not overlap y, receives the
+        estimates in place of a new array and is returned.
+
+        y is used as workspace: its rows on the LOS grams are overwritten
+        when y is C-contiguous. Each gram's alpha B^{-1} y = y - UM (U^H y)
+        is formed in place with two thin products, then spread to the users
+        along the pilot axis and scaled by sqrt(eta) c_eye / alpha per link;
+        each served link with a LOS component adds sqrt(eta) c_los a (z^H y).
+        """
+        K, A = self.scale.shape
+        T, N = y.shape[0], y.shape[-1]
+        pilot = self.est.pilot_index
+        if pilot.max() >= y.shape[1]:
+            raise ValueError("y has fewer pilot rows than the pilot indices")
+        flat = y.reshape(T, -1, N)
+        # z^H y on the served LOS links, from the observation as drawn,
+        # before the grams overwrite it. take, not fancy indexing, gathers
+        # the (T, L, N) rows: it is ~2x faster here.
+        zy = np.einsum("tln,ln->tl", np.take(flat, self.lk_row, axis=1),
+                       self.z_conj)
+
+        y_g = flat.transpose(1, 0, 2)[self.est.los_gram]        # (G, T, N)
+        y_g -= (y_g @ self.U_conj) @ np.swapaxes(self.est.UM, 1, 2)
+        flat.transpose(1, 0, 2)[self.est.los_gram] = y_g
+        del y_g
+        # mode="clip" (the indices are in range) lets take write into out
+        # directly; with "raise" numpy fills a temporary and copies it over.
+        ghat = np.take(flat.reshape(T, -1, A, N), pilot, axis=1, out=out,
+                       mode="clip")                             # (T, K, A, N)
+        # Scale the real view, whose scale array is contiguous along 2N.
+        re_im = ghat.view(float)
+        re_im *= np.repeat(self.scale[..., None], 2 * N, axis=-1)
+        # Gathered, summed and written back: an in-place += through the
+        # index takes twice as long, and so does broadcasting zy along N.
+        per_link = ghat.reshape(T, K * A, N)
+        term = np.repeat(zy, N, axis=1).reshape(T, -1, N)
+        term *= self.los_term
+        term += np.take(per_link, self.lk, axis=1)
+        per_link[:, self.lk] = term
+        return ghat

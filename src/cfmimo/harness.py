@@ -138,8 +138,9 @@ _FLOAT_FORMAT = ".12g"    # every float the CSVs hold
 
 def emit_cdf(result: ExperimentResult, out_dir):
     """Write one CSV per (population, direction, bound) plus a percentile
-    summary. Empty populations are skipped and noted in the summary. Each
-    file is written with one write call."""
+    summary. Empty populations are skipped and noted in the summary; an
+    earlier run's CSV of an empty cell is removed, so none is left to
+    contradict the summary. Each file is written with one write call."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     summary_rows = []
@@ -147,10 +148,12 @@ def emit_cdf(result: ExperimentResult, out_dir):
         for direction in DIRECTIONS:
             for bound in BOUNDS:
                 s = result.samples(pop, direction, bound)
+                path = os.path.join(out_dir, f"{pop}_{direction}_{bound}.csv")
                 if s.size == 0:
+                    if os.path.exists(path):
+                        os.remove(path)
                     summary_rows.append((pop, direction, bound, 0, "", ""))
                     continue
-                path = os.path.join(out_dir, f"{pop}_{direction}_{bound}.csv")
                 n = s.size
                 rows = [f"{r:{_FLOAT_FORMAT}},{i / n:{_FLOAT_FORMAT}}\n"
                         for i, r in enumerate(s.tolist(), start=1)]

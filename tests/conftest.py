@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfmimo.channel import LinkSet, covariance_coeffs
-from cfmimo.estimation import build_estimators, lmmse_estimate
+from cfmimo.estimation import Block, build_estimators
 
 
 def random_links(rng, n_users, n_aps, n_ant, rice_max=3.0):
@@ -56,13 +56,13 @@ def lmmse_filters(links, est):
 
 
 def applied_filters(links, est):
-    """The filters lmmse_estimate applies (K, A, N, N): its estimates from
+    """The filters Block.estimate applies (K, A, N, N): its estimates from
     the unit observations e_m, on every pilot and AP, are the columns D e_m.
     """
     A, N = links.steering.shape[1:]
     P = est.pilot_index.max() + 1
     y = np.tile(np.eye(N, dtype=complex)[:, None, None, :], (1, P, A, 1))
-    return np.moveaxis(lmmse_estimate(links, est, y), 0, -1)
+    return np.moveaxis(Block.of(links, est).estimate(y), 0, -1)
 
 
 def simulate_training(g, pilot_index, train_powers, sigma_w2, tau_p, rng):
@@ -83,7 +83,7 @@ def simulate_training(g, pilot_index, train_powers, sigma_w2, tau_p, rng):
 
 def explicit_block(links, est, rng, n_draws):
     """Oracle: n_draws coherence blocks written out, (g, y) as
-    estimation.draw_block returns them and from the same draws: the phases
+    estimation.Block.draw returns them and from the same draws: the phases
     theta (T, K, A), then the channels' scattered part and then the
     training noise, each one standard_normal call with real and imaginary
     parts interleaved; the de-spread observation y (T, P, A, N) sums each

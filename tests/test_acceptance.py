@@ -5,9 +5,9 @@ Criteria 1 and 6 are the heavy ones (a 10^6-draw Monte-Carlo term check and
 three 50-drop full-scale campaigns, the CF/PPA one shared by 6a and 6b); the
 whole file stays well inside a few minutes on a desktop machine.
 
-Criteria 1 and 3 draw their coherence blocks with estimation.draw_block,
-the channel and training draw the upper-bound kernel runs, so the closed
-forms are checked against the kernel's own training step.
+Criteria 1 and 3 draw and estimate their coherence blocks with the drop's
+estimation.Block, the one the upper-bound kernel derives and runs, so the
+closed forms are checked against the kernel's own training step.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from cfmimo.bounds import sinr_dl_lb, sinr_ul_lb, uatf_terms
 from cfmimo import harness
 from cfmimo.config import SystemConfig
 from cfmimo.deployment import UAV
-from cfmimo.estimation import build_estimators, draw_block, lmmse_estimate
+from cfmimo.estimation import Block, build_estimators
 from cfmimo.harness import run_experiment, simulate_drop, emit_cdf
 from cfmimo.allocation import (waterfill_level, wfpc, ppa,
                                dl_power_allocation)
@@ -98,9 +98,10 @@ class TestCriterion1:
         s_nrm = np.zeros(K)               # sum ||ghat_k||^2
         s_nrm2 = np.zeros(K)
         mc = np.random.default_rng(101)
+        block = Block.of(links, est)
         for _ in range(n_total // chunk):
-            g, y = draw_block(links, est, mc, chunk)
-            ghat = lmmse_estimate(links, est, y)
+            g, y = block.draw(mc, chunk)
+            ghat = block.estimate(y)
             m = np.einsum("tkan,ja,tjan->tkj", np.conj(g), np.sqrt(eta_dl),
                           ghat)
             p2 = np.abs(m) ** 2
@@ -175,6 +176,7 @@ class TestCriterion3:
         pilots = np.array([0, 0, 1])
         eta_tr = np.array([1.5, 0.8, 1.2])
         est = build_estimators(links, pilots, eta_tr, 0.3)
+        block = Block.of(links, est)
         mc = np.random.default_rng(301)
 
         sizes = [10 ** 4, 10 ** 5, 10 ** 6]
@@ -186,9 +188,9 @@ class TestCriterion3:
             done = 0
             while done < n:
                 t = min(50000, n - done)
-                g, y = draw_block(links, est, mc, t)
+                g, y = block.draw(mc, t)
                 y_hat = y[:, pilots]
-                ghat = lmmse_estimate(links, est, y)
+                ghat = block.estimate(y)
                 acc += np.einsum("tkan,tkam->kanm", g - ghat, np.conj(y_hat))
                 nrm += np.einsum("tkan->ka", np.abs(ghat) ** 2)
                 done += t

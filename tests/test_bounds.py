@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfmimo import bounds, channel, estimation, harness
+from cfmimo import bounds, harness
 from cfmimo.allocation import (AssociationMap, associate,
                                dl_power_allocation, fpc)
 from cfmimo.bounds import (se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb,
@@ -17,10 +17,12 @@ from cfmimo.channel import LinkSet, build_links, steering_vector
 from cfmimo.config import SystemConfig
 from cfmimo.deployment import sample_drop, wrapped_delta
 from cfmimo.errors import NumericalError
-from cfmimo.estimation import build_estimators, lmmse_estimate
+from cfmimo.estimation import Block, build_estimators
 
 from conftest import (covariance_G, expand_cross, explicit_block,
                       lmmse_filters, random_links)
+
+estimate = Block.estimate       # the method the thread spies wrap
 
 
 def unit_steer(rng, n):
@@ -432,7 +434,7 @@ def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac, n_trials,
     for seed, T in zip(seeds, sizes):
         g, y = explicit_block(links, est,
                               np.random.Generator(np.random.SFC64(seed)), T)
-        ghat = lmmse_estimate(links, est, y)
+        ghat = Block.of(links, est).estimate(y)
 
         Mdl = np.einsum("tkan,ja,tjan->tkj", np.conj(g), wdl, ghat)
         p_dl = np.abs(Mdl) ** 2
@@ -971,31 +973,26 @@ class TestUpperBoundKernel:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_per_drop_setup_is_derived_once_per_call(self, monkeypatch,
                                                      cpus):
-        # The link covariances are read once per part of the drop's block
-        # setup, however many batches the call runs: 1 trial in 1 batch
-        # and 20 trials in 20 batches take the same count.
-        trial_bytes = 16 * 8 * 5 * 3                 # (K, A, N) complex128
-        monkeypatch.setattr(bounds, "UB_BATCH_BYTES", trial_bytes)
+        # A 100-trial default drop runs 20 batches, serially or on two
+        # threads; every one of them reads the one Block derived for the
+        # call.
         monkeypatch.setattr(bounds, "_cpus", lambda: cpus)
-        assert bounds._ub_batches(20, trial_bytes) == [1] * 20
-        calls, real = [], channel.covariance_coeffs
+        made, read = [], []
+        of, draw = Block.of, Block.draw
 
         def counted(*args):
-            calls.append(args)
-            return real(*args)
+            made.append(of(*args))
+            return made[-1]
 
-        for module in (channel, estimation, bounds):
-            monkeypatch.setattr(module, "covariance_coeffs", counted)
-        counts = []
-        for n_trials in (1, 20):
-            rng = np.random.default_rng(36)
-            links, pilots, est = _mixed_instance(rng)
-            calls.clear()
-            se_ub_mc(links, est, rng.uniform(0.1, 1.0, links.beta.shape),
-                     rng.uniform(0.2, 1.0, 8), 0.25, 0.42, n_trials,
-                     np.random.default_rng(37))
-            counts.append(len(calls))
-        assert counts == [2, 2]
+        def spy(self, *args, **kw):
+            read.append(self)
+            return draw(self, *args, **kw)
+
+        monkeypatch.setattr(Block, "of", counted)
+        monkeypatch.setattr(Block, "draw", spy)
+        harness.simulate_drop(SystemConfig(), np.random.default_rng(36), 100)
+        assert len(made) == 1
+        assert len(read) == 20 and all(b is made[0] for b in read)
 
 
 class TestUbBatches:
@@ -1043,8 +1040,8 @@ class TestUpperBoundThreads:
         if threads is not None:
             def spy(*args, **kw):
                 threads.add(threading.current_thread().name)
-                return lmmse_estimate(*args, **kw)
-            monkeypatch.setattr(bounds, "lmmse_estimate", spy)
+                return estimate(*args, **kw)
+            monkeypatch.setattr(Block, "estimate", spy)
         res = harness.run_experiment(cfg, 2, 20)
         monkeypatch.undo()
         return [getattr(res, f) for f in ("rate_lb_dl", "rate_ub_dl",
@@ -1078,9 +1075,9 @@ class TestUpperBoundThreads:
             seen.append(get())
             if len(seen) == fail_at:
                 raise RuntimeError("batch failed")
-            return lmmse_estimate(*a, **kw)
+            return estimate(*a, **kw)
 
-        monkeypatch.setattr(bounds, "lmmse_estimate", spy)
+        monkeypatch.setattr(Block, "estimate", spy)
         put(2)
         try:
             se_ub_mc(*args, np.random.default_rng(31))
@@ -1128,9 +1125,9 @@ class TestUpperBoundThreads:
 
         def spy(*a, **kw):
             threads.add(threading.current_thread())
-            return lmmse_estimate(*a, **kw)
+            return estimate(*a, **kw)
 
-        monkeypatch.setattr(bounds, "lmmse_estimate", spy)
+        monkeypatch.setattr(Block, "estimate", spy)
         serial = se_ub_mc(*args, np.random.default_rng(33))
         assert threads == {threading.current_thread()}
         for got, want in zip(serial, pooled):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cfmimo import channel
-from cfmimo.channel import (build_links, cost231_constant, gue_large_scale,
-                            los_probability, steering_vector,
-                            sample_channels, three_slope_path_loss_db,
+from cfmimo.channel import (Fading, LinkSet, build_links, cost231_constant,
+                            gue_large_scale, los_probability,
+                            steering_vector, three_slope_path_loss_db,
                             uav_path_loss_db, uav_large_scale)
 from cfmimo.config import SystemConfig
 from cfmimo.deployment import (GUE, UAV, sample_drop, toroidal_distance,
@@ -312,26 +312,30 @@ class TestBuildLinks:
             rtol=1e-14, atol=0)
 
 
-def _dense_los_channels(beta, los_frac, steering, rng, n_draws=None):
-    """sample_channels with the LOS term formed on every link, los_frac = 0
+def _dense_los_channels(beta, los_frac, steering, rng, n_draws):
+    """Fading.draw with the LOS term formed on every link, los_frac = 0
     included, as the simulator first did: the reference for the LOS skip."""
-    steering = np.asarray(steering)
-    beta = np.asarray(beta, dtype=float)
-    kappa = np.asarray(los_frac, dtype=float)
-    los_amp = np.sqrt(beta * kappa)
-    scatter_amp = np.sqrt(beta * (1.0 - kappa))
-    shape = np.broadcast_shapes(los_amp.shape, steering.shape[:-1])
-    n = steering.shape[-1]
-    full = (() if n_draws is None else (n_draws,)) + shape
+    los_amp = np.sqrt(beta * los_frac)
+    scatter_amp = np.sqrt(beta * (1.0 - los_frac))
+    full = (n_draws,) + beta.shape
     theta = rng.uniform(0.0, 2.0 * np.pi, size=full)
     scale = (scatter_amp / np.sqrt(2.0))[..., None]
-    h = rng.standard_normal(full + (n, 2))          # real, imaginary
+    h = rng.standard_normal(full + (steering.shape[-1], 2))  # real, imaginary
     g = h[..., 0] * scale + 1j * (h[..., 1] * scale)
     return g + (los_amp * np.exp(1j * theta))[..., None] * steering
 
 
+def _one_link(beta, los_frac, steer):
+    """One user on one AP, whose draws (T, 1, 1, N) are read as (T, N)."""
+    return LinkSet(beta=np.full((1, 1), beta),
+                   los_frac=np.full((1, 1), los_frac),
+                   steering=steer[None, None])
+
+
 class TestSampleChannels:
-    @pytest.mark.parametrize("n_draws", [None, 1, 7])
+    """Fading.of(links).draw, the channel draw of a drop's links."""
+
+    @pytest.mark.parametrize("n_draws", [1, 7])
     def test_los_skip_matches_dense_formula(self, n_draws):
         # Rayleigh, Ricean and pure-LOS links in one array, plus a link
         # with beta = 0; the draw stream and every bit must be unchanged.
@@ -344,13 +348,13 @@ class TestSampleChannels:
         kappa[3, 2] = 1.0
         beta[3, 0] = 0.0
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 3, 5)))
-        got = sample_channels(beta, kappa, steer, np.random.default_rng(41),
-                              n_draws=n_draws)
+        got = Fading.of(LinkSet(beta, kappa, steer)).draw(
+            np.random.default_rng(41), n_draws)
         want = _dense_los_channels(beta, kappa, steer,
                                    np.random.default_rng(41), n_draws)
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("n_draws", [None, 7])
+    @pytest.mark.parametrize("n_draws", [1, 7])
     def test_out_buffer_matches_the_allocating_call(self, n_draws):
         # A caller's buffer, filled with stale values, receives the same
         # bits as a new array, and the stream advances the same way.
@@ -360,45 +364,27 @@ class TestSampleChannels:
         kappa[0] = 0.0
         kappa[1, 1] = 1.0
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 3, 5)))
+        fading = Fading.of(LinkSet(beta, kappa, steer))
         rngs = np.random.default_rng(45), np.random.default_rng(45)
-        want = sample_channels(beta, kappa, steer, rngs[0], n_draws=n_draws)
+        want = fading.draw(rngs[0], n_draws)
         buf = np.full(want.shape, np.nan + 1j, dtype=complex)
-        got = sample_channels(beta, kappa, steer, rngs[1], n_draws=n_draws,
-                              out=buf)
+        got = fading.draw(rngs[1], n_draws, out=buf)
         assert got is buf
         np.testing.assert_array_equal(got, want)
         assert rngs[0].random() == rngs[1].random()
 
     def test_out_buffer_of_the_wrong_shape_rejected(self):
+        links = LinkSet(np.ones((2, 3)), np.full((2, 3), 0.5),
+                        np.ones((2, 3, 4)))
         with pytest.raises(ValueError, match="shape"):
-            sample_channels(np.ones((2, 3)), 0.5, np.ones((2, 3, 4)),
-                            np.random.default_rng(0), n_draws=2,
-                            out=np.empty((2, 2, 3, 5), dtype=complex))
-
-    # Each case is named by its Ricean K-factor, kappa = K/(K+1).
-    @pytest.mark.parametrize("kappa", [0.0, 2.5 / 3.5, 1.0],
-                             ids=["0.0", "2.5", "inf"])
-    @pytest.mark.parametrize("n_draws", [None, 6])
-    def test_scalar_links(self, kappa, n_draws):
-        # 0-d link parameters, and a scalar LOS fraction broadcast over an
-        # array of gains and steering vectors.
-        rng = np.random.default_rng(42)
-        steer = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-        steers = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 4)))
-        for beta, a in ((1.3, steer), (np.array([0.5, 1.0, 2.0]), steers),
-                        (1.3, steers)):
-            got = sample_channels(beta, kappa, a, np.random.default_rng(43),
-                                  n_draws=n_draws)
-            want = _dense_los_channels(beta, kappa, a,
-                                       np.random.default_rng(43), n_draws)
-            assert got.shape == want.shape
-            np.testing.assert_array_equal(got, want)
+            Fading.of(links).draw(np.random.default_rng(0), 2,
+                                  out=np.empty((2, 2, 3, 5), dtype=complex))
 
     def test_rayleigh_sample_covariance(self):
         rng = np.random.default_rng(3)
         beta, n = 2.0, 4
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, n)); steer[0] = 1
-        g = sample_channels(beta, 0.0, steer, rng, n_draws=200000)
+        g = Fading.of(_one_link(beta, 0.0, steer)).draw(rng, 200000)[:, 0, 0]
         cov = np.einsum("tn,tm->nm", g, np.conj(g)) / len(g)
         assert np.linalg.norm(cov - beta * np.eye(n)) \
             < 0.02 * np.linalg.norm(beta * np.eye(n))
@@ -406,7 +392,7 @@ class TestSampleChannels:
     def test_pure_los_norm_exact(self):
         rng = np.random.default_rng(4)
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, 4)); steer[0] = 1
-        g = sample_channels(3.0, 1.0, steer, rng, n_draws=50)
+        g = Fading.of(_one_link(3.0, 1.0, steer)).draw(rng, 50)[:, 0, 0]
         assert np.allclose(np.sum(np.abs(g) ** 2, axis=-1), 3.0 * 4)
 
     def test_sample_covariance_matches_covariance_G(self):
@@ -414,12 +400,14 @@ class TestSampleChannels:
         beta, kappa, n = 1.7, 2.5 / 3.5, 4
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, n)); steer[0] = 1
         G = covariance_G(beta, kappa, steer)
-        g = sample_channels(beta, kappa, steer, rng, n_draws=300000)
+        g = Fading.of(_one_link(beta, kappa, steer)).draw(rng, 300000)
+        g = g[:, 0, 0]
         cov = np.einsum("tn,tm->nm", g, np.conj(g)) / len(g)
         assert np.linalg.norm(cov - G) < 0.01 * np.linalg.norm(G)
 
     def test_zero_mean_over_phase(self):
         rng = np.random.default_rng(6)
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, 4)); steer[0] = 1
-        g = sample_channels(1.0, 5.0 / 6.0, steer, rng, n_draws=200000)
+        g = Fading.of(_one_link(1.0, 5.0 / 6.0, steer)).draw(rng, 200000)
+        g = g[:, 0, 0]
         assert np.all(np.abs(g.mean(axis=0)) < 0.01)

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from cfmimo.channel import covariance_coeffs, sample_channels
+from cfmimo.channel import Fading, covariance_coeffs
 from cfmimo import estimation
 from cfmimo.errors import NumericalError
-from cfmimo.estimation import (COND_LIMIT, build_estimators, draw_block,
-                               lmmse_estimate)
+from cfmimo.estimation import COND_LIMIT, Block, build_estimators
 
 from conftest import (applied_filters, covariance_G, explicit_block,
                       lmmse_filter_D, lmmse_filters, random_links,
@@ -77,7 +76,7 @@ class TestPilotGramB:
         assert np.allclose(B[0], B[1])
         assert np.allclose(B[2], 3.0 * G[2] + 0.5 * np.eye(2))
 
-    @pytest.mark.parametrize("training", ["simulate_training", "draw_block"])
+    @pytest.mark.parametrize("training", ["simulate_training", "block_draw"])
     def test_matches_sample_covariance_of_despread_observation(self,
                                                                training):
         # The pilot-matrix oracle and the library's draw give each user's
@@ -88,13 +87,11 @@ class TestPilotGramB:
         n_draws = 200000
         cov = np.zeros((3, 2, 2, 2), dtype=complex)  # (K, A, N, N)
         for _ in range(10):
-            if training == "draw_block":
-                _, y = draw_block(links, est, rng, n_draws // 10)
+            if training == "block_draw":
+                _, y = Block.of(links, est).draw(rng, n_draws // 10)
                 y = y[:, pilots]
             else:
-                g = sample_channels(links.beta, links.los_frac,
-                                    links.steering, rng,
-                                    n_draws=n_draws // 10)
+                g = Fading.of(links).draw(rng, n_draws // 10)
                 y, _ = simulate_training(g, pilots, eta, sw2, 2, rng)
             cov += np.einsum("tkan,tkam->kanm", y, np.conj(y))
         cov /= n_draws
@@ -121,7 +118,7 @@ def _one_link(beta, los_frac, n, seed=0):
 
 
 def _filters(links, pilots, eta, sw2, serving=None):
-    """The filters lmmse_estimate applies for the estimators of a drop."""
+    """The filters Block.estimate applies for the estimators of a drop."""
     est = build_estimators(links, pilots, eta, sw2, serving=serving)
     return applied_filters(links, est)
 
@@ -133,7 +130,7 @@ def _per_pilot(Y):
 
 
 class TestLmmseFilter:
-    """The filters that lmmse_estimate applies with the estimators
+    """The filters that Block.estimate applies with the estimators
     build_estimators solves."""
 
     def test_rayleigh_single_user_scalar_form(self):
@@ -183,10 +180,9 @@ class TestLmmseFilter:
         n_draws = 200000
         acc = np.zeros((3, 2, 2, 2), dtype=complex)
         for _ in range(10):
-            g = sample_channels(links.beta, links.los_frac, links.steering,
-                                rng, n_draws=n_draws // 10)
+            g = Fading.of(links).draw(rng, n_draws // 10)
             y, Y = simulate_training(g, pilots, eta, sw2, 2, rng)
-            ghat = lmmse_estimate(links, est, _per_pilot(Y))
+            ghat = Block.of(links, est).estimate(_per_pilot(Y))
             acc += np.einsum("tkan,tkam->kanm", g - ghat, np.conj(y))
         resid = np.linalg.norm(acc / n_draws)
         assert resid < 0.02
@@ -400,14 +396,14 @@ class TestSimulateTraining:
     def test_noise_free_single_user(self):
         rng = np.random.default_rng(11)
         links = random_links(rng, 1, 2, 3)
-        g = sample_channels(links.beta, links.los_frac, links.steering, rng)
+        g = Fading.of(links).draw(rng, 1)[0]
         y, _ = simulate_training(g, [0], [4.0], 0.0, 2, rng)
         assert np.allclose(y[0], 2.0 * g[0])
 
     def test_orthogonal_pilots_no_cross_term(self):
         rng = np.random.default_rng(12)
         links = random_links(rng, 2, 1, 2)
-        g = sample_channels(links.beta, links.los_frac, links.steering, rng)
+        g = Fading.of(links).draw(rng, 1)[0]
         y, _ = simulate_training(g, [0, 1], [1.0, 1.0], 0.0, 2, rng)
         assert np.allclose(y[0], g[0])
         assert np.allclose(y[1], g[1])
@@ -415,7 +411,7 @@ class TestSimulateTraining:
     def test_despread_equals_Y_times_pilot(self):
         rng = np.random.default_rng(13)
         links = random_links(rng, 3, 2, 2)
-        g = sample_channels(links.beta, links.los_frac, links.steering, rng)
+        g = Fading.of(links).draw(rng, 1)[0]
         pilots = np.array([0, 1, 0])
         eta = np.array([1.0, 2.0, 3.0])
         y, Y = simulate_training(g, pilots, eta, 0.2, 4, rng)
@@ -461,10 +457,9 @@ class TestGammaCoeff:
         n_draws = 200000
         acc = np.zeros((3, 2))
         for _ in range(10):
-            g = sample_channels(links.beta, links.los_frac, links.steering,
-                                rng, n_draws=n_draws // 10)
+            g = Fading.of(links).draw(rng, n_draws // 10)
             _, Y = simulate_training(g, pilots, eta, sw2, 2, rng)
-            ghat = lmmse_estimate(links, est, _per_pilot(Y))
+            ghat = Block.of(links, est).estimate(_per_pilot(Y))
             acc += np.einsum("tkan->ka", np.abs(ghat) ** 2)
         assert np.allclose(acc / n_draws, est.gamma, rtol=0.01)
 
@@ -499,7 +494,7 @@ class TestLmmseEstimate:
              + 1j * rng.standard_normal((5, 4, 4, 3)))
         want = np.einsum("kanm,tkam->tkan", lmmse_filters(links, est),
                          y[:, pilots])
-        got = lmmse_estimate(links, est, y.copy())
+        got = Block.of(links, est).estimate(y.copy())
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * np.abs(want).max())
         assert np.all(got[:, ~mask] == 0)
@@ -516,9 +511,10 @@ class TestLmmseEstimate:
                                0.3)
         y = (rng.standard_normal((3, 5, 3, 2))
              + 1j * rng.standard_normal((3, 5, 3, 2)))
-        want = lmmse_estimate(links, est, y.copy())
+        block = Block.of(links, est)
+        want = block.estimate(y.copy())
         buf = np.full(want.shape, np.nan + 1j, dtype=complex)
-        got = lmmse_estimate(links, est, y.copy(), out=buf)
+        got = block.estimate(y.copy(), out=buf)
         assert got is buf
         np.testing.assert_array_equal(got, want)
 
@@ -527,11 +523,11 @@ class TestLmmseEstimate:
         links = random_links(rng, 2, 2, 2)
         est = build_estimators(links, [0, 3], [1.0, 1.0], 0.3)
         with pytest.raises(ValueError, match="pilot rows"):
-            lmmse_estimate(links, est, np.ones((1, 3, 2, 2), dtype=complex))
+            Block.of(links, est).estimate(np.ones((1, 3, 2, 2), dtype=complex))
 
 
 class TestDrawBlock:
-    """draw_block, the one definition of a coherence block's draws."""
+    """Block.draw, the one definition of a coherence block's draws."""
 
     def test_matches_the_explicit_block(self):
         # Rayleigh, Ricean and pure-LOS links, two users on one pilot and
@@ -544,8 +540,8 @@ class TestDrawBlock:
         links.los_frac[1, :2] = 1.0
         est = build_estimators(links, [0, 3, 0, 1, 3],
                                rng.uniform(0.5, 2.0, 5), 0.3)
-        got = draw_block(links, est, np.random.Generator(np.random.SFC64(50)),
-                         7)
+        got = Block.of(links, est).draw(
+            np.random.Generator(np.random.SFC64(50)), 7)
         want = explicit_block(links, est,
                               np.random.Generator(np.random.SFC64(50)), 7)
         assert got[1].shape == (7, 4, 3, 2)
@@ -559,9 +555,10 @@ class TestDrawBlock:
         links = random_links(rng, 3, 4, 2)
         est = build_estimators(links, [0, 31, 0], rng.uniform(0.5, 2.0, 3),
                                0.3)
-        g_want, y_want = draw_block(links, est, np.random.default_rng(52), 6)
+        block = Block.of(links, est)
+        g_want, y_want = block.draw(np.random.default_rng(52), 6)
         buf = np.full((6, 3, 4, 2), np.nan + 1j, dtype=complex)
-        g, y = draw_block(links, est, np.random.default_rng(52), 6, g=buf)
+        g, y = block.draw(np.random.default_rng(52), 6, g=buf)
         assert g is buf
         assert y.shape == (6, 32, 4, 2)
         np.testing.assert_array_equal(g, g_want)

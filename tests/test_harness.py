@@ -240,6 +240,26 @@ class TestEmitCdf:
         assert all(int(r["n_samples"]) == 0 for r in uav_rows)
         assert not (tmp_path / "uav_dl_lb.csv").exists()
 
+    def test_empty_cell_removes_an_earlier_runs_csv(self, tmp_path):
+        # A ground-only run into the directory of a mixed run leaves no UAV
+        # CSV to contradict its summary, and removes no other file; what it
+        # writes and returns equals a run into an empty directory.
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        emit_cdf(run_experiment(tiny_cfg(), 2, 4), reused)
+        (reused / "notes.txt").write_text("kept\n")
+        ground = run_experiment(tiny_cfg(n_uavs=0, n_gues=4), 1, 4)
+        got = emit_cdf(ground, reused)
+        want = emit_cdf(ground, fresh)
+        assert not list(reused.glob("uav_*"))
+        assert (reused / "notes.txt").read_text() == "kept\n"
+        assert [os.path.basename(f) for f in got] == [
+            os.path.basename(f) for f in want]
+        assert sorted(p.name for p in reused.iterdir()) == sorted(
+            [os.path.basename(f) for f in want] + ["notes.txt"])
+        for f in want:
+            name = os.path.basename(f)
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
     def test_byte_identical_reruns(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         emit_cdf(run_experiment(tiny_cfg(), 2, 4), d1)
