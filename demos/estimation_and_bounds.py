@@ -29,9 +29,11 @@ est = build_estimators(links, drop.pilot_index, eta_tr, sigma2,
 # is by construction the mean energy of the channel estimate. Pilots are
 # orthonormal, so de-spreading user k's pilot leaves the sum of the
 # channels on it plus CN(0, sigma2 I) noise shared by those users. The
-# drop's Block holds what every coherence block reads of it (the fading
-# constants, the de-spreading matrix and the estimator's per-link factors);
-# the upper bound below derives its own once and runs it on every trial.
+# drop's Block holds what every coherence block reads of it (the channel
+# draw's amplitudes and LOS links, the de-spreading matrix and the
+# estimator's per-link factors); block.draw draws the channels with
+# block.channels and then the training. The upper bound below derives its
+# own Block once and runs it on every trial.
 n_mc = 20000
 block = Block.of(links, est)
 _, y = block.draw(rng, n_mc)

@@ -1,9 +1,10 @@
-"""Per-link large-scale state and fast-fading channel generation.
+"""Per-link large-scale state: path gains, LOS fractions, steering vectors.
 
 Each (user, AP) link carries a slow-fading gain beta, a LOS power fraction
 kappa in [0, 1] (the share of beta in the LOS ray; kappa = K/(K+1) for a
 Ricean K-factor K), and a far-field-free steering vector built from exact
-element-to-user path lengths. Fast fading draws follow the Ricean model
+element-to-user path lengths. Its fast fading, drawn by
+estimation.Block.channels, follows the Ricean model
 
     g = sqrt(beta) * ( sqrt(kappa) e^{j theta} a + sqrt(1 - kappa) h ),
     h ~ CN(0, I),
@@ -191,7 +192,7 @@ def uav_large_scale(distance_3d, uav_height, carrier_freq, los):
 
 
 # ---------------------------------------------------------------------------
-# Link-state assembly and fading draws
+# Link-state assembly
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -280,61 +281,3 @@ def covariance_coeffs(beta, los_frac):
     beta = np.asarray(beta, dtype=float)
     kappa = np.asarray(los_frac, dtype=float)
     return beta * kappa, beta * (1.0 - kappa)
-
-
-@dataclass
-class Fading:
-    """The per-link constants of a fast-fading draw on a drop's links,
-    derived once by Fading.of and read by every draw on the same links.
-
-    scatter   : (K, A) sqrt(c_eye / 2), the scattered part's amplitude per
-                real component
-    los       : (L,) flat (user, AP) indices of the links with c_los > 0
-    los_amp   : (L,) sqrt(c_los) on those links
-    los_steer : (L, N) their steering vectors
-    """
-    scatter: np.ndarray
-    los: np.ndarray
-    los_amp: np.ndarray
-    los_steer: np.ndarray
-
-    @classmethod
-    def of(cls, links: LinkSet):
-        los_amp, scatter_amp = map(np.sqrt, covariance_coeffs(links.beta,
-                                                              links.los_frac))
-        los_amp = los_amp.ravel()
-        los = np.flatnonzero(los_amp > 0)
-        n = links.steering.shape[-1]
-        return cls(scatter=scatter_amp / np.sqrt(2.0), los=los,
-                   los_amp=los_amp[los],
-                   los_steer=links.steering.reshape(-1, n)[los])
-
-    def draw(self, rng: np.random.Generator, n_draws, out=None):
-        """n_draws coherence blocks of every link, (n_draws, K, A, N): each
-        link's phase, then the scattered part as one standard_normal call
-        over the real view. out, a C-contiguous complex128 array of that
-        shape, is filled and returned in place of a new array. Phases are
-        redrawn per block. The draw order of a whole block, training
-        included, is stated once, in estimation.Block.draw."""
-        n = self.los_steer.shape[-1]
-        full = (n_draws,) + self.scatter.shape
-
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=full)
-        if out is None:
-            g = np.empty(full + (n,), dtype=complex)
-        elif out.shape != full + (n,) or out.dtype != complex:
-            raise ValueError(f"out must be complex128 of shape {full + (n,)}")
-        else:
-            g = out
-        # Scattered part CN(0, c_eye), scaled in place on the real view,
-        # whose scale array is contiguous along 2N.
-        re_im = g.view(float)
-        rng.standard_normal(out=re_im)
-        re_im *= np.repeat(self.scatter[..., None], 2 * n, axis=-1)
-        # LOS part, formed only on the links that have one (every link still
-        # draws its phase, so the draw stream does not depend on los_frac).
-        phase = np.exp(1j * theta.reshape(n_draws, -1)[:, self.los])
-        g_los = g.reshape(n_draws, -1, n)
-        g_los[:, self.los, :] += ((self.los_amp * phase)[..., None]
-                                  * self.los_steer)
-        return g

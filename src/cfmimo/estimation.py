@@ -1,4 +1,7 @@
-"""Uplink training and LMMSE channel estimation.
+"""Fast fading, uplink training and LMMSE channel estimation.
+
+Block.channels draws a coherence block's fast fading from channel's Ricean
+model, Block.draw adds its training and Block.estimate its LMMSE estimates.
 
 A link's covariance G = E[g g^H] = c_los a a^H + c_eye I is held as
 (c_los, c_eye) = covariance_coeffs(beta, kappa) and its steering vector a,
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Fading, LinkSet, covariance_coeffs
+from .channel import LinkSet, covariance_coeffs
 from .errors import NumericalError
 
 COND_LIMIT = 1e12
@@ -98,7 +101,8 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
     on those links; None, as in cell-free mode, serves every link. The set
     carries the serving mask and the pilot assignment to every later stage
     of the drop. pilot_index must hold K integers >= 0, train_powers finite
-    values >= 0 and sigma_w2 a finite value, else ValueError."""
+    values >= 0, sigma_w2 a finite value, serving shape (K, A), beta finite
+    values >= 0 and los_frac values in [0, 1], else ValueError."""
     K, A, N = links.steering.shape
     eta = np.broadcast_to(np.asarray(train_powers, dtype=float), (K,)).copy()
     pilot = np.asarray(pilot_index)
@@ -109,10 +113,16 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
         raise ValueError("train_powers must be finite and >= 0")
     if not np.isfinite(sigma_w2):
         raise ValueError("sigma_w2 must be finite")
+    if not np.all(np.isfinite(links.beta) & (links.beta >= 0)):
+        raise ValueError("beta must be finite and >= 0")
+    if not np.all((links.los_frac >= 0) & (links.los_frac <= 1)):
+        raise ValueError("los_frac must lie in [0, 1]")
     if serving is None:
         served = np.ones((K, A), dtype=bool)
     else:
         served = np.array(serving, dtype=bool)
+        if served.shape != (K, A):
+            raise ValueError(f"serving must have shape {(K, A)}")
     c_los, c_eye = covariance_coeffs(links.beta, links.los_frac)
     alpha = np.full((pilot.max() + 1, A), float(sigma_w2))
     np.add.at(alpha, pilot, eta[:, None] * c_eye)
@@ -170,12 +180,16 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
 
 @dataclass
 class Block:
-    """The per-drop constants of a coherence block: what Block.draw and
-    Block.estimate read of a drop besides the draws, derived once by
-    Block.of. With L the served links that have a LOS component:
+    """The per-drop constants of a coherence block: what Block.channels,
+    Block.draw and Block.estimate read of a drop besides the draws, derived
+    once by Block.of. With L the served links that have a LOS component:
 
     est : the drop's estimators
-    fading : the channel draw's constants, Fading.of the links
+    scatter : (K, A) sqrt(c_eye / 2), the scattered part's amplitude per
+        real component
+    los : (M,) flat (user, AP) indices of the links with c_los > 0
+    los_amp : (M,) sqrt(c_los) on those links
+    los_steer : (M, N) their steering vectors
     spread : (P, K) sqrt(eta_k) at (pilot_index[k], k), 0 elsewhere
     scale : (K, A) sqrt(eta) c_eye / alpha on the served links, 0 elsewhere
     lk : (L,) flat (user, AP) indices of those links
@@ -184,12 +198,15 @@ class Block:
     los_term : (L, N) sqrt(eta) c_los a on them
     U_conj : (G, N, r) conj(est.U); est.UM is read through a transposed view
 
-    The scales (fading.scatter and scale) are held (K, A) and repeated
-    along 2N per block: held repeated, they would add two trials' draws
-    to the memory of every batch of the upper bound.
+    The scales (scatter and scale) are held (K, A) and repeated along 2N
+    per block: held repeated, they would add two trials' draws to the
+    memory of every batch of the upper bound.
     """
     est: EstimatorSet
-    fading: Fading
+    scatter: np.ndarray
+    los: np.ndarray
+    los_amp: np.ndarray
+    los_steer: np.ndarray
     spread: np.ndarray
     scale: np.ndarray
     lk: np.ndarray
@@ -201,20 +218,53 @@ class Block:
     @classmethod
     def of(cls, links: LinkSet, est: EstimatorSet):
         K, A, N = links.steering.shape
+        steer = links.steering.reshape(-1, N)
         pilot = est.pilot_index
         spread = np.zeros((int(pilot.max()) + 1, K))
         spread[pilot, np.arange(K)] = np.sqrt(est.train_powers)
         c_los, c_eye = covariance_coeffs(links.beta, links.los_frac)
+        los_amp = np.sqrt(c_los).ravel()
+        los = np.flatnonzero(los_amp > 0)
         root = np.sqrt(est.train_powers)[:, None] * est.served
         lk = np.flatnonzero(root * c_los > 0)
         k, a = np.divmod(lk, A)
-        return cls(est=est, fading=Fading.of(links), spread=spread,
+        return cls(est=est, scatter=np.sqrt(c_eye) / np.sqrt(2.0), los=los,
+                   los_amp=los_amp[los], los_steer=steer[los], spread=spread,
                    scale=root * c_eye / est.alpha[pilot], lk=lk,
                    lk_row=pilot[k] * A + a,
                    z_conj=np.conj(est.z.reshape(-1, N)[lk]),
-                   los_term=((root * c_los).ravel()[lk, None]
-                             * links.steering.reshape(-1, N)[lk]),
+                   los_term=(root * c_los).ravel()[lk, None] * steer[lk],
                    U_conj=np.conj(est.U))
+
+    def channels(self, rng: np.random.Generator, n_draws, out=None):
+        """n_draws coherence blocks of every link's channel, (n_draws, K, A,
+        N): each link's phase, then the scattered part as one standard_normal
+        call over the real view. out, a C-contiguous complex128 array of that
+        shape, is filled and returned in place of a new array. Phases are
+        redrawn per block. Block.draw states the draw order of a whole
+        block, training included."""
+        n = self.los_steer.shape[-1]
+        full = (n_draws,) + self.scatter.shape
+
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=full)
+        if out is None:
+            g = np.empty(full + (n,), dtype=complex)
+        elif out.shape != full + (n,) or out.dtype != complex:
+            raise ValueError(f"out must be complex128 of shape {full + (n,)}")
+        else:
+            g = out
+        # Scattered part CN(0, c_eye), scaled in place on the real view,
+        # whose scale array is contiguous along 2N.
+        re_im = g.view(float)
+        rng.standard_normal(out=re_im)
+        re_im *= np.repeat(self.scatter[..., None], 2 * n, axis=-1)
+        # LOS part, formed only on the links that have one (every link still
+        # draws its phase, so the draw stream does not depend on los_frac).
+        phase = np.exp(1j * theta.reshape(n_draws, -1)[:, self.los])
+        g_los = g.reshape(n_draws, -1, n)
+        g_los[:, self.los, :] += ((self.los_amp * phase)[..., None]
+                                  * self.los_steer)
+        return g
 
     def draw(self, rng: np.random.Generator, n_draws, g=None):
         """n_draws coherence blocks of the drop: the channels g (T, K, A, N),
@@ -222,7 +272,7 @@ class Block:
         observation y (T, P, A, N), P = max pilot index + 1.
 
         The one definition of a block's draws, in order: the channels, by
-        Fading.draw (each link's phase, then the scattered part as one
+        Block.channels (each link's phase, then the scattered part as one
         standard_normal call over g's real view); then the training noise
         CN(0, sigma_w^2), one standard_normal call over the real view of a
         new (T, P, A, N) array, added to y = spread @ g, with
@@ -230,7 +280,7 @@ class Block:
         """
         T = n_draws
         P, K = self.spread.shape
-        g = self.fading.draw(rng, T, out=g)
+        g = self.channels(rng, T, out=g)
         A, N = g.shape[2:]
         noise = np.empty((T, P, A, N), dtype=complex)
         re_im = noise.view(float)

@@ -65,6 +65,14 @@ def applied_filters(links, est):
     return np.moveaxis(Block.of(links, est).estimate(y), 0, -1)
 
 
+def channel_block(links):
+    """A Block that draws the channels of bare links: Block.channels reads
+    no estimator field, so one pilot and zero training power serve."""
+    K = links.beta.shape[0]
+    return Block.of(links, build_estimators(links, np.zeros(K, dtype=int),
+                                            np.zeros(K), 1.0))
+
+
 def simulate_training(g, pilot_index, train_powers, sigma_w2, tau_p, rng):
     """Oracle: one uplink training phase with canonical-basis pilots phi_p.
 

@@ -943,18 +943,22 @@ class TestUpperBoundKernel:
         return peaks[0]
 
     def test_peak_memory_of_one_default_batch(self, monkeypatch):
-        # One 64-trial call at the default scale may peak at 4.5 channel
-        # draws (64, K, A, N) of complex128.
+        # A 64-trial call at the default scale on one thread runs 13
+        # batches of at most 5 trials and may peak at 4.5 channel draws
+        # (5, K, A, N) of complex128, the largest batch's; it peaks at
+        # ~3.6 of them (6.9 MB).
+        monkeypatch.setattr(bounds, "_cpus", lambda: 1)
         cfg = SystemConfig()
+        trial = 16 * cfg.n_users * cfg.n_aps * cfg.n_ap_antennas
         peak = self._traced_peak(monkeypatch, cfg, 26, 64)
-        draw = 64 * cfg.n_users * cfg.n_aps * cfg.n_ap_antennas * 16
+        draw = max(bounds._ub_batches(64, trial)) * trial
         assert peak <= 4.5 * draw, peak / draw
 
     def test_peak_memory_is_bounded_by_the_batch_budget(self, monkeypatch):
         # 64 trials on 4 APs x 256 antennas, each user served by its
-        # strongest AP, on one thread: 16 batches of 4 trials in two reused
-        # buffers peak at 12.0 MB, where two fresh batches of 32 trials
-        # peaked at 81.8 MB.
+        # strongest AP, on one thread: 32 batches of 2 trials in two reused
+        # buffers peak at 7.65 MB, against a bound of 8.39 MB, where two
+        # fresh batches of 32 trials peaked at 81.8 MB.
         monkeypatch.setattr(bounds, "_cpus", lambda: 1)
         cfg = SystemConfig(n_aps=4, n_ap_antennas=256,
                            association_mode="UC", uc_cluster_size=1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfmimo import channel
-from cfmimo.channel import (Fading, LinkSet, build_links, cost231_constant,
+from cfmimo.channel import (LinkSet, build_links, cost231_constant,
                             gue_large_scale, los_probability,
                             steering_vector, three_slope_path_loss_db,
                             uav_path_loss_db, uav_large_scale)
@@ -11,7 +11,7 @@ from cfmimo.deployment import (GUE, UAV, sample_drop, toroidal_distance,
                                wrapped_delta)
 from cfmimo.errors import GeometryError, OutOfModelError
 
-from conftest import covariance_G
+from conftest import channel_block, covariance_G
 
 CFG = SystemConfig()
 LAM = CFG.wavelength
@@ -313,7 +313,7 @@ class TestBuildLinks:
 
 
 def _dense_los_channels(beta, los_frac, steering, rng, n_draws):
-    """Fading.draw with the LOS term formed on every link, los_frac = 0
+    """Block.channels with the LOS term formed on every link, los_frac = 0
     included, as the simulator first did: the reference for the LOS skip."""
     los_amp = np.sqrt(beta * los_frac)
     scatter_amp = np.sqrt(beta * (1.0 - los_frac))
@@ -333,7 +333,7 @@ def _one_link(beta, los_frac, steer):
 
 
 class TestSampleChannels:
-    """Fading.of(links).draw, the channel draw of a drop's links."""
+    """Block.channels, the channel draw of a drop's links."""
 
     @pytest.mark.parametrize("n_draws", [1, 7])
     def test_los_skip_matches_dense_formula(self, n_draws):
@@ -348,7 +348,7 @@ class TestSampleChannels:
         kappa[3, 2] = 1.0
         beta[3, 0] = 0.0
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 3, 5)))
-        got = Fading.of(LinkSet(beta, kappa, steer)).draw(
+        got = channel_block(LinkSet(beta, kappa, steer)).channels(
             np.random.default_rng(41), n_draws)
         want = _dense_los_channels(beta, kappa, steer,
                                    np.random.default_rng(41), n_draws)
@@ -364,11 +364,11 @@ class TestSampleChannels:
         kappa[0] = 0.0
         kappa[1, 1] = 1.0
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 3, 5)))
-        fading = Fading.of(LinkSet(beta, kappa, steer))
+        block = channel_block(LinkSet(beta, kappa, steer))
         rngs = np.random.default_rng(45), np.random.default_rng(45)
-        want = fading.draw(rngs[0], n_draws)
+        want = block.channels(rngs[0], n_draws)
         buf = np.full(want.shape, np.nan + 1j, dtype=complex)
-        got = fading.draw(rngs[1], n_draws, out=buf)
+        got = block.channels(rngs[1], n_draws, out=buf)
         assert got is buf
         np.testing.assert_array_equal(got, want)
         assert rngs[0].random() == rngs[1].random()
@@ -377,14 +377,16 @@ class TestSampleChannels:
         links = LinkSet(np.ones((2, 3)), np.full((2, 3), 0.5),
                         np.ones((2, 3, 4)))
         with pytest.raises(ValueError, match="shape"):
-            Fading.of(links).draw(np.random.default_rng(0), 2,
-                                  out=np.empty((2, 2, 3, 5), dtype=complex))
+            channel_block(links).channels(
+                np.random.default_rng(0), 2,
+                out=np.empty((2, 2, 3, 5), dtype=complex))
 
     def test_rayleigh_sample_covariance(self):
         rng = np.random.default_rng(3)
         beta, n = 2.0, 4
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, n)); steer[0] = 1
-        g = Fading.of(_one_link(beta, 0.0, steer)).draw(rng, 200000)[:, 0, 0]
+        block = channel_block(_one_link(beta, 0.0, steer))
+        g = block.channels(rng, 200000)[:, 0, 0]
         cov = np.einsum("tn,tm->nm", g, np.conj(g)) / len(g)
         assert np.linalg.norm(cov - beta * np.eye(n)) \
             < 0.02 * np.linalg.norm(beta * np.eye(n))
@@ -392,7 +394,8 @@ class TestSampleChannels:
     def test_pure_los_norm_exact(self):
         rng = np.random.default_rng(4)
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, 4)); steer[0] = 1
-        g = Fading.of(_one_link(3.0, 1.0, steer)).draw(rng, 50)[:, 0, 0]
+        block = channel_block(_one_link(3.0, 1.0, steer))
+        g = block.channels(rng, 50)[:, 0, 0]
         assert np.allclose(np.sum(np.abs(g) ** 2, axis=-1), 3.0 * 4)
 
     def test_sample_covariance_matches_covariance_G(self):
@@ -400,14 +403,14 @@ class TestSampleChannels:
         beta, kappa, n = 1.7, 2.5 / 3.5, 4
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, n)); steer[0] = 1
         G = covariance_G(beta, kappa, steer)
-        g = Fading.of(_one_link(beta, kappa, steer)).draw(rng, 300000)
-        g = g[:, 0, 0]
+        block = channel_block(_one_link(beta, kappa, steer))
+        g = block.channels(rng, 300000)[:, 0, 0]
         cov = np.einsum("tn,tm->nm", g, np.conj(g)) / len(g)
         assert np.linalg.norm(cov - G) < 0.01 * np.linalg.norm(G)
 
     def test_zero_mean_over_phase(self):
         rng = np.random.default_rng(6)
         steer = np.exp(1j * rng.uniform(0, 2 * np.pi, 4)); steer[0] = 1
-        g = Fading.of(_one_link(1.0, 5.0 / 6.0, steer)).draw(rng, 200000)
-        g = g[:, 0, 0]
+        block = channel_block(_one_link(1.0, 5.0 / 6.0, steer))
+        g = block.channels(rng, 200000)[:, 0, 0]
         assert np.all(np.abs(g.mean(axis=0)) < 0.01)

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from cfmimo.channel import Fading, covariance_coeffs
+from cfmimo.channel import covariance_coeffs
 from cfmimo import estimation
 from cfmimo.errors import NumericalError
 from cfmimo.estimation import COND_LIMIT, Block, build_estimators
 
-from conftest import (applied_filters, covariance_G, explicit_block,
-                      lmmse_filter_D, lmmse_filters, random_links,
-                      simulate_training)
+from conftest import (applied_filters, channel_block, covariance_G,
+                      explicit_block, lmmse_filter_D, lmmse_filters,
+                      random_links, simulate_training)
 
 
 def unit_steer(rng, n):
@@ -86,12 +86,13 @@ class TestPilotGramB:
         rng = np.random.default_rng(8)
         n_draws = 200000
         cov = np.zeros((3, 2, 2, 2), dtype=complex)  # (K, A, N, N)
+        block = Block.of(links, est)
         for _ in range(10):
             if training == "block_draw":
-                _, y = Block.of(links, est).draw(rng, n_draws // 10)
+                _, y = block.draw(rng, n_draws // 10)
                 y = y[:, pilots]
             else:
-                g = Fading.of(links).draw(rng, n_draws // 10)
+                g = block.channels(rng, n_draws // 10)
                 y, _ = simulate_training(g, pilots, eta, sw2, 2, rng)
             cov += np.einsum("tkan,tkam->kanm", y, np.conj(y))
         cov /= n_draws
@@ -179,10 +180,11 @@ class TestLmmseFilter:
         rng = np.random.default_rng(10)
         n_draws = 200000
         acc = np.zeros((3, 2, 2, 2), dtype=complex)
+        block = Block.of(links, est)
         for _ in range(10):
-            g = Fading.of(links).draw(rng, n_draws // 10)
+            g = block.channels(rng, n_draws // 10)
             y, Y = simulate_training(g, pilots, eta, sw2, 2, rng)
-            ghat = Block.of(links, est).estimate(_per_pilot(Y))
+            ghat = block.estimate(_per_pilot(Y))
             acc += np.einsum("tkan,tkam->kanm", g - ghat, np.conj(y))
         resid = np.linalg.norm(acc / n_draws)
         assert resid < 0.02
@@ -229,6 +231,30 @@ class TestBuildEstimators:
         links = random_links(np.random.default_rng(33), 4, 3, 2)
         with pytest.raises(ValueError, match=match):
             build_estimators(links, [0, 1, 0, 2], eta, sw2)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("serving", np.ones(2, dtype=bool), "serving"),
+        ("serving", np.ones((2, 3), dtype=bool), "serving"),
+        ("beta", -1.0, "beta"),
+        ("beta", np.nan, "beta"),
+        ("beta", np.inf, "beta"),
+        ("los_frac", 1.5, "los_frac"),
+        ("los_frac", -0.5, "los_frac"),
+        ("los_frac", np.nan, "los_frac"),
+    ], ids=["serving_per_ap", "serving_transposed", "negative_beta",
+            "nan_beta", "inf_beta", "los_frac_above_one",
+            "negative_los_frac", "nan_los_frac"])
+    def test_malformed_links_or_mask_rejected(self, field, value, match):
+        # Unchecked, a mask of the wrong shape raises a raw IndexError; the
+        # bad link values pass silently, leave a NaN gamma or fail later as
+        # a misnamed singular gram or downlink SINR.
+        links = random_links(np.random.default_rng(35), 3, 2, 2)
+        serving = value if field == "serving" else None
+        if field != "serving":
+            getattr(links, field)[1, 0] = value
+        with pytest.raises(ValueError, match=match):
+            build_estimators(links, [0, 1, 0], np.ones(3), 1.0,
+                             serving=serving)
 
     def test_served_links_match_the_all_links_build(self):
         # A ragged user-centric mask: a row with one AP, a full row and an
@@ -396,14 +422,14 @@ class TestSimulateTraining:
     def test_noise_free_single_user(self):
         rng = np.random.default_rng(11)
         links = random_links(rng, 1, 2, 3)
-        g = Fading.of(links).draw(rng, 1)[0]
+        g = channel_block(links).channels(rng, 1)[0]
         y, _ = simulate_training(g, [0], [4.0], 0.0, 2, rng)
         assert np.allclose(y[0], 2.0 * g[0])
 
     def test_orthogonal_pilots_no_cross_term(self):
         rng = np.random.default_rng(12)
         links = random_links(rng, 2, 1, 2)
-        g = Fading.of(links).draw(rng, 1)[0]
+        g = channel_block(links).channels(rng, 1)[0]
         y, _ = simulate_training(g, [0, 1], [1.0, 1.0], 0.0, 2, rng)
         assert np.allclose(y[0], g[0])
         assert np.allclose(y[1], g[1])
@@ -411,7 +437,7 @@ class TestSimulateTraining:
     def test_despread_equals_Y_times_pilot(self):
         rng = np.random.default_rng(13)
         links = random_links(rng, 3, 2, 2)
-        g = Fading.of(links).draw(rng, 1)[0]
+        g = channel_block(links).channels(rng, 1)[0]
         pilots = np.array([0, 1, 0])
         eta = np.array([1.0, 2.0, 3.0])
         y, Y = simulate_training(g, pilots, eta, 0.2, 4, rng)
@@ -456,10 +482,11 @@ class TestGammaCoeff:
         rng = np.random.default_rng(16)
         n_draws = 200000
         acc = np.zeros((3, 2))
+        block = Block.of(links, est)
         for _ in range(10):
-            g = Fading.of(links).draw(rng, n_draws // 10)
+            g = block.channels(rng, n_draws // 10)
             _, Y = simulate_training(g, pilots, eta, sw2, 2, rng)
-            ghat = Block.of(links, est).estimate(_per_pilot(Y))
+            ghat = block.estimate(_per_pilot(Y))
             acc += np.einsum("tkan->ka", np.abs(ghat) ** 2)
         assert np.allclose(acc / n_draws, est.gamma, rtol=0.01)
 
@@ -526,8 +553,40 @@ class TestLmmseEstimate:
             Block.of(links, est).estimate(np.ones((1, 3, 2, 2), dtype=complex))
 
 
+def _mixed_links():
+    """Rayleigh (user 0), Ricean (users 1 and 3) and pure-LOS (user 2)
+    links on 3 APs with 2 antennas, and a link with beta = 0."""
+    links = random_links(np.random.default_rng(53), 4, 3, 2)
+    links.los_frac[0] = 0.0
+    links.los_frac[2] = 1.0
+    links.beta[3, 0] = 0.0
+    return links
+
+
 class TestDrawBlock:
     """Block.draw, the one definition of a coherence block's draws."""
+
+    @pytest.mark.parametrize("n_draws", [1, 7])
+    def test_channels_are_the_draws_channel_step(self, n_draws):
+        # From equal-seed streams, the channels Block.draw returns are
+        # Block.channels', bit for bit.
+        links = _mixed_links()
+        est = build_estimators(links, [0, 1, 0, 1], [0.5, 1.0, 1.5, 2.0],
+                               0.3)
+        block = Block.of(links, est)
+        g, _ = block.draw(np.random.default_rng(54), n_draws)
+        np.testing.assert_array_equal(
+            g, block.channels(np.random.default_rng(54), n_draws))
+
+    def test_zero_power_block_draws_the_estimators_channels(self):
+        # The test helper's Block, from one pilot and zero training power,
+        # draws what a Block of real estimators on the same links draws.
+        links = _mixed_links()
+        est = build_estimators(links, [0, 1, 0, 1], [0.5, 1.0, 1.5, 2.0],
+                               0.3)
+        np.testing.assert_array_equal(
+            channel_block(links).channels(np.random.default_rng(55), 7),
+            Block.of(links, est).channels(np.random.default_rng(55), 7))
 
     def test_matches_the_explicit_block(self):
         # Rayleigh, Ricean and pure-LOS links, two users on one pilot and
