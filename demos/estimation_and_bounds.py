@@ -11,7 +11,7 @@ from cfmimo.bounds import se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb, uatf_terms
 from cfmimo.channel import build_links
 from cfmimo.config import SystemConfig
 from cfmimo.deployment import UAV, sample_drop
-from cfmimo.estimation import Block, build_estimators
+from cfmimo.estimation import build_estimators
 
 cfg = SystemConfig(area_side=400.0, n_aps=12, n_gues=6, n_uavs=2,
                    n_ap_antennas=2, tau_p=4, tau_c=20, rng_seed=1)
@@ -29,15 +29,14 @@ est = build_estimators(links, drop.pilot_index, eta_tr, sigma2,
 # is by construction the mean energy of the channel estimate. Pilots are
 # orthonormal, so de-spreading user k's pilot leaves the sum of the
 # channels on it plus CN(0, sigma2 I) noise shared by those users. The
-# drop's Block holds what every coherence block reads of it (the channel
-# draw's amplitudes and LOS links, the de-spreading matrix and the
-# estimator's per-link factors); block.draw draws the channels with
-# block.channels and then the training. The upper bound below derives its
-# own Block once and runs it on every trial.
+# drop's estimators hold what every coherence block reads of it (the
+# channel draw's amplitudes and LOS links, the de-spreading matrix and the
+# estimator's per-link factors); est.draw draws the channels with
+# est.channels and then the training. The upper bound below runs the same
+# est on every trial.
 n_mc = 20000
-block = Block.of(links, est)
-_, y = block.draw(rng, n_mc)
-ghat = block.estimate(y)
+_, y = est.draw(rng, n_mc)
+ghat = est.estimate(y)
 mc_gamma = np.einsum("tkan->ka", np.abs(ghat) ** 2) / n_mc
 rel = np.abs(mc_gamma - est.gamma) / est.gamma
 print(f"gamma vs simulated estimate energy ({n_mc} blocks): "

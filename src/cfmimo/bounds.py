@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkSet, covariance_coeffs
-from .estimation import Block, EstimatorSet
+from .estimation import EstimatorSet
 from .errors import NumericalError
 
 UB_BATCH_BYTES = 2 << 20   # most bytes of one upper-bound batch's channel draw
@@ -377,8 +377,9 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
              frac, n_trials, rng: np.random.Generator):
     """Monte-Carlo SE upper bounds for all users, both directions.
 
-    links, est : the drop's link state and estimators; est carries the
-        serving mask (est.served) and the pilot assignment
+    links : the drop's link state, read for its shape (K, A, N)
+    est : the drop's estimators: the serving mask (est.served), the pilot
+        assignment and all that est.draw and est.estimate read
     eta_dl : (K, A) normalized downlink powers, read on the serving sets
     eta_ul : (K,) uplink transmit powers
     sigma_z2 : noise power at the users (the APs' is est.sigma_w2)
@@ -397,23 +398,24 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     trial each), at least two when n_trials >= 2, with sizes as equal as
     possible (_ub_batches: 100 trials of the default 60-user drop ->
     20 x 5, 10 trials of 120 users -> 5 x 2, 1 -> 1). Every batch reads
-    the one estimation.Block of the drop, derived once per call before any
-    batch runs, and draws with Block.draw, which defines the draw order,
-    from np.random.Generator(np.random.SFC64(s_b)), with s_b the b-th
+    the drop's est as build_estimators derived it: nothing is derived
+    from links or est per call, batch or thread. A batch draws with
+    est.draw, which defines the draw order, from
+    np.random.Generator(np.random.SFC64(s_b)), with s_b the b-th
     SeedSequence spawned from rng's. The layout depends only on n_trials
     and the drop's shape, never on the thread count, and a batch's draws
     only on its own stream.
 
     Buffers: each thread that runs batches allocates two flat buffers of
     K rows once per call, sized for the largest batch, and reuses them
-    for each of its batches: the channel draw, which Block.draw fills,
-    and the estimate, which Block.estimate fills; its first DL step adds
+    for each of its batches: the channel draw, which est.draw fills,
+    and the estimate, which est.estimate fills; its first DL step adds
     sqrt(eta_dl) repeated along 2N, one trial's draw in size, kept for
     its later batches. Per batch it allocates
-    Block.draw's (T, P, A, N) noise and observation, freed before the
-    GEMMs, Block.estimate's workspace and the (T, K, K) amplitudes and
+    est.draw's (T, P, A, N) noise and observation, freed before the
+    GEMMs, est.estimate's workspace and the (T, K, K) amplitudes and
     powers, so a call's peak memory is about 3.5 UB_BATCH_BYTES per
-    thread (a default 100-trial call: ~7 MB on one thread, ~13 MB on
+    thread (a default 100-trial call: ~6.4 MB on one thread, ~13 MB on
     two).
     Keeping every trial's DL and UL SINR for the reduction adds 16 B per
     trial and user, and the reduction at most 24 B more (one direction's
@@ -433,7 +435,7 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     A batch of T trials is evaluated with BLAS products, with AN = A*N the
     flattened (AP, antenna) axis:
 
-    - LMMSE: Block.estimate forms B^{-1} y once per (pilot, AP) gram, with
+    - LMMSE: est.estimate forms B^{-1} y once per (pilot, AP) gram, with
       two thin products through the factors U, U M only on the grams with
       a LOS user, and spreads it to the (T, K, A, N) layout the GEMMs read,
       zero off the serving set; the channel is then conjugated in place;
@@ -464,7 +466,6 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     diag = np.arange(K)
 
     sizes = _ub_batches(n_trials, 16 * K * A * N)
-    block = Block.of(links, est)
     local = threading.local()
 
     def batch(rng, T):
@@ -474,9 +475,9 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
             local.g = np.empty(sizes[0] * K * A * N, dtype=complex)
             local.ghat = np.empty_like(local.g)
         n = T * K * A * N
-        g, y = block.draw(rng, T, local.g[:n].reshape(T, K, A, N))
+        g, y = est.draw(rng, T, local.g[:n].reshape(T, K, A, N))
         g_flat = g.reshape(T, K, A * N)
-        ghat = block.estimate(y, out=local.ghat[:n].reshape(g.shape))
+        ghat = est.estimate(y, out=local.ghat[:n].reshape(g.shape))
         del y
         np.conjugate(g, out=g)
 

@@ -4,7 +4,7 @@ Each (user, AP) link carries a slow-fading gain beta, a LOS power fraction
 kappa in [0, 1] (the share of beta in the LOS ray; kappa = K/(K+1) for a
 Ricean K-factor K), and a far-field-free steering vector built from exact
 element-to-user path lengths. Its fast fading, drawn by
-estimation.Block.channels, follows the Ricean model
+estimation.EstimatorSet.channels, follows the Ricean model
 
     g = sqrt(beta) * ( sqrt(kappa) e^{j theta} a + sqrt(1 - kappa) h ),
     h ~ CN(0, I),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfmimo.channel import LinkSet, covariance_coeffs
-from cfmimo.estimation import Block, build_estimators
+from cfmimo.estimation import build_estimators
 
 
 def random_links(rng, n_users, n_aps, n_ant, rice_max=3.0):
@@ -56,21 +56,21 @@ def lmmse_filters(links, est):
 
 
 def applied_filters(links, est):
-    """The filters Block.estimate applies (K, A, N, N): its estimates from
+    """The filters est.estimate applies (K, A, N, N): its estimates from
     the unit observations e_m, on every pilot and AP, are the columns D e_m.
     """
     A, N = links.steering.shape[1:]
     P = est.pilot_index.max() + 1
     y = np.tile(np.eye(N, dtype=complex)[:, None, None, :], (1, P, A, 1))
-    return np.moveaxis(Block.of(links, est).estimate(y), 0, -1)
+    return np.moveaxis(est.estimate(y), 0, -1)
 
 
 def channel_block(links):
-    """A Block that draws the channels of bare links: Block.channels reads
-    no estimator field, so one pilot and zero training power serve."""
+    """An EstimatorSet that draws the channels of bare links: its channels
+    method reads no estimator statistic, so one pilot and zero training
+    power serve."""
     K = links.beta.shape[0]
-    return Block.of(links, build_estimators(links, np.zeros(K, dtype=int),
-                                            np.zeros(K), 1.0))
+    return build_estimators(links, np.zeros(K, dtype=int), np.zeros(K), 1.0)
 
 
 def simulate_training(g, pilot_index, train_powers, sigma_w2, tau_p, rng):
@@ -91,7 +91,7 @@ def simulate_training(g, pilot_index, train_powers, sigma_w2, tau_p, rng):
 
 def explicit_block(links, est, rng, n_draws):
     """Oracle: n_draws coherence blocks written out, (g, y) as
-    estimation.Block.draw returns them and from the same draws: the phases
+    EstimatorSet.draw returns them and from the same draws: the phases
     theta (T, K, A), then the channels' scattered part and then the
     training noise, each one standard_normal call with real and imaginary
     parts interleaved; the de-spread observation y (T, P, A, N) sums each

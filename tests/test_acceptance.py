@@ -6,8 +6,8 @@ three 50-drop full-scale campaigns, the CF/PPA one shared by 6a and 6b); the
 whole file stays well inside a few minutes on a desktop machine.
 
 Criteria 1 and 3 draw and estimate their coherence blocks with the drop's
-estimation.Block, the one the upper-bound kernel derives and runs, so the
-closed forms are checked against the kernel's own training step.
+EstimatorSet, the one the upper-bound kernel runs, so the closed forms are
+checked against the kernel's own training step.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from cfmimo.bounds import sinr_dl_lb, sinr_ul_lb, uatf_terms
 from cfmimo import harness
 from cfmimo.config import SystemConfig
 from cfmimo.deployment import UAV
-from cfmimo.estimation import Block, build_estimators
+from cfmimo.estimation import build_estimators
 from cfmimo.harness import run_experiment, simulate_drop, emit_cdf
 from cfmimo.allocation import (waterfill_level, wfpc, ppa,
                                dl_power_allocation)
@@ -98,10 +98,9 @@ class TestCriterion1:
         s_nrm = np.zeros(K)               # sum ||ghat_k||^2
         s_nrm2 = np.zeros(K)
         mc = np.random.default_rng(101)
-        block = Block.of(links, est)
         for _ in range(n_total // chunk):
-            g, y = block.draw(mc, chunk)
-            ghat = block.estimate(y)
+            g, y = est.draw(mc, chunk)
+            ghat = est.estimate(y)
             m = np.einsum("tkan,ja,tjan->tkj", np.conj(g), np.sqrt(eta_dl),
                           ghat)
             p2 = np.abs(m) ** 2
@@ -176,7 +175,6 @@ class TestCriterion3:
         pilots = np.array([0, 0, 1])
         eta_tr = np.array([1.5, 0.8, 1.2])
         est = build_estimators(links, pilots, eta_tr, 0.3)
-        block = Block.of(links, est)
         mc = np.random.default_rng(301)
 
         sizes = [10 ** 4, 10 ** 5, 10 ** 6]
@@ -188,9 +186,9 @@ class TestCriterion3:
             done = 0
             while done < n:
                 t = min(50000, n - done)
-                g, y = block.draw(mc, t)
+                g, y = est.draw(mc, t)
                 y_hat = y[:, pilots]
-                ghat = block.estimate(y)
+                ghat = est.estimate(y)
                 acc += np.einsum("tkan,tkam->kanm", g - ghat, np.conj(y_hat))
                 nrm += np.einsum("tkan->ka", np.abs(ghat) ** 2)
                 done += t

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfmimo import bounds, harness
+from cfmimo import bounds, channel, estimation, harness
 from cfmimo.allocation import (AssociationMap, associate,
                                dl_power_allocation, fpc)
 from cfmimo.bounds import (se_lb, se_ub_mc, sinr_dl_lb, sinr_ul_lb,
@@ -17,12 +17,12 @@ from cfmimo.channel import LinkSet, build_links, steering_vector
 from cfmimo.config import SystemConfig
 from cfmimo.deployment import sample_drop, wrapped_delta
 from cfmimo.errors import NumericalError
-from cfmimo.estimation import Block, build_estimators
+from cfmimo.estimation import EstimatorSet, build_estimators
 
 from conftest import (covariance_G, expand_cross, explicit_block,
                       lmmse_filters, random_links)
 
-estimate = Block.estimate       # the method the thread spies wrap
+estimate = EstimatorSet.estimate    # the method the thread spies wrap
 
 
 def unit_steer(rng, n):
@@ -434,7 +434,7 @@ def _se_ub_mc_einsum(links, est, eta_dl, eta_ul, sigma_z2, frac, n_trials,
     for seed, T in zip(seeds, sizes):
         g, y = explicit_block(links, est,
                               np.random.Generator(np.random.SFC64(seed)), T)
-        ghat = Block.of(links, est).estimate(y)
+        ghat = est.estimate(y)
 
         Mdl = np.einsum("tkan,ja,tjan->tkj", np.conj(g), wdl, ghat)
         p_dl = np.abs(Mdl) ** 2
@@ -787,22 +787,38 @@ class TestServingSlots:
         assert np.all(terms.tr_X[~pad & (eta[:, None] > 0)] > 0.0)
 
     def test_served_link_estimators_give_the_same_rates(self):
-        # Filters solved on the serving set only: the SINRs and the UB
-        # outputs equal those from the all-links filters on the same
-        # serving set bit for bit, so no unserved filter is read.
+        # Filters solved on the serving set only: the SINRs equal those
+        # from the all-links filters on the same serving set bit for bit,
+        # so no unserved filter is read.
         links, pilots, est, mask, eta_dl, eta_ul = self._instance()
         full = build_estimators(links, pilots, est.train_powers, 0.3)
         assert np.any(full.gamma[~mask] != 0)
         for e in (dataclasses.replace(full, served=mask), est):
             terms = uatf_terms(links, e)
             got = (sinr_dl_lb(terms, eta_dl, 0.25),
-                   sinr_ul_lb(terms, eta_ul, 0.3),
-                   *se_ub_mc(links, e, eta_dl, eta_ul, 0.25, 0.42, 10,
-                             np.random.default_rng(32)))
+                   sinr_ul_lb(terms, eta_ul, 0.3))
             if e is not est:
                 want = got
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+        # What the upper bound's draw and estimate read, bit for bit: the
+        # channel draw's and the de-spreading fields do not depend on the
+        # mask, and the per-link ones are the all-links set's on the
+        # served links.
+        for f in ("scatter", "los", "los_amp", "los_steer", "spread",
+                  "alpha"):
+            np.testing.assert_array_equal(getattr(est, f), getattr(full, f))
+        np.testing.assert_array_equal(est.scale, full.scale * mask)
+        kept = mask.ravel()[full.lk]
+        assert 0 < kept.sum() < len(kept)
+        for f in ("lk", "lk_row", "z_conj", "los_term"):
+            np.testing.assert_array_equal(getattr(est, f),
+                                          getattr(full, f)[kept])
+        args = (links, est, eta_dl, eta_ul, 0.25, 0.42, 10)
+        got = se_ub_mc(*args, np.random.default_rng(32))
+        want = _se_ub_mc_einsum(*args, np.random.default_rng(32))
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-10, atol=0)
 
 
 class TestUpperBoundKernel:
@@ -946,7 +962,7 @@ class TestUpperBoundKernel:
         # A 64-trial call at the default scale on one thread runs 13
         # batches of at most 5 trials and may peak at 4.5 channel draws
         # (5, K, A, N) of complex128, the largest batch's; it peaks at
-        # ~3.6 of them (6.9 MB).
+        # ~3.3 of them (6.3 MB).
         monkeypatch.setattr(bounds, "_cpus", lambda: 1)
         cfg = SystemConfig()
         trial = 16 * cfg.n_users * cfg.n_aps * cfg.n_ap_antennas
@@ -957,7 +973,7 @@ class TestUpperBoundKernel:
     def test_peak_memory_is_bounded_by_the_batch_budget(self, monkeypatch):
         # 64 trials on 4 APs x 256 antennas, each user served by its
         # strongest AP, on one thread: 32 batches of 2 trials in two reused
-        # buffers peak at 7.65 MB, against a bound of 8.39 MB, where two
+        # buffers peak at 7.11 MB, against a bound of 8.39 MB, where two
         # fresh batches of 32 trials peaked at 81.8 MB.
         monkeypatch.setattr(bounds, "_cpus", lambda: 1)
         cfg = SystemConfig(n_aps=4, n_ap_antennas=256,
@@ -975,28 +991,34 @@ class TestUpperBoundKernel:
         assert peak <= 7 * (2 << 20), peak / 1e6
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_per_drop_setup_is_derived_once_per_call(self, monkeypatch,
-                                                     cpus):
+    def test_se_ub_mc_derives_nothing(self, monkeypatch, cpus):
         # A 100-trial default drop runs 20 batches, serially or on two
-        # threads; every one of them reads the one Block derived for the
-        # call.
+        # threads; every one of them draws through the drop's one
+        # EstimatorSet, and se_ub_mc derives nothing of the drop's own:
+        # covariance_coeffs raises while it runs.
         monkeypatch.setattr(bounds, "_cpus", lambda: cpus)
-        made, read = [], []
-        of, draw = Block.of, Block.draw
-
-        def counted(*args):
-            made.append(of(*args))
-            return made[-1]
+        given, read = [], []
+        draw, ub = EstimatorSet.draw, bounds.se_ub_mc
 
         def spy(self, *args, **kw):
             read.append(self)
             return draw(self, *args, **kw)
 
-        monkeypatch.setattr(Block, "of", counted)
-        monkeypatch.setattr(Block, "draw", spy)
+        def no_coeffs(*args):
+            raise AssertionError("covariance_coeffs called by se_ub_mc")
+
+        def traced(links, est, *args):
+            given.append(est)
+            with pytest.MonkeyPatch.context() as inner:
+                for module in (channel, estimation, bounds):
+                    inner.setattr(module, "covariance_coeffs", no_coeffs)
+                return ub(links, est, *args)
+
+        monkeypatch.setattr(EstimatorSet, "draw", spy)
+        monkeypatch.setattr(harness, "se_ub_mc", traced)
         harness.simulate_drop(SystemConfig(), np.random.default_rng(36), 100)
-        assert len(made) == 1
-        assert len(read) == 20 and all(b is made[0] for b in read)
+        assert len(given) == 1
+        assert len(read) == 20 and all(e is given[0] for e in read)
 
 
 class TestUbBatches:
@@ -1045,7 +1067,7 @@ class TestUpperBoundThreads:
             def spy(*args, **kw):
                 threads.add(threading.current_thread().name)
                 return estimate(*args, **kw)
-            monkeypatch.setattr(Block, "estimate", spy)
+            monkeypatch.setattr(EstimatorSet, "estimate", spy)
         res = harness.run_experiment(cfg, 2, 20)
         monkeypatch.undo()
         return [getattr(res, f) for f in ("rate_lb_dl", "rate_ub_dl",
@@ -1081,7 +1103,7 @@ class TestUpperBoundThreads:
                 raise RuntimeError("batch failed")
             return estimate(*a, **kw)
 
-        monkeypatch.setattr(Block, "estimate", spy)
+        monkeypatch.setattr(EstimatorSet, "estimate", spy)
         put(2)
         try:
             se_ub_mc(*args, np.random.default_rng(31))
@@ -1131,7 +1153,7 @@ class TestUpperBoundThreads:
             threads.add(threading.current_thread())
             return estimate(*a, **kw)
 
-        monkeypatch.setattr(Block, "estimate", spy)
+        monkeypatch.setattr(EstimatorSet, "estimate", spy)
         serial = se_ub_mc(*args, np.random.default_rng(33))
         assert threads == {threading.current_thread()}
         for got, want in zip(serial, pooled):

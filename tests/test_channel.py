@@ -313,8 +313,9 @@ class TestBuildLinks:
 
 
 def _dense_los_channels(beta, los_frac, steering, rng, n_draws):
-    """Block.channels with the LOS term formed on every link, los_frac = 0
-    included, as the simulator first did: the reference for the LOS skip."""
+    """EstimatorSet.channels with the LOS term formed on every link,
+    los_frac = 0 included, as the simulator first did: the reference for
+    the LOS skip."""
     los_amp = np.sqrt(beta * los_frac)
     scatter_amp = np.sqrt(beta * (1.0 - los_frac))
     full = (n_draws,) + beta.shape
@@ -333,7 +334,7 @@ def _one_link(beta, los_frac, steer):
 
 
 class TestSampleChannels:
-    """Block.channels, the channel draw of a drop's links."""
+    """EstimatorSet.channels, the channel draw of a drop's links."""
 
     @pytest.mark.parametrize("n_draws", [1, 7])
     def test_los_skip_matches_dense_formula(self, n_draws):

@@ -4,7 +4,7 @@ import pytest
 from cfmimo.channel import covariance_coeffs
 from cfmimo import estimation
 from cfmimo.errors import NumericalError
-from cfmimo.estimation import COND_LIMIT, Block, build_estimators
+from cfmimo.estimation import COND_LIMIT, build_estimators
 
 from conftest import (applied_filters, channel_block, covariance_G,
                       explicit_block, lmmse_filter_D, lmmse_filters,
@@ -49,11 +49,11 @@ class TestCovarianceG:
 def pilot_gram_B(links, pilot_index, train_powers, sigma_w2):
     """Each user's pilot gram (K, A, N, N), inverted back from the
     B^{-1} = (I - U M U^H) / alpha that build_estimators holds per gram as
-    its thin factors (alpha, U, U M)."""
+    its thin factors (alpha, conj(U), U M)."""
     est = build_estimators(links, pilot_index, train_powers, sigma_w2)
     A, N = links.steering.shape[1:]
     inv = np.tile(np.eye(N, dtype=complex), (est.alpha.size, 1, 1))
-    inv[est.los_gram] -= est.UM @ np.conj(np.swapaxes(est.U, 1, 2))
+    inv[est.los_gram] -= est.UM @ np.swapaxes(est.U_conj, 1, 2)
     inv /= est.alpha.reshape(-1, 1, 1)
     return np.linalg.inv(inv[est.pilot_index[:, None] * A + np.arange(A)])
 
@@ -86,13 +86,12 @@ class TestPilotGramB:
         rng = np.random.default_rng(8)
         n_draws = 200000
         cov = np.zeros((3, 2, 2, 2), dtype=complex)  # (K, A, N, N)
-        block = Block.of(links, est)
         for _ in range(10):
             if training == "block_draw":
-                _, y = block.draw(rng, n_draws // 10)
+                _, y = est.draw(rng, n_draws // 10)
                 y = y[:, pilots]
             else:
-                g = block.channels(rng, n_draws // 10)
+                g = est.channels(rng, n_draws // 10)
                 y, _ = simulate_training(g, pilots, eta, sw2, 2, rng)
             cov += np.einsum("tkan,tkam->kanm", y, np.conj(y))
         cov /= n_draws
@@ -119,7 +118,8 @@ def _one_link(beta, los_frac, n, seed=0):
 
 
 def _filters(links, pilots, eta, sw2, serving=None):
-    """The filters Block.estimate applies for the estimators of a drop."""
+    """The filters EstimatorSet.estimate applies for the estimators of a
+    drop."""
     est = build_estimators(links, pilots, eta, sw2, serving=serving)
     return applied_filters(links, est)
 
@@ -131,7 +131,7 @@ def _per_pilot(Y):
 
 
 class TestLmmseFilter:
-    """The filters that Block.estimate applies with the estimators
+    """The filters that EstimatorSet.estimate applies with the estimators
     build_estimators solves."""
 
     def test_rayleigh_single_user_scalar_form(self):
@@ -180,11 +180,10 @@ class TestLmmseFilter:
         rng = np.random.default_rng(10)
         n_draws = 200000
         acc = np.zeros((3, 2, 2, 2), dtype=complex)
-        block = Block.of(links, est)
         for _ in range(10):
-            g = block.channels(rng, n_draws // 10)
+            g = est.channels(rng, n_draws // 10)
             y, Y = simulate_training(g, pilots, eta, sw2, 2, rng)
-            ghat = block.estimate(_per_pilot(Y))
+            ghat = est.estimate(_per_pilot(Y))
             acc += np.einsum("tkan,tkam->kanm", g - ghat, np.conj(y))
         resid = np.linalg.norm(acc / n_draws)
         assert resid < 0.02
@@ -482,11 +481,10 @@ class TestGammaCoeff:
         rng = np.random.default_rng(16)
         n_draws = 200000
         acc = np.zeros((3, 2))
-        block = Block.of(links, est)
         for _ in range(10):
-            g = block.channels(rng, n_draws // 10)
+            g = est.channels(rng, n_draws // 10)
             _, Y = simulate_training(g, pilots, eta, sw2, 2, rng)
-            ghat = block.estimate(_per_pilot(Y))
+            ghat = est.estimate(_per_pilot(Y))
             acc += np.einsum("tkan->ka", np.abs(ghat) ** 2)
         assert np.allclose(acc / n_draws, est.gamma, rtol=0.01)
 
@@ -521,7 +519,7 @@ class TestLmmseEstimate:
              + 1j * rng.standard_normal((5, 4, 4, 3)))
         want = np.einsum("kanm,tkam->tkan", lmmse_filters(links, est),
                          y[:, pilots])
-        got = Block.of(links, est).estimate(y.copy())
+        got = est.estimate(y.copy())
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * np.abs(want).max())
         assert np.all(got[:, ~mask] == 0)
@@ -538,10 +536,9 @@ class TestLmmseEstimate:
                                0.3)
         y = (rng.standard_normal((3, 5, 3, 2))
              + 1j * rng.standard_normal((3, 5, 3, 2)))
-        block = Block.of(links, est)
-        want = block.estimate(y.copy())
+        want = est.estimate(y.copy())
         buf = np.full(want.shape, np.nan + 1j, dtype=complex)
-        got = block.estimate(y.copy(), out=buf)
+        got = est.estimate(y.copy(), out=buf)
         assert got is buf
         np.testing.assert_array_equal(got, want)
 
@@ -550,7 +547,7 @@ class TestLmmseEstimate:
         links = random_links(rng, 2, 2, 2)
         est = build_estimators(links, [0, 3], [1.0, 1.0], 0.3)
         with pytest.raises(ValueError, match="pilot rows"):
-            Block.of(links, est).estimate(np.ones((1, 3, 2, 2), dtype=complex))
+            est.estimate(np.ones((1, 3, 2, 2), dtype=complex))
 
 
 def _mixed_links():
@@ -564,29 +561,29 @@ def _mixed_links():
 
 
 class TestDrawBlock:
-    """Block.draw, the one definition of a coherence block's draws."""
+    """EstimatorSet.draw, the one definition of a coherence block's
+    draws."""
 
     @pytest.mark.parametrize("n_draws", [1, 7])
     def test_channels_are_the_draws_channel_step(self, n_draws):
-        # From equal-seed streams, the channels Block.draw returns are
-        # Block.channels', bit for bit.
+        # From equal-seed streams, the channels EstimatorSet.draw returns
+        # are EstimatorSet.channels', bit for bit.
         links = _mixed_links()
         est = build_estimators(links, [0, 1, 0, 1], [0.5, 1.0, 1.5, 2.0],
                                0.3)
-        block = Block.of(links, est)
-        g, _ = block.draw(np.random.default_rng(54), n_draws)
+        g, _ = est.draw(np.random.default_rng(54), n_draws)
         np.testing.assert_array_equal(
-            g, block.channels(np.random.default_rng(54), n_draws))
+            g, est.channels(np.random.default_rng(54), n_draws))
 
     def test_zero_power_block_draws_the_estimators_channels(self):
-        # The test helper's Block, from one pilot and zero training power,
-        # draws what a Block of real estimators on the same links draws.
+        # The test helper's estimators, from one pilot and zero training
+        # power, draw what real estimators on the same links draw.
         links = _mixed_links()
         est = build_estimators(links, [0, 1, 0, 1], [0.5, 1.0, 1.5, 2.0],
                                0.3)
         np.testing.assert_array_equal(
             channel_block(links).channels(np.random.default_rng(55), 7),
-            Block.of(links, est).channels(np.random.default_rng(55), 7))
+            est.channels(np.random.default_rng(55), 7))
 
     def test_matches_the_explicit_block(self):
         # Rayleigh, Ricean and pure-LOS links, two users on one pilot and
@@ -599,8 +596,7 @@ class TestDrawBlock:
         links.los_frac[1, :2] = 1.0
         est = build_estimators(links, [0, 3, 0, 1, 3],
                                rng.uniform(0.5, 2.0, 5), 0.3)
-        got = Block.of(links, est).draw(
-            np.random.Generator(np.random.SFC64(50)), 7)
+        got = est.draw(np.random.Generator(np.random.SFC64(50)), 7)
         want = explicit_block(links, est,
                               np.random.Generator(np.random.SFC64(50)), 7)
         assert got[1].shape == (7, 4, 3, 2)
@@ -614,10 +610,9 @@ class TestDrawBlock:
         links = random_links(rng, 3, 4, 2)
         est = build_estimators(links, [0, 31, 0], rng.uniform(0.5, 2.0, 3),
                                0.3)
-        block = Block.of(links, est)
-        g_want, y_want = block.draw(np.random.default_rng(52), 6)
+        g_want, y_want = est.draw(np.random.default_rng(52), 6)
         buf = np.full((6, 3, 4, 2), np.nan + 1j, dtype=complex)
-        g, y = block.draw(np.random.default_rng(52), 6, g=buf)
+        g, y = est.draw(np.random.default_rng(52), 6, g=buf)
         assert g is buf
         assert y.shape == (6, 32, 4, 2)
         np.testing.assert_array_equal(g, g_want)
