@@ -11,10 +11,11 @@ All SINR denominators decompose into: beamforming-gain-uncertainty term,
 cross-interference trace term, noise term, and a pilot-contamination term
 over users sharing the same pilot. The contamination traces are formed only
 for the pairs that share a pilot. The cross trace of every (filter owner,
-user) pair is held in factors: tr X on each owner slot times each user's
+user) pair is held in factors: gamma on each owner slot times each user's
 c_eye at the slot's AP, plus a (J, C, L) block for the L users with a LOS
 component. Its memory and work scale as K C L, not K^2 C, and the SINRs
-contract the factors without forming the (J, C, K) array.
+contract the factors without forming the (J, C, K) array. The terms carry
+every training power, so the SINRs read only the data powers.
 """
 
 from __future__ import annotations
@@ -58,47 +59,45 @@ def se_lb(sinr, phase_fraction):
 @dataclass
 class UatfTerms:
     """Per-drop cache of every trace the closed forms read, on serving-set
-    slots.
+    slots, each scaled by the training powers the SINRs need.
 
     The J = K filter owners are the users. Slot c of owner j is the link
     (j, ap[j, c]): the APs serving j, in ascending order, fill j's first
     |A_j| slots. C is the largest serving-set size; an owner served by
-    fewer APs has its remaining slots pointing at APs that do not serve it,
-    and the SINRs give those slots weight 0 (their filters, and so their
-    terms, are 0: the owner's side of a slot is masked by the serving set).
-    In cell-free mode C = A and ap[j, c] = c. Every per-owner array is held
-    on the slots; c_eye, read for every user, is the one (K, A) array.
+    fewer APs has its remaining slots pointing at APs that do not serve it.
+    Every slot and pair array is exactly 0 on those pad slots by
+    construction (the owner's filter is 0 there), so the SINRs sum over all
+    C slots without a mask. In cell-free mode C = A and ap[j, c] = c. Every
+    per-owner array is held on the slots; c_eye, read for every user, is
+    the one (K, A) array.
 
-    The cross trace cross[j, c, k] = tr(G_{j,a} D_{j,a}^H G_{k,a}) of
-    every (owner, user) pair is held in factors, never as a (J, C, K)
-    array: it is tr_X[j, c] c_eye[k, a], plus cross_los[j, c, l] when k is
+    The cross trace cross[j, c, k] = sqrt(eta_j) tr(G_{j,a} D_{j,a}^H G_{k,a})
+    of every (owner, user) pair is held in factors, never as a (J, C, K)
+    array: it is gamma[j, c] c_eye[k, a], plus cross_los[j, c, l] when k is
     the l-th user los[l] with a LOS component. cross_at_users and
     cross_at_slots contract it against the SINRs' weights. t and delta are
     read only on the P pairs p = (j, k) = (pj[p], pk[p]) whose users share
     a pilot, self-pairs included, in row-major (j, k) order. With
-    a = ap[j, c]:
+    a = ap[j, c] and X_{j,a} = D_{j,a} G_{j,a}, each array carries the
+    training powers shown (D_{j,a} carries sqrt(eta_j)):
 
     ap        : (J, C) int        AP of each slot
-    served    : (J, C) real       1 on serving slots, 0 on pad slots
-    tr_X      : (J, C) real       tr X_{j,a}, X_{j,a} = D_{j,a} G_{j,a}, which
-                                  is gamma / sqrt(eta_j); 0 on pad slots
-                                  and where eta_j = 0
     c_eye     : (K, A) real       scattered power of each link
     los       : (L,) int          the users with a LOS component, ascending
-    cross_los : (J, C, L) real    c_los[los, a] Re(a_l^H X_{j,a} a_l)
+    cross_los : (J, C, L) real    sqrt(eta_j) c_los[los, a]
+                                  Re(a_l^H X_{j,a} a_l)
     pj, pk    : (P,) int          filter owner and user of each pair
-    t         : (P, C) complex    tr(D_{j,a} G_{k,a})
-    delta     : (P, C) real       delta of link (k, a) against D_{j,a}
-    gamma     : (J, C) real       gamma of each slot's link, 0 on pad slots
-    self_bu   : (J, C) real       eta_j delta[(j, j)] - gamma^2, 0 on pad slots
-    eta_train : (K,)
+    t         : (P, C) complex    sqrt(eta_k) tr(D_{j,a} G_{k,a})
+    delta     : (P, C) real       eta_k times delta of link (k, a) against
+                                  D_{j,a}
+    gamma     : (J, C) real       gamma of each slot's link,
+                                  sqrt(eta_j) tr X_{j,a}
+    self_bu   : (J, C) real       delta[(j, j)] - gamma^2
 
     D_{j,a} = sqrt(eta_j) G_{j,a} B^{-1} is owner j's LMMSE filter at AP
     a, never formed: every entry comes from scalars of its pilot gram B.
     """
     ap: np.ndarray
-    served: np.ndarray
-    tr_X: np.ndarray
     c_eye: np.ndarray
     los: np.ndarray
     cross_los: np.ndarray
@@ -108,7 +107,6 @@ class UatfTerms:
     delta: np.ndarray
     gamma: np.ndarray
     self_bu: np.ndarray
-    eta_train: np.ndarray
 
     # The two contractions run as einsums, not BLAS products: a threaded
     # BLAS call leaves OpenBLAS workers spinning into se_ub_mc, which runs
@@ -116,9 +114,9 @@ class UatfTerms:
 
     def cross_at_users(self, v):
         """sum_{j,c} v[j, c] cross[j, c, k] for every user k, (K,), from v
-        (J, C): the slots' v tr_X summed per AP and weighted by c_eye, plus
-        v against cross_los on the LOS users."""
-        per_ap = np.bincount(self.ap.ravel(), (v * self.tr_X).ravel(),
+        (J, C): the slots' v gamma summed per AP and weighted by c_eye,
+        plus v against cross_los on the LOS users."""
+        per_ap = np.bincount(self.ap.ravel(), (v * self.gamma).ravel(),
                              minlength=self.c_eye.shape[1])
         out = np.einsum("ka,a->k", self.c_eye, per_ap)
         out[self.los] += np.einsum("jc,jcl->l", v, self.cross_los)
@@ -126,9 +124,9 @@ class UatfTerms:
 
     def cross_at_slots(self, x):
         """sum_k cross[j, c, k] x[k] for every owner slot, (J, C), from x
-        (K,): tr_X times the c_eye-weighted sum of x at the slot's AP, plus
+        (K,): gamma times the c_eye-weighted sum of x at the slot's AP, plus
         cross_los against x on the LOS users."""
-        return (self.tr_X * np.einsum("k,ka->a", x, self.c_eye)[self.ap]
+        return (self.gamma * np.einsum("k,ka->a", x, self.c_eye)[self.ap]
                 + np.einsum("jcl,l->jc", self.cross_los, x[self.los]))
 
 
@@ -141,14 +139,14 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     Every term comes from G = c_los a a^H + c_eye I and the owner's filter
     D_j = sqrt(eta_j) (c_eye,j B^{-1} + c_los,j a_j z_j^H), read through
     scalars of its gram: tr B^{-1} and q = a^H B^{-1} a.
-    With x = c_eye,k tr D_j and
-    a_k^H D_j a_k = sqrt(eta_j) (c_eye,j q_k + c_los,j (a_k^H a_j)(z_j^H a_k)),
-    t = c_los,k a_k^H D_j a_k + x and
-    delta = x (x + 2 c_los,k Re(a_k^H D_j a_k)). a_k^H D_j a_k is formed
+    With x = sqrt(eta_k) c_eye,k tr D_j and
+    aDa = sqrt(eta_k) a_k^H D_j a_k
+        = sqrt(eta_j eta_k) (c_eye,j q_k + c_los,j (a_k^H a_j)(z_j^H a_k)),
+    t = c_los,k aDa + x and delta = x (x + 2 c_los,k Re aDa). aDa is formed
     only on the pairs whose user k has a LOS component (elsewhere t = x and
     delta = x^2), and its steering products only where j has one too.
-    cross = c_eye,k tr X + c_los,k Re(a_k^H X a_k) with X = D_j G_j is
-    held as tr X and, for the users k with a LOS component, the second
+    cross = c_eye,k gamma + sqrt(eta_j) c_los,k Re(a_k^H X a_k), X = D_j G_j,
+    is held as gamma and, for the users k with a LOS component, the second
     term, whose B^{-1} part a_k^H B^{-1} a_k = (N - a_k^H U M U^H a_k) / alpha
     comes from z and the steering products.
     """
@@ -164,21 +162,20 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     has_los = np.any(cl > 0, axis=1)
     los = np.flatnonzero(has_los)
     q = est.q                                   # a^H B^{-1} a, 0 off LOS
-    # The owner's side of each slot, 0 on pad slots, and its gram.
-    served = serving[owner, ap].astype(float)
-    root = np.sqrt(est.train_powers)[:, None] * served
+    # The owner's training power on each slot, 0 on pad slots, and its gram.
+    eta = est.train_powers
+    power = eta[:, None] * serving[owner, ap]
     ce_j, cl_j, q_j = ce[owner, ap], cl[owner, ap], q[owner, ap]
     gram = est.pilot_index[:, None] * A + ap                    # (J, C)
     tr_inv = est.tr_inv.ravel()[gram]
-    # tr X = gamma / sqrt(eta_j), 0 where root is (pad slots, eta_j = 0).
     gamma = est.gamma[owner, ap]
-    tr_X = np.divide(gamma, root, out=np.zeros(root.shape), where=root > 0)
 
     pj, pk = np.nonzero(est.pilot_index[:, None] == est.pilot_index)
-    x = (ce[pk[:, None], ap[pj]] * root[pj]
-         * (ce_j * tr_inv + cl_j * q_j)[pj])                    # (P, C)
+    # sqrt(eta_j eta_k) on each pair's slots, 0 on the owner's pad slots.
+    root = np.sqrt(power)[pj] * np.sqrt(eta)[pk, None]          # (P, C)
+    x = ce[pk[:, None], ap[pj]] * root * (ce_j * tr_inv + cl_j * q_j)[pj]
     # Where the user k has no LOS component (c_los,k = 0), t = x and
-    # delta = x^2; a^H D a and the steering products are formed only on the
+    # delta = x^2; aDa and the steering products are formed only on the
     # pairs pl whose user has one.
     t, delta = x.astype(complex), x * x
     pl = np.flatnonzero(has_los[pk])
@@ -189,12 +186,12 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     jl, kl = (oj[ll, None], link[1][ll]), (link[0][ll], link[1][ll])
     sb[ll] = (np.einsum("pcn,pcn->pc", np.conj(steer[kl]), steer[jl])
               * np.einsum("pcn,pcn->pc", np.conj(est.z[jl]), steer[kl]))
-    aDa = root[oj] * (ce_j[oj] * q[link] + cl_j[oj] * sb)
+    aDa = root[pl] * (ce_j[oj] * q[link] + cl_j[oj] * sb)
     c_los = cl[link]
     t[pl] = c_los * aDa + xl
     delta[pl] = xl * (xl + 2.0 * c_los * aDa.real)
 
-    # cross = Re tr(X G_k), the conjugate of tr(G_j D_j^H G_k), with
+    # cross = sqrt(eta_j) Re tr(X G_k), with
     # X = sqrt(eta_j) (c_eye,j^2 B^{-1} + c_eye,j c_los,j (z_j a_j^H + a_j z_j^H)
     #                  + c_los,j^2 q_j a_j a_j^H).
     # For the users l with a LOS component, Re(a_l^H X a_l) from a_l^H z_i
@@ -205,7 +202,7 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     a_l = np.swapaxes(steer[los], 0, 1)                         # (A, L, N)
     prod = np.conj(a_l) @ np.concatenate([est.z[los],
                                           steer[los]]).transpose(1, 2, 0)
-    w = (est.train_powers[los, None] * cl[los]).T[:, None, :]   # (A, 1, L)
+    w = (eta[los, None] * cl[los]).T[:, None, :]                # (A, 1, L)
     ea = ((prod[..., :L] * np.conj(prod[..., L:])).real * w
           @ (est.pilot_index[los, None] == np.arange(P)))       # (A, L, P)
     # Gathered as rows of L from a (P, A, L) copy, not through a transposed
@@ -213,20 +210,19 @@ def uatf_terms(links: LinkSet, est: EstimatorSet) -> UatfTerms:
     aXa = np.ascontiguousarray(ea.transpose(2, 0, 1))[
         est.pilot_index[:, None], ap]                           # (J, C, L)
     np.subtract(N, aXa, out=aXa)
-    aXa *= (root * ce_j * ce_j / est.alpha.ravel()[gram])[..., None]
+    aXa *= (power * ce_j * ce_j / est.alpha.ravel()[gram])[..., None]
     # ... and the rest from a_l^H z_j and a_l^H a_j for the owners j with a
     # LOS component, read at their slots.
     j = np.arange(L)[:, None]
     za, aa = prod[ap[los], :, j], prod[ap[los], :, L + j]     # (J', C, L)
-    aXa[los] += (root * cl_j)[los, :, None] * (
+    aXa[los] += (power * cl_j)[los, :, None] * (
         2.0 * ce_j[los, :, None] * (za * np.conj(aa)).real
         + (cl_j * q_j)[los, :, None] * (aa.real ** 2 + aa.imag ** 2))
     aXa *= np.ascontiguousarray(cl[los].T)[ap]      # c_los,l Re(a_l^H X a_l)
 
-    self_bu = est.train_powers[:, None] * delta[pj == pk] - gamma ** 2
-    return UatfTerms(ap=ap, served=served, tr_X=tr_X, c_eye=ce, los=los,
-                     cross_los=aXa, pj=pj, pk=pk, t=t, delta=delta,
-                     gamma=gamma, self_bu=self_bu, eta_train=est.train_powers)
+    return UatfTerms(ap=ap, c_eye=ce, los=los, cross_los=aXa, pj=pj, pk=pk,
+                     t=t, delta=delta, gamma=gamma,
+                     self_bu=delta[pj == pk] - gamma ** 2)
 
 
 def _contamination(terms: UatfTerms, w):
@@ -236,9 +232,9 @@ def _contamination(terms: UatfTerms, w):
         sum_c w[j, c] delta[p, c] + |sum_c sqrt(w[j, c]) t[p, c]|^2
                                   - sum_c w[j, c] |t[p, c]|^2
 
-    with w (J, C) per-slot power weights over the owner's serving set, and
-    0 on the self-pairs. The |sum|^2 - sum|.|^2 arrangement is the ordered
-    cross-AP double sum in closed form.
+    with w (J, C) finite per-slot power weights (t and delta are 0 on pad
+    slots), and 0 on the self-pairs. The |sum|^2 - sum|.|^2 arrangement is
+    the ordered cross-AP double sum in closed form.
     """
     w = w[terms.pj]
     coherent = np.abs(np.einsum("pc,pc->p", np.sqrt(w), terms.t)) ** 2
@@ -263,21 +259,20 @@ def sinr_dl_lb(terms: UatfTerms, eta_dl, sigma_z2, return_parts=False):
     """Closed-form downlink SINR for every user (linear).
 
     terms : the drop's UatfTerms, which fix the serving sets A_k
-    eta_dl : (K, A) normalized per-link downlink powers eta_{k,a}^DL; only
-        the entries on the serving sets are read
+    eta_dl : (K, A) normalized per-link downlink powers eta_{k,a}^DL; the
+        entries off the serving sets must be finite and >= 0, and do not
+        change the result
     sigma_z2 : noise power at the users
     """
     w = np.take_along_axis(np.asarray(eta_dl, dtype=float), terms.ap,
-                           axis=1) * terms.served               # (J, C)
-    eta = terms.eta_train
-    K = len(eta)
+                           axis=1)                              # (J, C)
 
     num = np.einsum("kc,kc->k", np.sqrt(w), terms.gamma) ** 2
     bu = np.einsum("kc,kc->k", w, terms.self_bu)
-    cross = terms.cross_at_users(np.sqrt(eta)[:, None] * w)
+    cross = terms.cross_at_users(w)
 
     cont = _contamination(terms, w)
-    contamination = eta * np.bincount(terms.pk, cont, minlength=K)
+    contamination = np.bincount(terms.pk, cont, minlength=len(w))
 
     return _sinr("downlink", return_parts, num=num, bu=bu, cross=cross,
                  noise=sigma_z2, contamination=contamination, cont_pair=cont)
@@ -291,25 +286,21 @@ def sinr_ul_lb(terms: UatfTerms, eta_ul, sigma_w2, return_parts=False):
     sigma_w2 : noise power at the APs
     """
     eta_ul = np.asarray(eta_ul, dtype=float)
-    m = terms.served                                            # (K, C) 0/1
-    eta = terms.eta_train
-    K = len(eta)
 
-    gsum = np.einsum("kc,kc->k", m, terms.gamma)
+    gsum = terms.gamma.sum(axis=1)
     num = eta_ul * gsum ** 2
-    bu = eta_ul * np.einsum("kc,kc->k", m, terms.self_bu)
+    bu = eta_ul * terms.self_bu.sum(axis=1)
 
     # The decoding user k owns the filters: cross[k, c, j] with D_k.
-    cross = np.sqrt(eta) * np.einsum("kc,kc->k", m,
-                                     terms.cross_at_slots(eta_ul))
+    cross = terms.cross_at_slots(eta_ul).sum(axis=1)
 
     noise = sigma_w2 * gsum
 
     # Interferer pk against the serving set of victim pj, who owns the
     # filters of the pair.
-    cont = _contamination(terms, m)
-    contamination = np.bincount(terms.pj, eta_ul[terms.pk] * eta[terms.pk]
-                                * cont, minlength=K)
+    cont = _contamination(terms, np.ones(terms.gamma.shape))
+    contamination = np.bincount(terms.pj, eta_ul[terms.pk] * cont,
+                                minlength=len(eta_ul))
 
     return _sinr("uplink", return_parts, num=num, bu=bu, cross=cross,
                  noise=noise, contamination=contamination, cont_pair=cont)
@@ -378,9 +369,10 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     """Monte-Carlo SE upper bounds for all users, both directions.
 
     links : the drop's link state, read for its shape (K, A, N)
-    est : the drop's estimators: the serving mask (est.served), the pilot
-        assignment and all that est.draw and est.estimate read
-    eta_dl : (K, A) normalized downlink powers, read on the serving sets
+    est : the drop's estimators: all that est.draw and est.estimate read;
+        the estimate is 0 off the serving mask
+    eta_dl : (K, A) normalized downlink powers; the entries off the
+        serving sets must be finite and >= 0, and do not change the result
     eta_ul : (K,) uplink transmit powers
     sigma_z2 : noise power at the users (the APs' is est.sigma_w2)
     frac : fraction of the coherence block each direction's data phase takes
@@ -444,8 +436,9 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
       the estimate is already zero off it). The squares of its real and
       imaginary parts sum to the combining noise
       sum_a m_{k,a} ||g_hat_{t,k,a}||^2;
-    - DL: the estimate is then weighted in place by sqrt(eta_dl), and the
-      received amplitudes M[t, k, j] = sum_a sqrt(eta_dl[j, a])
+    - DL: the estimate is then weighted in place by sqrt(eta_dl) (its
+      zeros off the serving set stay 0), and the received amplitudes
+      M[t, k, j] = sum_a sqrt(eta_dl[j, a])
       g_{t,k,a}^H g_hat_{t,j,a} are T products of conj(g) (K, AN) by
       (w g_hat)^T (AN, K), written over the UL amplitudes; the powers
       |M|^2 are squared in place and overwrite the UL's, so the DL
@@ -458,10 +451,9 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    serving_mask = est.served
     K, A = links.beta.shape
     N = links.steering.shape[-1]
-    eta_dl = np.asarray(eta_dl, dtype=float) * serving_mask
+    eta_dl = np.asarray(eta_dl, dtype=float)
     eta_ul = np.asarray(eta_ul, dtype=float)
     diag = np.arange(K)
 

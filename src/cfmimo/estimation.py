@@ -67,9 +67,9 @@ class EstimatorSet:
     statistics the closed forms read and everything channels, draw and
     estimate read of the drop besides the draws. build_estimators derives
     every field once per drop, all from the one serving mask it stores as
-    `served`: a field held on served links or grams is held on that mask's,
-    so a set given another mask after it is built is inconsistent; build
-    one for the new mask instead.
+    `served`: a field held on served links or grams is held on that mask's.
+    No later stage re-applies the mask, so a set with gamma or scale nonzero
+    off it (one given another mask after it is built) raises ValueError.
 
     The gram of link (k, a) is (pilot_index[k], a), flat index
     pilot_index[k] * A + a, with P = pilot_index.max() + 1 pilot rows.
@@ -129,6 +129,11 @@ class EstimatorSet:
     lk_row: np.ndarray
     z_conj: np.ndarray
     los_term: np.ndarray
+
+    def __post_init__(self):
+        off = ~self.served
+        if np.any(self.gamma[off]) or np.any(self.scale[off]):
+            raise ValueError("gamma and scale must be 0 off the serving mask")
 
     def channels(self, rng: np.random.Generator, n_draws, out=None):
         """n_draws coherence blocks of every link's channel, (n_draws, K, A,

@@ -131,9 +131,10 @@ def small_instance():
 
 def expand_cross(terms):
     """Oracle view: the cross trace a UatfTerms holds in factors, expanded
-    to the dense (J, C, K) array cross[j, c, k]: tr_X[j, c] times
-    c_eye[k, ap[j, c]], plus the cross_los columns on the users terms.los
-    with a LOS component."""
-    cross = terms.tr_X[..., None] * terms.c_eye.T[terms.ap]
+    to the dense (J, C, K) array cross[j, c, k] =
+    sqrt(eta_j) tr(G_j D_j^H G_k): gamma[j, c] times c_eye[k, ap[j, c]],
+    plus the cross_los columns on the users terms.los with a LOS
+    component."""
+    cross = terms.gamma[..., None] * terms.c_eye.T[terms.ap]
     cross[..., terms.los] += terms.cross_los
     return cross

@@ -65,7 +65,8 @@ class TestCriterion1:
         # Closed-form counterparts of the pairwise second moments.
         # Random LOS phases make every channel zero-mean, so AP-to-AP cross
         # terms drop and each (victim k, source j) pair decomposes exactly.
-        gamma, eta = terms.gamma, terms.eta_train
+        # The terms carry every training power, so no eta factor is read.
+        gamma = terms.gamma
         idx = np.arange(K)
         pj, pk = terms.pj, terms.pk                # pilot-sharing pairs
         self_delta = terms.delta[pj == pk]         # CF: slot c is AP c
@@ -73,20 +74,20 @@ class TestCriterion1:
         # DL: m_kj = sum_a sqrt(eta_dl[j,a]) g_k^H ghat_j
         dl_mean = np.einsum("ka,ka->k", np.sqrt(eta_dl), gamma)   # E m_kk
         cross = expand_cross(terms)
-        dl_pair = np.einsum("j,ja,jak->kj", np.sqrt(eta), eta_dl, cross)
-        # the victim's own pilot power scales the leakage into beam j; the
-        # per-pair factors are 0 on self-pairs
-        dl_pair[pk, pj] += eta[pk] * pdl["cont_pair"]
+        dl_pair = np.einsum("ja,jak->kj", eta_dl, cross)
+        # the victim's own pilot power scales the leakage into beam j (the
+        # pair's t and delta carry it); the per-pair factors are 0 on
+        # self-pairs
+        dl_pair[pk, pj] += pdl["cont_pair"]
         dl_pair[idx, idx] += dl_mean ** 2 \
-            + np.einsum("ka,ka->k", eta_dl, eta[:, None] * self_delta
-                        - gamma ** 2)
+            + np.einsum("ka,ka->k", eta_dl, self_delta - gamma ** 2)
 
         # UL: u_kj = sum_a ghat_k^H g_j  (full serving set)
         gsum = gamma.sum(axis=1)                                  # E u_kk
-        ul_pair = np.sqrt(eta)[:, None] * cross.sum(axis=1)        # (k, j)
-        ul_pair[pj, pk] += eta[pk] * pul["cont_pair"]
+        ul_pair = cross.sum(axis=1)                               # (k, j)
+        ul_pair[pj, pk] += pul["cont_pair"]
         ul_pair[idx, idx] += gsum ** 2 \
-            + (eta[:, None] * self_delta - gamma ** 2).sum(axis=1)
+            + (self_delta - gamma ** 2).sum(axis=1)
 
         n_total, chunk = 10 ** 6, 20000
         s_dl_m = np.zeros(K, complex)     # sum m_kk

@@ -49,13 +49,16 @@ def delta_oracle(beta, kappa, a, D):
 def uatf_delta(beta, kappa, a, eta, sigma_w2):
     """delta of one link (gain beta, LOS power fraction kappa, steering a)
     against its own LMMSE filter, as uatf_terms forms it on a one-user,
-    one-AP drop with training power eta and noise sigma_w2, and that
-    filter D from the dense oracle."""
+    one-AP drop with training power eta and noise sigma_w2, and the filter
+    it is formed against: the dense oracle's D times the user's training
+    amplitude sqrt(eta), which the pair's delta carries (delta is
+    quadratic in D)."""
     shape = (1, 1)
     links = LinkSet(beta=np.full(shape, beta),
                     los_frac=np.full(shape, kappa), steering=a[None, None])
     est = build_estimators(links, [0], [eta], sigma_w2)
-    return uatf_terms(links, est).delta[0, 0], lmmse_filters(links, est)[0, 0]
+    return (uatf_terms(links, est).delta[0, 0],
+            np.sqrt(eta) * lmmse_filters(links, est)[0, 0])
 
 
 class TestDelta:
@@ -496,17 +499,21 @@ class TestUatfTerms:
         terms = uatf_terms(links, est)
         G = covariance_G(links.beta, links.los_frac, links.steering)
         D = lmmse_filters(links, est)
+        root = np.sqrt(est.train_powers)
         np.testing.assert_array_equal(terms.ap, np.tile(np.arange(A), (K, 1)))
         t = np.empty((K, A, K), complex)
         cross = np.empty((K, A, K))
         delta = np.empty((K, A, K))
+        # Each trace with the training powers the terms carry: the owner's
+        # sqrt(eta_j) on the cross trace, the user's on t and (squared) on
+        # delta.
         for j in range(K):
             for k in range(K):
                 for a in range(A):
-                    t[j, a, k] = np.trace(D[j, a] @ G[k, a])
-                    cross[j, a, k] = np.trace(
+                    t[j, a, k] = root[k] * np.trace(D[j, a] @ G[k, a])
+                    cross[j, a, k] = root[j] * np.trace(
                         G[j, a] @ D[j, a].conj().T @ G[k, a]).real
-                    delta[j, a, k] = delta_oracle(
+                    delta[j, a, k] = root[k] ** 2 * delta_oracle(
                         links.beta[k, a], links.los_frac[k, a],
                         links.steering[k, a], D[j, a])
         # t and delta are formed on the pilot-sharing pairs only.
@@ -691,6 +698,13 @@ class TestServingSlots:
     def test_slot_layout_by_los_users(self, los):
         self._check_slot_layout(*self._instance(los=los)[:4])
 
+    def test_slot_layout_with_a_zero_power_owner(self):
+        links, pilots, est, mask = self._instance()[:4]
+        eta = est.train_powers.copy()
+        eta[2] = 0.0
+        est = build_estimators(links, pilots, eta, 0.3, serving=mask)
+        self._check_slot_layout(links, pilots, est, mask)
+
     @staticmethod
     def _check_slot_layout(links, pilots, est, mask):
         terms = uatf_terms(links, est)
@@ -703,39 +717,49 @@ class TestServingSlots:
         np.testing.assert_array_equal(np.column_stack([terms.pj, terms.pk]),
                                       _sharing_pairs(pilots))
         dense = _dense_terms(links, est)
-        # The owner terms: exactly 0 on pad slots, the dense gamma and
-        # eta delta - gamma^2 of the owner's own links on served ones.
+        eta = dense["eta"]
+        root = np.sqrt(eta)
+        # Every slot and pair term is exactly 0 on pad slots and on every
+        # slot of an owner with zero training power (no SINR masks them);
+        # gamma is positive on the other slots. On served slots the owner
+        # terms are the dense gamma and eta delta - gamma^2 of the owner's
+        # own links.
         owner = np.arange(K)[:, None]
         on = mask[owner, terms.ap]
         assert np.any(~on)
-        assert terms.served.dtype == float
-        np.testing.assert_array_equal(terms.served, on)
-        for got in (terms.gamma, terms.self_bu):
-            assert np.all(got[~on] == 0.0)
+        off = ~on | (eta[:, None] == 0)
+        for got in (terms.gamma, terms.self_bu, terms.cross_los):
+            assert np.all(got[off] == 0.0)
+        for got in (terms.t, terms.delta):
+            assert np.all(got[off[terms.pj]] == 0.0)
+        assert np.all(terms.gamma[~off] > 0.0)
         np.testing.assert_array_equal(terms.gamma[on],
                                       dense["gamma"][owner, terms.ap][on])
-        eta_delta = dense["eta"][:, None] * dense["delta"][owner, owner,
-                                                           terms.ap]
+        eta_delta = eta[:, None] * dense["delta"][owner, owner, terms.ap]
         np.testing.assert_allclose(
             terms.self_bu[on], (eta_delta - terms.gamma ** 2)[on],
             rtol=0, atol=1e-12 * eta_delta.max())
+        delta_max = np.abs(eta[:, None, None] * dense["delta"]).max()
         for j in range(K):
             served = terms.ap[j, :counts[j]]
             np.testing.assert_array_equal(served, np.nonzero(mask[j])[0])
             assert not mask[j, terms.ap[j, counts[j]:]].any()
             mine = terms.pj == j
             users = terms.pk[mine]
+            # The dense traces with the training powers the terms carry:
+            # the owner's sqrt(eta_j) on the cross trace, the user's on t
+            # and (squared) on delta.
             for c, a in enumerate(terms.ap[j]):
                 np.testing.assert_allclose(cross[j, c],
-                                           dense["cross"][j, :, a],
+                                           root[j] * dense["cross"][j, :, a],
                                            rtol=1e-12, atol=0)
                 np.testing.assert_allclose(terms.t[mine, c],
-                                           dense["t"][j, users, a],
+                                           root[users]
+                                           * dense["t"][j, users, a],
                                            rtol=1e-12, atol=0)
-                want = dense["delta"][users, j, a]
-                np.testing.assert_allclose(
-                    terms.delta[mine, c], want, rtol=0,
-                    atol=1e-12 * np.abs(dense["delta"]).max())
+                want = eta[users] * dense["delta"][users, j, a]
+                np.testing.assert_allclose(terms.delta[mine, c], want,
+                                           rtol=0, atol=1e-12 * delta_max)
 
     @PILOT_CASES
     def test_sinrs_match_dense_oracle(self, pilots):
@@ -762,45 +786,63 @@ class TestServingSlots:
             assert np.all(pdl["contamination"] == 0.0)
             assert np.all(pul["contamination"] == 0.0)
 
-    def test_tr_X_matches_dense_oracle(self):
-        # tr X = tr(D_j G_j) on every slot, pad slots included (D is 0
-        # off the serving set there).
+    def test_gamma_matches_dense_oracle(self):
+        # gamma = sqrt(eta_j) tr(D_j G_j) on every slot, pad slots included
+        # (D is 0 off the serving set there).
         links, pilots, est, mask = self._instance()[:4]
         terms = uatf_terms(links, est)
         D = lmmse_filters(links, est)
         G = covariance_G(links.beta, links.los_frac, links.steering)
         owner = np.arange(len(pilots))[:, None]
-        want = np.trace(D @ G, axis1=-2, axis2=-1).real[owner, terms.ap]
+        want = (np.sqrt(est.train_powers)[:, None]
+                * np.trace(D @ G, axis1=-2, axis2=-1).real)[owner, terms.ap]
         assert np.any(~mask[owner, terms.ap])
-        np.testing.assert_allclose(terms.tr_X, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(terms.gamma, want, rtol=1e-12, atol=0)
 
-    def test_tr_X_is_zero_on_pad_slots_and_for_a_zero_power_owner(self):
-        links, pilots, est, mask = self._instance()[:4]
-        eta = est.train_powers.copy()
-        eta[2] = 0.0
-        est = build_estimators(links, pilots, eta, 0.3, serving=mask)
+    def test_dl_power_off_the_serving_sets_is_not_read(self):
+        # Finite powers off the serving sets, pad slots included, leave
+        # both DL bounds bit-identical; a NaN there reaches the closed
+        # form's denominator.
+        links, pilots, est, mask, eta_dl, eta_ul = self._instance()
         terms = uatf_terms(links, est)
-        pad = ~mask[np.arange(len(pilots))[:, None], terms.ap]
-        assert np.any(pad)
-        assert np.all(terms.tr_X[pad] == 0.0)
-        assert np.all(terms.tr_X[2] == 0.0)
-        assert np.all(terms.tr_X[~pad & (eta[:, None] > 0)] > 0.0)
+        assert np.any(~mask[np.arange(len(pilots))[:, None], terms.ap])
+        noisy = eta_dl.copy()
+        noisy[~mask] = np.random.default_rng(33).uniform(0.5, 2.0,
+                                                         (~mask).sum())
+        np.testing.assert_array_equal(sinr_dl_lb(terms, noisy, 0.25),
+                                      sinr_dl_lb(terms, eta_dl, 0.25))
+        ub = [se_ub_mc(links, est, e, eta_ul, 0.25, 0.42, 10,
+                       np.random.default_rng(32)) for e in (noisy, eta_dl)]
+        for g, w in zip(*ub):
+            np.testing.assert_array_equal(g, w)
+        noisy[~mask] = np.nan
+        with pytest.raises(NumericalError,
+                           match="non-positive downlink SINR denominator"):
+            sinr_dl_lb(terms, noisy, 0.25)
 
     def test_served_link_estimators_give_the_same_rates(self):
-        # Filters solved on the serving set only: the SINRs equal those
-        # from the all-links filters on the same serving set bit for bit,
-        # so no unserved filter is read.
+        # Filters solved on the serving set only: the slot and pair terms
+        # equal the all-links build's at the served slots bit for bit, so
+        # no unserved filter is read.
         links, pilots, est, mask, eta_dl, eta_ul = self._instance()
         full = build_estimators(links, pilots, est.train_powers, 0.3)
         assert np.any(full.gamma[~mask] != 0)
-        for e in (dataclasses.replace(full, served=mask), est):
-            terms = uatf_terms(links, e)
-            got = (sinr_dl_lb(terms, eta_dl, 0.25),
-                   sinr_ul_lb(terms, eta_ul, 0.3))
-            if e is not est:
-                want = got
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+        part, every = uatf_terms(links, est), uatf_terms(links, full)
+        K, A = mask.shape
+        np.testing.assert_array_equal(every.ap, np.tile(np.arange(A), (K, 1)))
+        for f in ("pj", "pk", "los"):
+            np.testing.assert_array_equal(getattr(part, f), getattr(every, f))
+        owner = np.arange(K)[:, None]
+        on = mask[owner, part.ap]
+        assert np.any(~on)
+        for f in ("gamma", "self_bu", "cross_los"):
+            np.testing.assert_array_equal(
+                getattr(part, f)[on], getattr(every, f)[owner, part.ap][on])
+        pair = np.arange(len(part.pj))[:, None]
+        for f in ("t", "delta"):
+            np.testing.assert_array_equal(
+                getattr(part, f)[on[part.pj]],
+                getattr(every, f)[pair, part.ap[part.pj]][on[part.pj]])
         # What the upper bound's draw and estimate read, bit for bit: the
         # channel draw's and the de-spreading fields do not depend on the
         # mask, and the per-link ones are the all-links set's on the

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,23 @@ class TestBuildEstimators:
         np.testing.assert_array_equal(applied_filters(links, every),
                                       applied_filters(links, full))
         np.testing.assert_array_equal(every.gamma, full.gamma)
+
+    def test_a_set_given_another_mask_is_rejected(self):
+        # Nothing downstream re-applies the mask, so a set whose gamma or
+        # scale is nonzero off it is refused when it is made.
+        rng = np.random.default_rng(35)
+        links = random_links(rng, 4, 3, 2)
+        pilots, eta = np.array([0, 1, 0, 1]), rng.uniform(0.5, 2.0, 4)
+        mask = rng.random((4, 3)) < 0.5
+        mask[:, 0] = True
+        full = build_estimators(links, pilots, eta, 0.3)
+        part = build_estimators(links, pilots, eta, 0.3, serving=mask)
+        assert not mask.all()
+        for base, kw in ((full, dict(served=mask)),
+                         (part, dict(gamma=full.gamma)),
+                         (part, dict(scale=full.scale))):
+            with pytest.raises(ValueError, match="off the serving mask"):
+                dataclasses.replace(base, **kw)
 
 
 def _factors(alpha, U, w):
