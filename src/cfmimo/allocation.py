@@ -3,6 +3,11 @@
 Downlink policies (per AP, over its served users):
   PPA  - budget split proportionally to the estimated channel strengths gamma
   WFPC - waterfilling against noise levels L = sigma_z^2 / gamma
+Each takes (K,) arrays for one AP or (K, A) with one AP per column: every
+per-AP sum, sort and minimum runs along axis 0, so both shapes share one
+path. The water level is solved relative to each AP's lowest level L_min,
+as x = nu - L_min, so a positive budget is never lost in the rounding of a
+large L_min (gamma ~ 1e-21 against sigma_z^2 ~ 1 gives L ~ 1e21).
 
 Uplink: fractional power control from the slow-fading statistics.
 Powers here are actual transmit powers P (mW); the normalized coefficients
@@ -46,84 +51,55 @@ def associate(mode: str, beta, cluster_size=None) -> AssociationMap:
     return AssociationMap(serving)
 
 
-def _columns(x):
-    """x (K,) or (K, A) as a (K, A') float array."""
-    x = np.asarray(x, dtype=float)
-    return x.reshape(len(x), -1)
-
-
-def _served_sums(x, served):
-    """Per column of x (K, A), the sum of its served entries, equal bit for
-    bit to np.sum of that column's served entries: the served entries move
-    to the top of their column in order, and the columns with n of them are
-    summed as the rows of one (columns, n) array, which takes the same
-    pairwise summation as a 1-D sum of n numbers."""
-    order = np.argsort(~served, axis=0, kind="stable")
-    top = np.take_along_axis(x, order, axis=0).T              # (A, K)
-    count = served.sum(axis=0)
-    tot = np.zeros(x.shape[1])
-    for n in np.unique(count[count > 0]):
-        cols = count == n
-        tot[cols] = top[cols, :n].sum(axis=1)
-    return tot
-
-
 def ppa(gamma, served, budget):
     """Proportional split of each AP's budget over its served users:
-    P_k = budget * gamma_k / sum of the served gammas.
-
-    gamma, served : (K,) for one AP, or (K, A) with one AP per column. An
-    AP whose served users all have gamma 0 transmits nothing.
-    """
+    P_k = budget * gamma_k / sum of the served gammas. An AP whose served
+    users all have gamma 0 transmits nothing."""
     if budget <= 0:
         raise ConfigurationError("DL budget must be positive")
-    g = _columns(gamma)
-    served = np.asarray(served, dtype=bool).reshape(g.shape)
-    tot = _served_sums(g, served)
-    on = served & (tot > 0)
-    p = np.where(on, budget * g / np.where(tot > 0, tot, 1.0), 0.0)
-    return p.reshape(np.shape(gamma))
+    g, served = np.asarray(gamma, dtype=float), np.asarray(served, dtype=bool)
+    tot = np.where(served, g, 0.0).sum(axis=0)
+    return np.where(served & (tot > 0),
+                    budget * g / np.where(tot > 0, tot, 1.0), 0.0)
+
+
+def _fill(levels, budget):
+    """Per column: L_min, rel = L - L_min and x = nu - L_min (all +inf for a
+    column with no finite level). With the m lowest levels active,
+    x_m = (budget + sum_{i<m} rel_i) / m; every x_m >= x, with equality at
+    the active count, so x = min_m x_m, and x_1 = budget > 0."""
+    if budget <= 0:
+        raise ConfigurationError("DL budget must be positive")
+    L = np.asarray(levels, dtype=float)
+    lo = L.min(axis=0)
+    rel = L - np.where(np.isfinite(lo), lo, 0.0)
+    s = np.sort(rel, axis=0)
+    m = np.arange(1, len(s) + 1).reshape((-1,) + (1,) * (s.ndim - 1))
+    return lo, rel, ((budget + np.cumsum(s, axis=0)) / m).min(axis=0)
 
 
 def waterfill_level(levels, budget):
-    """Water level nu with sum (nu - L)^+ = budget, by exact solution of
-    the piecewise-linear equation on sorted levels.
+    """Water level nu = L_min + x with sum (nu - L)^+ = budget (see _fill).
 
-    levels : (K,) for one AP, or (K, A) with one AP per column, where +inf
-    marks a user outside the pool; every column needs a finite level.
-    Returns nu, a scalar or (A,).
+    levels : (K,) or (K, A), where +inf marks a user outside the pool;
+    every column needs a finite level. Returns nu, a scalar or (A,).
     """
-    levels = np.asarray(levels, dtype=float)
-    L = np.sort(_columns(levels), axis=0)
-    m = np.arange(1, len(L) + 1)[:, None]
-    # With m lowest levels active: nu = (budget + sum_{i<m} L_i) / m.
-    # Pick the largest m for which nu still exceeds L_{m-1}.
-    nu = (budget + np.cumsum(L, axis=0)) / m
-    valid = nu > L
-    if not np.all(valid.any(axis=0)):
-        raise ConfigurationError("waterfilling needs a positive budget")
-    last = len(L) - 1 - np.argmax(valid[::-1], axis=0)
-    return nu[last, np.arange(L.shape[1])].reshape(levels.shape[1:])[()]
+    lo, _, x = _fill(levels, budget)
+    if not np.all(np.isfinite(lo)):
+        raise ConfigurationError("waterfilling needs a finite level")
+    return (lo + x)[()]
 
 
 def wfpc(gamma, served, sigma_z2, budget):
     """Waterfilling over each AP's served users: P_k = (nu - sigma_z^2/gamma_k)^+
-    with nu matching the budget exactly. Users with gamma 0 sit at infinite
-    noise level and get nothing.
-
-    gamma, served : (K,) for one AP, or (K, A) with one AP per column.
-    """
-    if budget <= 0:
-        raise ConfigurationError("DL budget must be positive")
-    g = _columns(gamma)
-    active = np.asarray(served, dtype=bool).reshape(g.shape) & (g > 0)
-    with np.errstate(divide="ignore"):
-        L = np.where(active, sigma_z2 / g, np.inf)
-    p = np.zeros_like(g)
-    live = active.any(axis=0)
-    L = L[:, live]
-    p[:, live] = np.maximum(waterfill_level(L, budget) - L, 0.0)
-    return p.reshape(np.shape(gamma))
+    = (x - rel_k)^+ (see _fill), with nu matching the budget exactly. Users
+    with gamma 0 sit at infinite noise level and get nothing."""
+    g = np.asarray(gamma, dtype=float)
+    active = np.asarray(served, dtype=bool) & (g > 0)
+    L = np.divide(sigma_z2, g, out=np.full_like(g, np.inf), where=active)
+    _, rel, x = _fill(L, budget)
+    p = np.subtract(x, rel, out=np.zeros_like(g), where=active)
+    return np.maximum(p, 0.0, out=p)
 
 
 def dl_power_allocation(policy, gamma, assoc: AssociationMap, sigma_z2, budget):

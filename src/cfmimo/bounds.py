@@ -371,9 +371,10 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     links : the drop's link state, read for its shape (K, A, N)
     est : the drop's estimators: all that est.draw and est.estimate read;
         the estimate is 0 off the serving mask
-    eta_dl : (K, A) normalized downlink powers; the entries off the
-        serving sets must be finite and >= 0, and do not change the result
-    eta_ul : (K,) uplink transmit powers
+    eta_dl : (K, A) normalized downlink powers, finite and >= 0 (else
+        ValueError); the entries off the serving sets do not change the
+        result
+    eta_ul : (K,) uplink transmit powers, finite and >= 0
     sigma_z2 : noise power at the users (the APs' is est.sigma_w2)
     frac : fraction of the coherence block each direction's data phase takes
     n_trials : coherence blocks drawn
@@ -455,6 +456,10 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     N = links.steering.shape[-1]
     eta_dl = np.asarray(eta_dl, dtype=float)
     eta_ul = np.asarray(eta_ul, dtype=float)
+    for name, eta, shape in (("eta_dl", eta_dl, (K, A)),
+                             ("eta_ul", eta_ul, (K,))):
+        if eta.shape != shape or not np.all((eta >= 0) & (eta < np.inf)):
+            raise ValueError(f"{name} must be {shape}, finite and >= 0")
     diag = np.arange(K)
 
     sizes = _ub_batches(n_trials, 16 * K * A * N)

@@ -820,6 +820,23 @@ class TestServingSlots:
                            match="non-positive downlink SINR denominator"):
             sinr_dl_lb(terms, noisy, 0.25)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_upper_bound_rejects_a_bad_power(self, bad):
+        # A NaN off the serving sets would make every DL rate NaN, since
+        # sqrt(NaN) times the estimate's 0 is NaN.
+        links, pilots, est, mask, eta_dl, eta_ul = self._instance()
+        noisy = eta_dl.copy()
+        noisy[~mask] = bad
+        bad_ul = eta_ul.copy()
+        bad_ul[3] = bad
+        for dl, ul, name in ((noisy, eta_ul, "eta_dl"),
+                             (eta_dl, bad_ul, "eta_ul"),
+                             (eta_dl[:, :-1], eta_ul, "eta_dl"),
+                             (eta_dl, eta_ul[:, None], "eta_ul")):
+            with pytest.raises(ValueError, match=f"{name} must be"):
+                se_ub_mc(links, est, dl, ul, 0.25, 0.42, 2,
+                         np.random.default_rng(32))
+
     def test_served_link_estimators_give_the_same_rates(self):
         # Filters solved on the serving set only: the slot and pair terms
         # equal the all-links build's at the served slots bit for bit, so
