@@ -369,8 +369,9 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     """Monte-Carlo SE upper bounds for all users, both directions.
 
     links : the drop's link state, read for its shape (K, A, N)
-    est : the drop's estimators: all that est.draw and est.estimate read;
-        the estimate is 0 off the serving mask
+    est : the drop's estimators: all that est.channel_draws,
+        est.form_channels, est.train and est.estimate read; the estimate
+        is 0 off the serving mask
     eta_dl : (K, A) normalized downlink powers, finite and >= 0 (else
         ValueError); the entries off the serving sets do not change the
         result
@@ -392,24 +393,28 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     possible (_ub_batches: 100 trials of the default 60-user drop ->
     20 x 5, 10 trials of 120 users -> 5 x 2, 1 -> 1). Every batch reads
     the drop's est as build_estimators derived it: nothing is derived
-    from links or est per call, batch or thread. A batch draws with
-    est.draw, which defines the draw order, from
+    from links or est per call, batch or thread. A batch draws from
     np.random.Generator(np.random.SFC64(s_b)), with s_b the b-th
-    SeedSequence spawned from rng's. The layout depends only on n_trials
-    and the drop's shape, never on the thread count, and a batch's draws
-    only on its own stream.
+    SeedSequence spawned from rng's, in est.draw's order: the random part
+    of its T trials' channels at once, with est.channel_draws, then each
+    trial in turn formed with est.form_channels and trained with
+    est.train, which draws that trial's noise. The layout depends only on
+    n_trials and the drop's shape, never on the thread count, and a
+    batch's draws only on its own stream.
 
-    Buffers: each thread that runs batches allocates two flat buffers of
-    K rows once per call, sized for the largest batch, and reuses them
-    for each of its batches: the channel draw, which est.draw fills,
-    and the estimate, which est.estimate fills; its first DL step adds
-    sqrt(eta_dl) repeated along 2N, one trial's draw in size, kept for
-    its later batches. Per batch it allocates
-    est.draw's (T, P, A, N) noise and observation, freed before the
-    GEMMs, est.estimate's workspace and the (T, K, K) amplitudes and
-    powers, so a call's peak memory is about 3.5 UB_BATCH_BYTES per
-    thread (a default 100-trial call: ~6.4 MB on one thread, ~13 MB on
-    two).
+    Buffers: sqrt(eta_dl) repeated along 2N, one trial's draw in size, is
+    made once per call and read by every thread. Each thread that runs
+    batches allocates, once per call, a flat channel buffer sized for the
+    largest batch, which est.channel_draws fills for each of its batches,
+    and a one-trial estimate, which est.estimate fills trial by trial.
+    Per batch it allocates the LOS phasors (T, M), and per trial
+    est.train's (1, P, A, N) noise and observation, est.estimate's
+    workspace and the (K, K) amplitudes and powers. So a call holds, per
+    thread, one batch's channel draw plus about three trials' draws in
+    size, the shared DL weights included. On the default drop, a 64-trial
+    call on one thread peaks at 1.75 five-trial draws and a 100-trial call
+    on two at 6.3-6.9 MB (tracemalloc, three drops), where batches drawn,
+    trained and estimated whole peaked at 3.3 draws and 12.4-13.2 MB.
     Keeping every trial's DL and UL SINR for the reduction adds 16 B per
     trial and user, and the reduction at most 24 B more (one direction's
     concatenated SINRs and se_lb's temporaries), 0.6% of the 6.4 KB per
@@ -425,25 +430,25 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
     them in batch order and reduces every trial's SE once, so the output is
     bit-identical for any thread count.
 
-    A batch of T trials is evaluated with BLAS products, with AN = A*N the
+    Each trial is evaluated with BLAS products, with AN = A*N the
     flattened (AP, antenna) axis:
 
     - LMMSE: est.estimate forms B^{-1} y once per (pilot, AP) gram, with
       two thin products through the factors U, U M only on the grams with
-      a LOS user, and spreads it to the (T, K, A, N) layout the GEMMs read,
-      zero off the serving set; the channel is then conjugated in place;
+      a LOS user, and spreads it to the (K, A, N) layout the GEMMs read,
+      zero off the serving set; the trial's channel is then conjugated in
+      place;
     - UL: M = (m g_hat)^H g enters the SINR only through |M|^2, so the
       kernel computes conj(M) = g_hat @ conj(g)^T (m the 0/1 serving mask;
       the estimate is already zero off it). The squares of its real and
       imaginary parts sum to the combining noise
-      sum_a m_{k,a} ||g_hat_{t,k,a}||^2;
+      sum_a m_{k,a} ||g_hat_{k,a}||^2;
     - DL: the estimate is then weighted in place by sqrt(eta_dl) (its
       zeros off the serving set stay 0), and the received amplitudes
-      M[t, k, j] = sum_a sqrt(eta_dl[j, a])
-      g_{t,k,a}^H g_hat_{t,j,a} are T products of conj(g) (K, AN) by
-      (w g_hat)^T (AN, K), written over the UL amplitudes; the powers
-      |M|^2 are squared in place and overwrite the UL's, so the DL
-      allocates no (T, K, K) array.
+      M[k, j] = sum_a sqrt(eta_dl[j, a]) g_{k,a}^H g_hat_{j,a} are the
+      product of conj(g) (K, AN) by (w g_hat)^T (AN, K), written over the
+      UL amplitudes; the powers |M|^2 are squared in place and overwrite
+      the UL's.
 
     Returns (se_dl, stderr_dl, se_ul, stderr_ul), each (K,), where se is
     frac * mean log2(1 + sinr) and stderr the standard error of se,
@@ -460,48 +465,53 @@ def se_ub_mc(links: LinkSet, est: EstimatorSet, eta_dl, eta_ul, sigma_z2,
                              ("eta_ul", eta_ul, (K,))):
         if eta.shape != shape or not np.all((eta >= 0) & (eta < np.inf)):
             raise ValueError(f"{name} must be {shape}, finite and >= 0")
-    diag = np.arange(K)
 
     sizes = _ub_batches(n_trials, 16 * K * A * N)
     local = threading.local()
+    # sqrt(eta_dl) repeated along 2N for the estimate's real view, one
+    # trial's draw in size, shared by the threads.
+    wdl = np.repeat(np.sqrt(eta_dl)[:, :, None], 2 * N,
+                    axis=2).reshape(K, 2 * A * N)
 
     def batch(rng, T):
-        """(sinr_dl, sinr_ul), each (T, K), of T trials drawn from rng, in
-        the two channel-sized buffers of the calling thread."""
+        """(sinr_dl, sinr_ul), each (T, K), of T trials drawn from rng: the
+        channels of all T into the calling thread's channel buffer, then
+        each trial in turn in its one-trial workspace."""
         if not hasattr(local, "g"):
             local.g = np.empty(sizes[0] * K * A * N, dtype=complex)
-            local.ghat = np.empty_like(local.g)
-        n = T * K * A * N
-        g, y = est.draw(rng, T, local.g[:n].reshape(T, K, A, N))
-        g_flat = g.reshape(T, K, A * N)
-        ghat = est.estimate(y, out=local.ghat[:n].reshape(g.shape))
-        del y
-        np.conjugate(g, out=g)
+            local.ghat = np.empty((1, K, A, N), dtype=complex)
+        phasor, g = est.channel_draws(
+            rng, T, local.g[:T * K * A * N].reshape(T, K, A, N))
+        ghat = local.ghat.reshape(K, A * N)
+        re_im = local.ghat.view(float).reshape(K, 2 * A * N)
+        # Per trial, the diagonal and the UL-weighted or plain row sums of
+        # each direction's powers |M|^2, and each user's estimate energy;
+        # the SINRs are formed from them once per batch.
+        ul_sig, ul_sum, energy, dl_sig, dl_sum = np.empty((5, T, K))
+        for t in range(T):
+            block = est.form_channels(phasor[t:t + 1], g[t:t + 1])
+            est.estimate(est.train(rng, block), out=local.ghat)
+            g_t = np.conjugate(g[t], out=g[t]).reshape(K, A * N)
 
-        # Uplink: matched-filter combining over the serving set; the
-        # estimate is already zero off it. The UL amplitudes and powers
-        # are overwritten by the DL's.
-        M = ghat.reshape(T, K, A * N) @ g_flat.transpose(0, 2, 1)
-        p = _power(M)                                           # (T, K, K)
-        sig = eta_ul * p[:, diag, diag]
-        interf = p @ eta_ul - sig
-        re_im = ghat.view(float).reshape(T, K, 2 * A * N)
-        noise = est.sigma_w2 * np.einsum("tki,tki->tk", re_im, re_im)
-        sinr_ul = sig / (interf + noise)
+            # Uplink: matched-filter combining over the serving set; the
+            # estimate is already zero off it. The UL amplitudes and
+            # powers are overwritten by the DL's.
+            M = ghat @ g_t.T
+            p = _power(M)                                       # (K, K)
+            np.copyto(ul_sig[t], p.diagonal())
+            np.matmul(p, eta_ul, out=ul_sum[t])
+            np.einsum("ki,ki->k", re_im, re_im, out=energy[t])
 
-        # Downlink: received amplitude of user j's beam at user k, with the
-        # estimate weighted in place by sqrt(eta_dl), repeated along 2N for
-        # the real view. Each thread repeats it at its first DL step, so a
-        # one-batch call does not hold it through the estimate.
-        if not hasattr(local, "wdl"):
-            local.wdl = np.repeat(np.sqrt(eta_dl)[:, :, None], 2 * N, axis=2)
-        re_im *= local.wdl.reshape(K, 2 * A * N)                # w g_hat
-        np.matmul(g_flat, ghat.reshape(T, K, A * N).transpose(0, 2, 1),
-                  out=M)
-        _power(M, out=p)
-        sig = p[:, diag, diag]
-        interf = p.sum(axis=2) - sig
-        return sig / (interf + sigma_z2), sinr_ul
+            # Downlink: received amplitude of user j's beam at user k, with
+            # the estimate weighted in place by sqrt(eta_dl).
+            re_im *= wdl                                        # w g_hat
+            np.matmul(g_t, ghat.T, out=M)
+            _power(M, out=p)
+            np.copyto(dl_sig[t], p.diagonal())
+            p.sum(axis=1, out=dl_sum[t])
+        ul_sig *= eta_ul
+        sinr_ul = ul_sig / (ul_sum - ul_sig + est.sigma_w2 * energy)
+        return dl_sig / (dl_sum - dl_sig + sigma_z2), sinr_ul
 
     streams = [np.random.Generator(np.random.SFC64(seed))
                for seed in rng.bit_generator.seed_seq.spawn(len(sizes))]

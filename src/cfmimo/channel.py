@@ -22,7 +22,7 @@ import numpy as np
 from .config import SystemConfig
 from .deployment import (Drop, GUE, UAV, hypot3, toroidal_distance,
                          wrapped_delta)
-from .errors import ConfigurationError, GeometryError, OutOfModelError
+from .errors import GeometryError, OutOfModelError
 
 # ---------------------------------------------------------------------------
 # Steering vectors
@@ -95,20 +95,33 @@ def three_slope_path_loss_db(distance_3d, cfg: SystemConfig):
                     np.where(d > cfg.three_slope_d0, pl_mid, pl_near))
 
 
+def _field_factor(cov):
+    """A factor F with F F^T the correlation matrix a field is drawn with.
+    Where cov (n, n), unit-diagonal, is positive definite, F is its
+    Cholesky factor (with a 1e-10 ridge). exp(-d/decorr) on the torus need
+    not be, for long decorr or close nodes: there F F^T is the eigenvalue-
+    clipped correlation matrix, cov with its negative eigenvalues set to 0
+    and rescaled to unit diagonal (the projection step of Higham's
+    nearest correlation matrix, IMA J. Numer. Anal. 22 (2002) 329-343)."""
+    try:
+        return np.linalg.cholesky(cov + 1e-10 * np.eye(len(cov)))
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(cov)
+        f = v * np.sqrt(np.maximum(w, 0.0))
+        # Clipping only adds to the diagonal (it drops negative terms of
+        # sum_j w_j v_ij^2 = 1), so every row norm is at least 1.
+        return f / np.linalg.norm(f, axis=1, keepdims=True)
+
+
 def _correlated_field(positions, area_side, decorr, rng):
     """Sample a zero-mean unit-variance Gaussian field over the given nodes
-    with covariance exp(-d/decorr) (toroidal horizontal distance), which
-    need not be positive definite for long decorr on the torus."""
+    with covariance exp(-d/decorr) (toroidal horizontal distance), or the
+    nearest valid correlation matrix where that is not positive definite
+    (_field_factor); either way from n standard normals."""
     n = positions.shape[0]
     p = np.column_stack([positions[:, :2], np.zeros(n)])
     dist = toroidal_distance(p[:, None, :], p[None, :, :], area_side)
-    cov = np.exp(-dist / decorr)
-    try:
-        chol = np.linalg.cholesky(cov + 1e-10 * np.eye(n))
-    except np.linalg.LinAlgError:
-        raise ConfigurationError(f"shadow_decorr = {decorr:g} m is too long "
-                                 "for this drop's positions") from None
-    return chol @ rng.standard_normal(n)
+    return _field_factor(np.exp(-dist / decorr)) @ rng.standard_normal(n)
 
 
 def sample_shadowing(ap_positions, user_positions, cfg: SystemConfig,

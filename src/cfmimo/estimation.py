@@ -1,8 +1,10 @@
 """Fast fading, uplink training and LMMSE channel estimation.
 
-EstimatorSet.channels draws a coherence block's fast fading from channel's
-Ricean model, EstimatorSet.draw adds its training and EstimatorSet.estimate
-its LMMSE estimates, from what build_estimators derives once per drop.
+EstimatorSet.channels draws coherence blocks' fast fading from channel's
+Ricean model (its random part by channel_draws, formed by form_channels),
+EstimatorSet.train their uplink training and EstimatorSet.estimate the
+LMMSE estimates, from what build_estimators derives once per drop;
+EstimatorSet.draw is channels then train.
 
 A link's covariance G = E[g g^H] = c_los a a^H + c_eye I is held as
 (c_los, c_eye) = covariance_coeffs(beta, kappa) and its steering vector a,
@@ -64,7 +66,7 @@ def _check_grams(alpha, uu, w, n, sigma_w2):
 @dataclass
 class EstimatorSet:
     """The LMMSE estimator of a drop's (user, AP) links: the per-gram
-    statistics the closed forms read and everything channels, draw and
+    statistics the closed forms read and everything channels, train and
     estimate read of the drop besides the draws. build_estimators derives
     every field once per drop, all from the one serving mask it stores as
     `served`: a field held on served links or grams is held on that mask's.
@@ -103,9 +105,9 @@ class EstimatorSet:
     z_conj : (L, N) conj(z) on them
     los_term : (L, N) sqrt(eta) c_los a on them
 
-    The scales (scatter and scale) are held (K, A) and repeated along 2N
-    per block: held repeated, they would add two trials' draws to the
-    memory of every batch of the upper bound.
+    The scales (scatter and scale) are held (K, A) and broadcast along 2N
+    when applied: held repeated, they would add two trials' draws to the
+    memory of every drop.
     """
     gamma: np.ndarray
     served: np.ndarray
@@ -137,58 +139,84 @@ class EstimatorSet:
 
     def channels(self, rng: np.random.Generator, n_draws, out=None):
         """n_draws coherence blocks of every link's channel, (n_draws, K, A,
-        N): each link's phase, then the scattered part as one standard_normal
-        call over the real view. out, a C-contiguous complex128 array of that
-        shape, is filled and returned in place of a new array. Phases are
-        redrawn per block. draw states the draw order of a whole block,
-        training included."""
-        n = self.los_steer.shape[-1]
-        full = (n_draws,) + self.scatter.shape
+        N): form_channels of channel_draws, written into out when it is
+        given. draw states the draw order of a whole block, training
+        included."""
+        return self.form_channels(*self.channel_draws(rng, n_draws, out))
 
+    def channel_draws(self, rng: np.random.Generator, n_draws, out=None):
+        """The random part of n_draws blocks' channels: every link's phase
+        theta, uniform on [0, 2 pi), then the scattered part's unit normals
+        h (n_draws, K, A, N), one standard_normal call over h's real view.
+        Returns (phasor, h), phasor (n_draws, M) = sqrt(c_los) e^{j theta}
+        on the M links with a LOS component; every link draws its phase, so
+        the stream does not depend on los_frac. out, a C-contiguous complex128
+        array of h's shape, receives h in place of a new array."""
+        full = (n_draws,) + self.scatter.shape
+        n = self.los_steer.shape[-1]
         theta = rng.uniform(0.0, 2.0 * np.pi, size=full)
+        phasor = self.los_amp * np.exp(
+            1j * theta.reshape(n_draws, -1)[:, self.los])
         if out is None:
-            g = np.empty(full + (n,), dtype=complex)
+            h = np.empty(full + (n,), dtype=complex)
         elif out.shape != full + (n,) or out.dtype != complex:
             raise ValueError(f"out must be complex128 of shape {full + (n,)}")
         else:
-            g = out
-        # Scattered part CN(0, c_eye), scaled in place on the real view,
-        # whose scale array is contiguous along 2N.
-        re_im = g.view(float)
+            h = out
+        rng.standard_normal(out=h.view(float))
+        return phasor, h
+
+    def form_channels(self, phasor, h):
+        """The channels of blocks drawn by channel_draws, formed in place
+        over h and returned: the scattered part scaled to CN(0, c_eye), plus
+        the LOS part phasor a on the links that have one. Blocks may be
+        formed together or one at a time, on the slices phasor[t:t+1] and
+        h[t:t+1], with the same result."""
+        T, n = h.shape[0], h.shape[-1]
+        # Each link's row of the real view scaled by broadcasting: a scale
+        # repeated along 2N would be one trial's draw in size.
+        rows = h.view(float).reshape(T, -1, 2 * n)
+        rows *= self.scatter.reshape(-1, 1)
+        g_los = h.reshape(T, -1, n)
+        g_los[:, self.los, :] += phasor[..., None] * self.los_steer
+        return h
+
+    def train(self, rng: np.random.Generator, g):
+        """The de-spread training observation y (T, P, A, N) of the blocks
+        whose channels are g (T, K, A, N), P = max pilot index + 1:
+        y = spread @ g plus the training noise CN(0, sigma_w^2), one
+        standard_normal call over the real view of a new (T, P, A, N)
+        array, with spread[p, k] = sqrt(eta_k) where user k is on pilot p.
+        g is read, not written. Training the blocks one at a time, on the
+        slices g[t:t+1], draws what one call on all of them draws."""
+        T, K, A, N = g.shape
+        noise = np.empty((T, self.spread.shape[0], A, N), dtype=complex)
+        re_im = noise.view(float)
         rng.standard_normal(out=re_im)
-        re_im *= np.repeat(self.scatter[..., None], 2 * n, axis=-1)
-        # LOS part, formed only on the links that have one (every link still
-        # draws its phase, so the draw stream does not depend on los_frac).
-        phase = np.exp(1j * theta.reshape(n_draws, -1)[:, self.los])
-        g_los = g.reshape(n_draws, -1, n)
-        g_los[:, self.los, :] += ((self.los_amp * phase)[..., None]
-                                  * self.los_steer)
-        return g
+        re_im *= np.sqrt(self.sigma_w2 / 2)
+        y = self.spread @ g.view(float).reshape(T, K, 2 * A * N)
+        y = y.view(complex).reshape(noise.shape)
+        y += noise
+        return y
 
     def draw(self, rng: np.random.Generator, n_draws, g=None):
         """n_draws coherence blocks of the drop: the channels g (T, K, A, N),
         written into g when it is given, and the de-spread training
         observation y (T, P, A, N), P = max pilot index + 1.
 
-        The one definition of a block's draws, in order: the channels, by
-        channels (each link's phase, then the scattered part as one
-        standard_normal call over g's real view); then the training noise
-        CN(0, sigma_w^2), one standard_normal call over the real view of a
-        new (T, P, A, N) array, added to y = spread @ g, with
-        spread[p, k] = sqrt(eta_k) where user k is on pilot p.
+        The one definition of a block's draws, in order: the channels of
+        all T blocks, by channels (every link's phase in every block, then
+        every block's scattered part, one standard_normal call over g's
+        real view); then the training noise of all T blocks, by train (one
+        standard_normal call over the real view of the (T, P, A, N) noise,
+        block after block). Normals are drawn one after another, so
+        training the blocks one at a time draws the same noise: a caller
+        that takes T blocks' channel_draws and then forms and trains the
+        blocks one by one reads the stream as this call does, and gets
+        the same channels and observations.
         """
-        T = n_draws
-        P, K = self.spread.shape
-        g = self.channels(rng, T, out=g)
-        A, N = g.shape[2:]
-        noise = np.empty((T, P, A, N), dtype=complex)
-        re_im = noise.view(float)
-        rng.standard_normal(out=re_im)
-        re_im *= np.sqrt(self.sigma_w2 / 2)
-        y = self.spread @ g.view(float).reshape(T, K, 2 * A * N)
-        y = y.view(complex).reshape(T, P, A, N)
-        y += noise
-        return g, y
+        g = self.channels(rng, n_draws, out=g)
+        return g, self.train(rng, g)
 
     def estimate(self, y, out=None):
         """LMMSE estimates g_hat (T, K, A, N) of every link, 0 off the
@@ -206,7 +234,7 @@ class EstimatorSet:
         K, A = self.scale.shape
         T, N = y.shape[0], y.shape[-1]
         pilot = self.pilot_index
-        if pilot.max() >= y.shape[1]:
+        if self.spread.shape[0] > y.shape[1]:
             raise ValueError("y has fewer pilot rows than the pilot indices")
         flat = y.reshape(T, -1, N)
         # z^H y on the served LOS links, from the observation as drawn,
@@ -223,9 +251,10 @@ class EstimatorSet:
         # directly; with "raise" numpy fills a temporary and copies it over.
         ghat = np.take(flat.reshape(T, -1, A, N), pilot, axis=1, out=out,
                        mode="clip")                             # (T, K, A, N)
-        # Scale the real view, whose scale array is contiguous along 2N.
-        re_im = ghat.view(float)
-        re_im *= np.repeat(self.scale[..., None], 2 * N, axis=-1)
+        # Scale each link's row of the real view, broadcasting the (K, A)
+        # scale along 2N: repeated, it would be one trial's draw in size.
+        rows = ghat.view(float).reshape(T, K * A, 2 * N)
+        rows *= self.scale.reshape(K * A, 1)
         # Gathered, summed and written back: an in-place += through the
         # index takes twice as long, and so does broadcasting zy along N.
         per_link = ghat.reshape(T, K * A, N)
@@ -315,7 +344,7 @@ def build_estimators(links: LinkSet, pilot_index, train_powers, sigma_w2,
         raise NumericalError("gamma is not real non-negative; inconsistent inputs")
     gamma = np.where(served, np.maximum(gamma.real, 0.0), 0.0)
 
-    # What channels, draw and estimate read: the channel draw's amplitudes
+    # What channels, train and estimate read: the channel draw's amplitudes
     # and LOS links, the de-spreading matrix, and the apply's per-link
     # factors on the served links lk that have a LOS component.
     steer = links.steering.reshape(-1, N)

@@ -1019,21 +1019,24 @@ class TestUpperBoundKernel:
 
     def test_peak_memory_of_one_default_batch(self, monkeypatch):
         # A 64-trial call at the default scale on one thread runs 13
-        # batches of at most 5 trials and may peak at 4.5 channel draws
-        # (5, K, A, N) of complex128, the largest batch's; it peaks at
-        # ~3.3 of them (6.3 MB).
+        # batches of at most 5 trials and may peak at 2.5 channel draws
+        # (5, K, A, N) of complex128, the largest batch's: the batch's
+        # draw and a one-trial workspace. It peaks at ~1.7 of them
+        # (3.3 MB); batches drawn, trained and estimated whole peaked at
+        # ~3.3.
         monkeypatch.setattr(bounds, "_cpus", lambda: 1)
         cfg = SystemConfig()
         trial = 16 * cfg.n_users * cfg.n_aps * cfg.n_ap_antennas
         peak = self._traced_peak(monkeypatch, cfg, 26, 64)
         draw = max(bounds._ub_batches(64, trial)) * trial
-        assert peak <= 4.5 * draw, peak / draw
+        assert peak <= 2.5 * draw, peak / draw
 
     def test_peak_memory_is_bounded_by_the_batch_budget(self, monkeypatch):
         # 64 trials on 4 APs x 256 antennas, each user served by its
-        # strongest AP, on one thread: 32 batches of 2 trials in two reused
-        # buffers peak at 7.11 MB, against a bound of 8.39 MB, where two
-        # fresh batches of 32 trials peaked at 81.8 MB.
+        # strongest AP, on one thread: 32 batches of 2 trials in a reused
+        # channel buffer and one-trial workspace peak at 5.2 MB, against a
+        # bound of 8.39 MB, where two fresh batches of 32 trials peaked at
+        # 81.8 MB.
         monkeypatch.setattr(bounds, "_cpus", lambda: 1)
         cfg = SystemConfig(n_aps=4, n_ap_antennas=256,
                            association_mode="UC", uc_cluster_size=1)
@@ -1042,26 +1045,30 @@ class TestUpperBoundKernel:
 
     def test_peak_memory_of_a_pooled_default_call(self, monkeypatch):
         # 100 default trials on two threads: 20 batches of 5 trials, each
-        # thread in its two reused buffers, peak at ~13 MB, under 7 batch
-        # budgets of 2 MiB. With 4 MiB budgets (10 batches of 10) the same
-        # call peaked at ~24 MB.
+        # thread in its reused channel buffer and one-trial workspace, peak
+        # at ~6.9 MB, under 10 MB. Batches trained and estimated whole
+        # peaked at ~13 MB, and with 4 MiB budgets (10 batches of 10) at
+        # ~24 MB.
         monkeypatch.setattr(bounds, "_cpus", lambda: 2)
         peak = self._traced_peak(monkeypatch, SystemConfig(), 26, 100)
-        assert peak <= 7 * (2 << 20), peak / 1e6
+        assert peak <= 10e6, peak / 1e6
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_se_ub_mc_derives_nothing(self, monkeypatch, cpus):
         # A 100-trial default drop runs 20 batches, serially or on two
-        # threads; every one of them draws through the drop's one
-        # EstimatorSet, and se_ub_mc derives nothing of the drop's own:
-        # covariance_coeffs raises while it runs.
+        # threads; each of them draws its channels and each of its trials
+        # its training through the drop's one EstimatorSet, and se_ub_mc
+        # derives nothing of the drop's own: covariance_coeffs raises while
+        # it runs.
         monkeypatch.setattr(bounds, "_cpus", lambda: cpus)
         given, read = [], []
-        draw, ub = EstimatorSet.draw, bounds.se_ub_mc
+        ub = bounds.se_ub_mc
 
-        def spy(self, *args, **kw):
-            read.append(self)
-            return draw(self, *args, **kw)
+        def spy(method):
+            def wrapped(self, *args, **kw):
+                read.append((method.__name__, self))
+                return method(self, *args, **kw)
+            return wrapped
 
         def no_coeffs(*args):
             raise AssertionError("covariance_coeffs called by se_ub_mc")
@@ -1073,11 +1080,15 @@ class TestUpperBoundKernel:
                     inner.setattr(module, "covariance_coeffs", no_coeffs)
                 return ub(links, est, *args)
 
-        monkeypatch.setattr(EstimatorSet, "draw", spy)
+        for method in (EstimatorSet.channel_draws, EstimatorSet.train):
+            monkeypatch.setattr(EstimatorSet, method.__name__, spy(method))
         monkeypatch.setattr(harness, "se_ub_mc", traced)
         harness.simulate_drop(SystemConfig(), np.random.default_rng(36), 100)
         assert len(given) == 1
-        assert len(read) == 20 and all(e is given[0] for e in read)
+        names = [name for name, _ in read]
+        assert names.count("channel_draws") == 20
+        assert names.count("train") == 100
+        assert all(e is given[0] for _, e in read)
 
 
 class TestUbBatches:
@@ -1154,7 +1165,7 @@ class TestUpperBoundThreads:
         args = (links, est, rng.uniform(0.1, 1.0, links.beta.shape),
                 rng.uniform(0.2, 1.0, 8), 0.25, 0.42, 100)
         monkeypatch.setattr(bounds, "_cpus", lambda: 2)
-        seen, fail_at = [], None            # BLAS count inside each batch
+        seen, fail_at = [], None            # BLAS count at each trial
 
         def spy(*a, **kw):
             seen.append(get())
@@ -1166,7 +1177,7 @@ class TestUpperBoundThreads:
         put(2)
         try:
             se_ub_mc(*args, np.random.default_rng(31))
-            assert seen == [1] * 2 and get() == 2
+            assert seen == [1] * 100 and get() == 2
             seen, fail_at = [], 2
             with pytest.raises(RuntimeError, match="batch failed"):
                 se_ub_mc(*args, np.random.default_rng(31))

@@ -10,6 +10,7 @@ from cfmimo.config import SystemConfig
 from cfmimo.deployment import (GUE, UAV, sample_drop, toroidal_distance,
                                wrapped_delta)
 from cfmimo.errors import GeometryError, OutOfModelError
+from cfmimo.harness import run_experiment
 
 from conftest import channel_block, covariance_G
 
@@ -167,6 +168,49 @@ class TestThreeSlope:
         beta = gue_large_scale(30.0, 5.0, CFG)   # large z must be ignored
         assert 10 * np.log10(beta) == pytest.approx(
             three_slope_path_loss_db(30.0, CFG))
+
+
+def _field_cov(seed):
+    """exp(-d/decorr) over 20 uniform nodes of a 100 m square, decorr 100 m,
+    on toroidal distances, as channel._correlated_field forms it."""
+    p = np.random.default_rng(seed).uniform(0.0, 100.0, (20, 3))
+    p[:, 2] = 0.0
+    return np.exp(-toroidal_distance(p[:, None], p[None], 100.0) / 100.0)
+
+
+class TestCorrelatedField:
+    def test_cholesky_factor_kept_where_it_exists(self):
+        # Positive definite: the factor is the Cholesky factor, bit for
+        # bit, so every stream that drew with it is unchanged.
+        cov = _field_cov(0)
+        np.testing.assert_array_equal(
+            channel._field_factor(cov),
+            np.linalg.cholesky(cov + 1e-10 * np.eye(20)))
+
+    def test_fallback_factor_gives_the_clipped_target(self):
+        # Not positive definite (smallest eigenvalue -0.0067): F F^T is cov
+        # with its negative eigenvalues set to 0, rescaled to unit diagonal.
+        cov = _field_cov(1)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov + 1e-10 * np.eye(20))
+        w, v = np.linalg.eigh(cov)
+        clipped = (v * np.maximum(w, 0.0)) @ v.T
+        d = 1.0 / np.sqrt(np.diag(clipped))
+        target = d[:, None] * clipped * d
+        F = channel._field_factor(cov)
+        np.testing.assert_allclose(F @ F.T, target, rtol=0, atol=1e-10)
+        assert np.linalg.eigvalsh(target).min() > -1e-12
+
+    def test_small_square_runs_on_every_seed(self):
+        # 20 APs on a 100 m square at the default 100 m decorrelation:
+        # exp(-d/decorr) is not positive definite on seeds 1, 4 and 9,
+        # whose drops once failed. Every seed gives finite rates.
+        for seed in range(10):
+            cfg = SystemConfig(area_side=100.0, n_aps=20, n_gues=10,
+                               n_uavs=2, rng_seed=seed)
+            res = run_experiment(cfg, 1, 1)
+            for name in ("lb_dl", "ub_dl", "lb_ul", "ub_ul"):
+                assert np.all(np.isfinite(getattr(res, f"rate_{name}")))
 
 
 def los_probability_oracle(d2d, h):

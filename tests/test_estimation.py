@@ -622,6 +622,38 @@ class TestDrawBlock:
         for x, w in zip(got, want):
             np.testing.assert_allclose(x, w, rtol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["CF", "UC"])
+    @pytest.mark.parametrize("los", [True, False],
+                             ids=["with_los_user", "rayleigh_only"])
+    def test_one_trial_trainings_read_the_draws_stream(self, mode, los):
+        # The upper bound's order: the channel draws of T blocks in one
+        # call, then each block formed and trained alone, from a fresh copy
+        # of the same SFC64 stream, gives what draw gives, bit for bit, and
+        # leaves the stream where draw leaves it. UC serves each user from
+        # its 2 strongest of 4 APs; 6 users share 3 pilots.
+        links = random_links(np.random.default_rng(56), 6, 4, 3)
+        if not los:
+            links.los_frac[:] = 0.0
+        links.los_frac[0] = 0.0
+        serving = None
+        if mode == "UC":
+            top = np.argsort(-links.beta, axis=1)[:, :2]
+            serving = np.zeros(links.beta.shape, dtype=bool)
+            np.put_along_axis(serving, top, True, axis=1)
+        est = build_estimators(links, [0, 1, 2, 0, 1, 2],
+                               np.linspace(0.5, 2.0, 6), 0.3, serving=serving)
+        assert np.any(est.los_amp > 0) == los
+        want_rng = np.random.Generator(np.random.SFC64(57))
+        g_want, y_want = est.draw(want_rng, 5)
+        rng = np.random.Generator(np.random.SFC64(57))
+        phasor, g = est.channel_draws(rng, 5)
+        y = np.concatenate([
+            est.train(rng, est.form_channels(phasor[t:t + 1], g[t:t + 1]))
+            for t in range(5)])
+        np.testing.assert_array_equal(g, g_want)
+        np.testing.assert_array_equal(y, y_want)
+        assert rng.random() == want_rng.random()
+
     def test_out_buffer_matches_the_allocating_call(self):
         # A channel buffer filled with stale values, and more pilot rows
         # (32) than users (3).
